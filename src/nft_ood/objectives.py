@@ -4,12 +4,31 @@ Three terms: a cross-entropy classification loss on positive samples over all
 N+M tuned text features, a loss pushing negative samples away from the ID
 labels (log of the ID probability mass), and a knowledge-regularization term
 keeping tuned features close to the pre-trained ones (feature, logit, or
-probability variant). Gradients are derived by hand, including through the L2
-normalization (projection Jacobian) and the relu (subgradient 0 at 0); a
-central-difference oracle cross-checks them.
+probability variant).
+
+`total_loss` and `backward` share one batched forward over the B images of a
+batch. In the affine modes (`vec_shift`, `scale_shift`) image v has its own
+scale a and shift b, and each bank row c is tuned to c' = u / ||u|| with
+u = a * c + b. The losses need only dot products of u, which expand into
+GEMMs of the batch against the bank C and its elementwise square C * C:
+
+    v . u   = (a * v) . c + b . v
+    c . u   = a . (c * c) + b . c
+    ||u||^2 = (a * a) . (c * c) + 2 (a * b) . c + ||b||^2
+
+The gradients with respect to a and b are the transposed GEMMs, so training
+never builds a (B, K, D) tensor. Entries where u nearly cancels, and the
+expansion of ||u||^2 with it, are recomputed from u directly. In `const_shift`
+and `mlp` the tuned bank does not depend on the image: it is computed once
+per call, and the backward passes through the normalization and the transform
+once.
+
+Gradients are derived by hand, including through the L2 normalization
+(projection Jacobian) and the relu (subgradient 0 at 0); a central-difference
+oracle cross-checks them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +41,7 @@ from .errors import (
     NonPositiveTemperature,
     ZeroNorm,
 )
-from .model import mlp_residual
-from .numerics import as_f64, logsumexp, stable_softmax
+from .numerics import EPS_NORM, as_f64, logsumexp, stable_softmax
 
 KR_VARIANTS = ("feature", "logits", "prob")
 KR_SCOPES = ("pos", "both")
@@ -140,288 +158,228 @@ def _validate_batch(bank, batch):
 
 
 def _lse_rows(x):
-    m = np.max(x, axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True))).ravel()
+    m = x.max(axis=1, keepdims=True)
+    return (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))).ravel()
 
 
-def total_loss(state, bank, batch, cfg):
-    """Mean losses over the batch combined per the lambda weights in cfg.
-
-    Vectorized over all images in the batch; each image's transformed bank
-    is computed once and shared between the task loss and the
-    knowledge-regularization term.
-    """
-    _validate_cfg(cfg)
-    _validate_batch(bank, batch)
-    _check_tau(cfg.tau_loss)
-    tau = cfg.tau_loss
-    n = bank.n_pos
+def _images(batch):
+    """The batch's images as one (B, D) array, positives first."""
     parts = []
     if batch.n_pos:
         parts.append(as_f64(batch.pos_features))
     if batch.n_neg:
         parts.append(as_f64(batch.neg_features))
-    imgs = np.vstack(parts)
-    n_imgs = imgs.shape[0]
+    return np.vstack(parts)
 
-    s_parts = []  # per-role cosines with the tuned rows, (B, K_role)
-    dot_parts = []  # per-role dot(c, c'), (B, K_role)
-    for role, c in (("positive", bank.pos), ("negative", bank.neg)):
-        if c.shape[0] == 0:
-            continue
-        if state.mode in ("const_shift", "mlp"):
-            # tuned rows do not depend on the image feature
-            if state.mode == "const_shift":
-                u = c + state.head(role).beta[0]
-            else:
-                u = c + mlp_residual(state.net(role), c)
-            norms = np.sqrt(np.sum(u * u, axis=1))
-            if np.any(norms <= 1e-12):
-                raise ZeroNorm("transform produced a zero vector")
-            cp = u / norms[:, None]
-            s_parts.append(imgs @ cp.T)
-            dot_parts.append(np.broadcast_to(np.sum(c * cp, axis=1), (n_imgs, c.shape[0])))
-        else:
-            head = state.head(role)
-            net = state.net(role)
-            z = imgs @ net.w1.T + net.b1
-            h = np.maximum(z, 0.0)
-            beta = head.beta + h @ net.w_beta.T + net.b_beta
-            if state.mode == "scale_shift":
-                alpha = head.alpha + h @ net.w_alpha.T + net.b_alpha
-            else:
-                alpha = np.ones_like(beta)
-            u = alpha[:, None, :] * c[None, :, :] + beta[:, None, :]
-            norms = np.sqrt(np.sum(u * u, axis=2))
-            if np.any(norms <= 1e-12):
-                raise ZeroNorm("transform produced a zero vector")
-            cp = u / norms[..., None]
-            s_parts.append(np.einsum("bkd,bd->bk", cp, imgs))
-            dot_parts.append(np.einsum("bkd,kd->bk", cp, c))
 
-    s = np.hstack(s_parts)
-    logits = s / tau
-    lse_all = _lse_rows(logits)
-    l_pos = 0.0
-    l_neg = 0.0
-    if batch.n_pos:
-        idx = np.arange(batch.n_pos)
-        picked = logits[idx, batch.pos_labels.astype(int)]
-        l_pos = float(np.mean(lse_all[: batch.n_pos] - picked))
-    if batch.n_neg:
-        neg_logits = logits[batch.n_pos :]
-        l_neg = float(np.mean(_lse_rows(neg_logits[:, :n]) - lse_all[batch.n_pos :]))
+_IMAGE_INDEPENDENT = ("const_shift", "mlp")
 
-    n_kr = batch.n_pos + (batch.n_neg if cfg.kr_scope == "both" else 0)
-    if n_kr:
-        scope = slice(0, n_kr)  # positives come first in imgs
-        if cfg.kr_variant == "feature":
-            dots = np.hstack(dot_parts)
-            kr_per_img = np.mean(1.0 - dots[scope], axis=1)
-        elif cfg.kr_variant == "logits":
-            t0 = imgs[scope] @ bank.rows().T
-            gap = s[scope] - t0
-            kr_per_img = np.mean(gap * gap, axis=1)
-        else:
-            t0 = imgs[scope] @ bank.rows().T
-            m0 = np.max(t0, axis=1, keepdims=True)
-            e0 = np.exp(t0 - m0)
-            p0 = e0 / np.sum(e0, axis=1, keepdims=True)
-            log_q = s[scope] - _lse_rows(s[scope])[:, None]
-            kr_per_img = -np.sum(p0 * log_q, axis=1)
-        l_kr = float(np.mean(kr_per_img))
-    else:
-        l_kr = 0.0
-
-    total = l_pos + cfg.lambda1 * l_neg + cfg.lambda2 * l_kr
-    return LossReport(
-        l_pos=float(l_pos),
-        l_neg=float(l_neg),
-        l_kr=float(l_kr),
-        total=float(total),
-        n_pos=batch.n_pos,
-        n_neg=batch.n_neg,
-    )
+# Where ||u||^2 falls below this share of ||a*c||^2 + ||b||^2, its GEMM
+# expansion has cancelled: its relative error grows like D * eps divided by
+# that share, and an exactly zero u can come out as a tiny positive norm that
+# slips past the ZeroNorm guard. Such entries are recomputed from u itself.
+_CANCELLATION = 1e-2
 
 
 @dataclass
-class _RoleCache:
-    role: str
-    c: np.ndarray  # original rows
-    cp: np.ndarray  # tuned rows
-    norms: np.ndarray
-    # affine modes
-    a: np.ndarray = None
-    z: np.ndarray = None  # trunk pre-activation on v
-    h: np.ndarray = None
-    # mlp mode
-    z_rows: np.ndarray = None  # trunk pre-activations per row
-    h_rows: np.ndarray = None
+class _Role:
+    """Forward cache of one role's bank rows against a batch of B images."""
+
+    name: str
+    c: np.ndarray  # (K, D) pre-trained rows
+    c2: np.ndarray = None  # (K, D) c * c, affine modes
+    s: np.ndarray = None  # (B, K) tuned cosines v . c'
+    d: np.ndarray = None  # (B, K) regularizer dots c . c'
+    n: np.ndarray = None  # ||u||: (B, K) in the affine modes, (K,) otherwise
+    z: np.ndarray = None  # meta-net trunk pre-activation: (B, H), in mlp (K, H)
+    h: np.ndarray = None  # relu(z)
+    a: np.ndarray = None  # (B, D) per-image scale, affine modes
+    b: np.ndarray = None  # (B, D) per-image shift, affine modes
+    cp: np.ndarray = None  # (K, D) tuned rows, image-independent modes
 
 
-def _forward_image(state, bank, v):
-    """Transform the whole bank for one image, keeping backprop caches."""
-    caches = []
-    for role, c in (("positive", bank.pos), ("negative", bank.neg)):
+def _checked_norms(n2):
+    if (n2 <= EPS_NORM * EPS_NORM).any():
+        raise ZeroNorm("transform produced a zero vector")
+    return np.sqrt(n2)
+
+
+def _forward(state, bank, imgs):
+    """Tuned cosines and c . c' of every image against every bank row, per role."""
+    roles = []
+    for name, c in (("positive", bank.pos), ("negative", bank.neg)):
         if c.shape[0] == 0:
             continue
-        if state.mode == "mlp":
-            net = state.net(role)
-            z_rows = c @ net.w1.T + net.b1
-            h_rows = np.maximum(z_rows, 0.0)
-            u = c + h_rows @ net.w_beta.T + net.b_beta
-            cache = _RoleCache(role=role, c=c, cp=None, norms=None,
-                               z_rows=z_rows, h_rows=h_rows)
-        else:
-            head = state.head(role)
-            z = h = None
+        r = _Role(name=name, c=c)
+        if state.mode in _IMAGE_INDEPENDENT:
             if state.mode == "const_shift":
-                a = np.ones(state.dim)
-                b = np.full(state.dim, head.beta[0])
+                u = c + state.head(name).beta[0]
             else:
-                net = state.net(role)
-                z = net.w1 @ v + net.b1
-                h = np.maximum(z, 0.0)
-                if state.mode == "vec_shift":
-                    a = np.ones(state.dim)
-                    b = head.beta + (net.w_beta @ h + net.b_beta)
-                else:  # scale_shift
-                    a = head.alpha + (net.w_alpha @ h + net.b_alpha)
-                    b = head.beta + (net.w_beta @ h + net.b_beta)
-            u = a * c + b
-            cache = _RoleCache(role=role, c=c, cp=None, norms=None, a=a, z=z, h=h)
-        norms = np.sqrt(np.sum(u * u, axis=1))
-        if np.any(norms <= 1e-12):
-            raise ZeroNorm("transform produced a zero vector during backward")
-        cache.norms = norms
-        cache.cp = u / norms[:, None]
-        caches.append(cache)
-    rows = np.vstack([cc.cp for cc in caches])
-    return rows, caches
+                net = state.net(name)
+                r.z = c @ net.w1.T + net.b1
+                r.h = np.maximum(r.z, 0.0)
+                u = c + r.h @ net.w_beta.T + net.b_beta
+            r.n = _checked_norms((u * u).sum(axis=1))
+            r.cp = u / r.n[:, None]
+            r.s = imgs @ r.cp.T
+            r.d = np.broadcast_to((c * r.cp).sum(axis=1), r.s.shape)
+        else:
+            head, net = state.head(name), state.net(name)
+            r.z = imgs @ net.w1.T + net.b1
+            r.h = np.maximum(r.z, 0.0)
+            r.b = head.beta + r.h @ net.w_beta.T + net.b_beta
+            if state.mode == "scale_shift":
+                r.a = head.alpha + r.h @ net.w_alpha.T + net.b_alpha
+            else:
+                r.a = np.ones_like(r.b)
+            r.c2 = c * c
+            bc = r.b @ c.T
+            ac2 = (r.a * r.a) @ r.c2.T
+            bb = (r.b * r.b).sum(axis=1, keepdims=True)
+            vu = (r.a * imgs) @ c.T + (r.b * imgs).sum(axis=1, keepdims=True)
+            cu = r.a @ r.c2.T + bc
+            n2 = ac2 + 2.0 * ((r.a * r.b) @ c.T) + bb
+            cancelled = n2 <= _CANCELLATION * (ac2 + bb)
+            if cancelled.any():
+                i, k = cancelled.nonzero()
+                u = r.a[i] * c[k] + r.b[i]
+                n2[i, k] = (u * u).sum(axis=1)
+                vu[i, k] = (imgs[i] * u).sum(axis=1)
+                cu[i, k] = (c[k] * u).sum(axis=1)
+            r.n = _checked_norms(n2)
+            r.s = vu / r.n
+            r.d = cu / r.n
+        roles.append(r)
+    return roles
 
 
-def _backprop_transform(state, caches, grad_rows, v, grads):
-    """Accumulate dL/dparams given dL/d(tuned rows)."""
-    offset = 0
-    for cache in caches:
-        k = cache.c.shape[0]
-        g = grad_rows[offset : offset + k]
-        offset += k
-        # through L2 normalization: (I - cp cp^T) / ||u||
-        gu = (g - np.sum(g * cache.cp, axis=1, keepdims=True) * cache.cp)
-        gu = gu / cache.norms[:, None]
-        prefix = "pos" if cache.role == "positive" else "neg"
-        if state.mode == "mlp":
-            net = state.net(cache.role)
-            grads[f"{prefix}_net.w_beta"] += gu.T @ cache.h_rows
-            grads[f"{prefix}_net.b_beta"] += gu.sum(axis=0)
-            dz = (gu @ net.w_beta) * (cache.z_rows > 0)
-            grads[f"{prefix}_net.w1"] += dz.T @ cache.c
-            grads[f"{prefix}_net.b1"] += dz.sum(axis=0)
-            continue
-        db = gu.sum(axis=0)
+def _backprop_role(state, r, imgs, g_s, g_d, grads):
+    """Accumulate dL/dparams of one role from dL/ds (B, K) and dL/dd (B, 1)."""
+    prefix = "pos" if r.name == "positive" else "neg"
+    net = state.net(r.name)
+    g_a = None
+    if state.mode in _IMAGE_INDEPENDENT:
+        # dL/dc' summed over the batch, then through the normalization once
+        g = g_s.T @ imgs + np.sum(g_d) * r.c
+        g_b = (g - np.sum(g * r.cp, axis=1, keepdims=True) * r.cp) / r.n[:, None]
         if state.mode == "const_shift":
-            grads[f"{prefix}_head.beta"][0] += float(db.sum())
-            continue
-        net = state.net(cache.role)
-        grads[f"{prefix}_head.beta"] += db
-        grads[f"{prefix}_net.w_beta"] += np.outer(db, cache.h)
-        grads[f"{prefix}_net.b_beta"] += db
-        dh = net.w_beta.T @ db
+            grads[f"{prefix}_head.beta"][0] += np.sum(g_b)
+            return
+        x = r.c  # the mlp's trunk reads the bank rows, not the images
+    else:
+        # dL/du = alpha v + gamma c - rho u per image and row; summing it over
+        # rows against c (for a) and 1 (for b) expands into GEMMs with c, c*c.
+        alpha = g_s / r.n
+        gamma = g_d / r.n
+        rho = (alpha * r.s + gamma * r.d) / r.n
+        rho_c = rho @ r.c
+        g_b = (imgs * np.sum(alpha, axis=1, keepdims=True) + gamma @ r.c
+               - r.a * rho_c - r.b * np.sum(rho, axis=1, keepdims=True))
+        grads[f"{prefix}_head.beta"] += np.sum(g_b, axis=0)
         if state.mode == "scale_shift":
-            da = np.sum(gu * cache.c, axis=0)
-            grads[f"{prefix}_head.alpha"] += da
-            grads[f"{prefix}_net.w_alpha"] += np.outer(da, cache.h)
-            grads[f"{prefix}_net.b_alpha"] += da
-            dh = dh + net.w_alpha.T @ da
-        dz = dh * (cache.z > 0)
-        grads[f"{prefix}_net.w1"] += np.outer(dz, v)
-        grads[f"{prefix}_net.b1"] += dz
+            g_a = (imgs * (alpha @ r.c) + gamma @ r.c2
+                   - r.a * (rho @ r.c2) - r.b * rho_c)
+            grads[f"{prefix}_head.alpha"] += np.sum(g_a, axis=0)
+        x = imgs
+    grads[f"{prefix}_net.w_beta"] += g_b.T @ r.h
+    grads[f"{prefix}_net.b_beta"] += np.sum(g_b, axis=0)
+    g_h = g_b @ net.w_beta
+    if g_a is not None:
+        grads[f"{prefix}_net.w_alpha"] += g_a.T @ r.h
+        grads[f"{prefix}_net.b_alpha"] += np.sum(g_a, axis=0)
+        g_h += g_a @ net.w_alpha
+    g_z = g_h * (r.z > 0)
+    grads[f"{prefix}_net.w1"] += g_z.T @ x
+    grads[f"{prefix}_net.b1"] += np.sum(g_z, axis=0)
+
+
+def _loss(state, bank, batch, cfg, with_grads):
+    """Loss report and, if with_grads, the gradients, from one batched forward."""
+    _validate_cfg(cfg)
+    _validate_batch(bank, batch)
+    _check_tau(cfg.tau_loss)
+    tau, n, n_p = cfg.tau_loss, bank.n_pos, batch.n_pos
+    imgs = _images(batch)
+    roles = _forward(state, bank, imgs)
+    s = np.hstack([r.s for r in roles])
+    k = s.shape[1]
+    logits = s / tau
+    lse_all = _lse_rows(logits)
+    # dL/ds, and dL/d(c . c') which is the same for every row of the bank
+    g_s = np.zeros_like(s)
+    g_d = np.zeros((s.shape[0], 1))
+    l_pos = l_neg = l_kr = 0.0
+    if n_p:
+        idx, y = np.arange(n_p), batch.pos_labels.astype(int)
+        l_pos = float((lse_all[:n_p] - logits[idx, y]).mean())
+        if with_grads:
+            dl = np.exp(logits[:n_p] - lse_all[:n_p, None])
+            dl[idx, y] -= 1.0
+            g_s[:n_p] = dl / (n_p * tau)
+    if batch.n_neg:
+        neg = logits[n_p:]
+        lse_id = _lse_rows(neg[:, :n])
+        l_neg = float((lse_id - lse_all[n_p:]).mean())
+        if with_grads:
+            dl = -np.exp(neg - lse_all[n_p:, None])
+            dl[:, :n] += np.exp(neg[:, :n] - lse_id[:, None])
+            g_s[n_p:] = dl * (cfg.lambda1 / (batch.n_neg * tau))
+
+    n_kr = n_p + (batch.n_neg if cfg.kr_scope == "both" else 0)
+    if n_kr:
+        w_kr = cfg.lambda2 / n_kr
+        scope = slice(0, n_kr)  # positives come first in imgs
+        if cfg.kr_variant == "feature":
+            kr_per_img = 1.0 - np.hstack([r.d[scope] for r in roles]).mean(axis=1)
+            g_d[scope] = -w_kr / k
+        else:
+            t0 = imgs[scope] @ bank.rows().T
+            if cfg.kr_variant == "logits":
+                gap = s[scope] - t0
+                kr_per_img = (gap * gap).mean(axis=1)
+                g_s[scope] += (2.0 * w_kr / k) * gap
+            else:  # prob
+                p0 = np.exp(t0 - _lse_rows(t0)[:, None])
+                log_q = s[scope] - _lse_rows(s[scope])[:, None]
+                kr_per_img = -(p0 * log_q).sum(axis=1)
+                g_s[scope] += w_kr * (np.exp(log_q) - p0)
+        l_kr = float(kr_per_img.mean())
+
+    report = LossReport(
+        l_pos=l_pos,
+        l_neg=l_neg,
+        l_kr=l_kr,
+        total=float(l_pos + cfg.lambda1 * l_neg + cfg.lambda2 * l_kr),
+        n_pos=n_p,
+        n_neg=batch.n_neg,
+    )
+    if not with_grads:
+        return report, None
+    grads = zero_gradients(state)
+    offset = 0
+    for r in roles:
+        k_r = r.c.shape[0]
+        _backprop_role(state, r, imgs, g_s[:, offset : offset + k_r], g_d, grads)
+        offset += k_r
+    return report, grads
+
+
+def total_loss(state, bank, batch, cfg):
+    """Mean losses over the batch combined per the lambda weights in cfg.
+
+    One batched forward gives every image's tuned cosines and c . c' dots
+    in closed form (see the module docstring); no (B, K, D) tensor is built.
+    """
+    return _loss(state, bank, batch, cfg, with_grads=False)[0]
 
 
 def backward(state, bank, batch, cfg):
-    """Loss report plus analytic gradients of the total loss."""
-    _validate_cfg(cfg)
-    _validate_batch(bank, batch)
-    tau = cfg.tau_loss
-    _check_tau(tau)
-    n = bank.n_pos
-    rows0 = bank.rows()
-    k = rows0.shape[0]
-    grads = zero_gradients(state)
+    """Loss report plus analytic gradients of the total loss.
 
-    n_kr = batch.n_pos + (batch.n_neg if cfg.kr_scope == "both" else 0)
-    w_kr = cfg.lambda2 / n_kr if n_kr else 0.0
-
-    l_pos_sum = 0.0
-    l_neg_sum = 0.0
-    kr_sum = 0.0
-
-    samples = [
-        ("pos", batch.pos_features[i], int(batch.pos_labels[i]))
-        for i in range(batch.n_pos)
-    ] + [("neg", batch.neg_features[i], None) for i in range(batch.n_neg)]
-
-    for kind, v, y in samples:
-        v = as_f64(v)
-        rows, caches = _forward_image(state, bank, v)
-        s = rows @ v
-        logits = s / tau
-        ds = np.zeros(k)
-        g_rows = np.zeros((k, rows.shape[1]))
-        in_scope = kind == "pos" or cfg.kr_scope == "both"
-
-        if kind == "pos":
-            if not 0 <= y < n:
-                raise BadClassIndex(f"class index {y} outside [0, {n})")
-            lse = logsumexp(logits)
-            l_pos_sum += lse - logits[y]
-            p = np.exp(logits - lse)
-            dl = p.copy()
-            dl[y] -= 1.0
-            ds += (1.0 / batch.n_pos) * dl / tau
-        else:
-            if bank.n_neg == 0:
-                raise NoNegativeLabels("negative sample with no negative labels")
-            lse_id = logsumexp(logits[:n])
-            lse_all = logsumexp(logits)
-            l_neg_sum += lse_id - lse_all
-            p = np.exp(logits - lse_all)
-            dl = -p
-            dl[:n] += np.exp(logits[:n] - lse_id)
-            ds += (cfg.lambda1 / batch.n_neg) * dl / tau
-
-        if in_scope:
-            if cfg.kr_variant == "feature":
-                kr_sum += float(np.mean(1.0 - np.sum(rows0 * rows, axis=1)))
-                g_rows += (-w_kr / k) * rows0
-            elif cfg.kr_variant == "logits":
-                t0 = rows0 @ v
-                gap = s - t0
-                kr_sum += float(np.mean(gap * gap))
-                ds += w_kr * 2.0 * gap / k
-            else:  # prob
-                p0 = stable_softmax(rows0 @ v)
-                log_q = s - logsumexp(s)
-                kr_sum += float(-np.sum(p0 * log_q))
-                q = np.exp(log_q)
-                ds += w_kr * (q - p0)
-
-        g_rows += ds[:, None] * v
-        _backprop_transform(state, caches, g_rows, v, grads)
-
-    l_pos = l_pos_sum / batch.n_pos if batch.n_pos else 0.0
-    l_neg = l_neg_sum / batch.n_neg if batch.n_neg else 0.0
-    l_kr = kr_sum / n_kr if n_kr else 0.0
-    report = LossReport(
-        l_pos=float(l_pos),
-        l_neg=float(l_neg),
-        l_kr=float(l_kr),
-        total=float(l_pos + cfg.lambda1 * l_neg + cfg.lambda2 * l_kr),
-        n_pos=batch.n_pos,
-        n_neg=batch.n_neg,
-    )
-    return report, grads
+    The gradients come from the same batched forward as `total_loss`, through
+    transposed GEMMs; there is no loop over samples.
+    """
+    return _loss(state, bank, batch, cfg, with_grads=True)
 
 
 def finite_diff_grad(state, bank, batch, cfg, eps=1e-5):
@@ -458,12 +416,7 @@ def fd_well_conditioned(state, bank, batch, grads,
     nz = np.abs(vals[vals != 0.0])
     if nz.size and float(nz.min()) < min_grad:
         return False
-    parts = []
-    if batch.n_pos:
-        parts.append(batch.pos_features)
-    if batch.n_neg:
-        parts.append(batch.neg_features)
-    imgs = np.vstack(parts)
+    imgs = _images(batch)
     for net in (state.pos_net, state.neg_net):
         z = imgs @ net.w1.T + net.b1
         if float(np.min(np.abs(z))) < min_relu_margin:

@@ -1,0 +1,20 @@
+"""Smoke test: the offline benchmark runs and its checks pass."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_benchmark_pipeline_fixture_smoke():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "pipeline_fixture",
+         "--seconds", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

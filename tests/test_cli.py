@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +139,21 @@ def test_train_deterministic(synth_dir, tmp_path):
         assert (out / "trace.csv").exists()
         assert (out / "config.json").exists()
         outs.append((out / "checkpoint.nftc").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_train_byte_identical_across_processes(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    outs = []
+    for name in ("p1", "p2"):
+        data, out = tmp_path / name / "synth", tmp_path / name / "run"
+        for argv in (["synth", "--out", str(data)],
+                     ["train", "--data", str(data), "--out", str(out)]):
+            subprocess.run([sys.executable, "-m", "nft_ood.cli", *argv],
+                           env=env, check=True, capture_output=True, timeout=300)
+        outs.append([(out / f).read_bytes() for f in ("trace.csv", "checkpoint.nftc")])
     assert outs[0] == outs[1]
 
 

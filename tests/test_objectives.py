@@ -1,18 +1,24 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import make_gradcheck_instance, unit_rows
+from loop_reference import backward as loop_backward
 from nft_ood.errors import (
     BadClassIndex,
     EmptyBatch,
     InvalidConfig,
     NoNegativeLabels,
+    ZeroNorm,
 )
-from nft_ood.model import MODES, FeatureBank, init_model, transform_bank
+from nft_ood.model import MODES, FeatureBank, affine_params, init_model, transform_bank
 from nft_ood.objectives import (
+    KR_SCOPES,
+    KR_VARIANTS,
     Batch,
+    _forward,
     backward,
     fd_well_conditioned,
     finite_diff_grad,
@@ -411,4 +417,110 @@ def test_backward_rejects_invalid_variant():
     cfg = TrainConfig()
     cfg.kr_variant = "bogus"  # bypass the constructor check
     with pytest.raises(InvalidConfig):
+        backward(state, bank, batch, cfg)
+
+
+# ---- batched closed form against the per-sample loop and the tuned bank ----
+
+# The batched backward sums the loop's float64 terms in another order, so the
+# two agree to rounding, not bit for bit: a fixed float64 tolerance.
+LOOP_RTOL = 1e-10
+
+
+def full_and_one_sided(batch):
+    d = batch.pos_features.shape[1]
+    return (
+        batch,
+        Batch(batch.pos_features, batch.pos_labels, np.zeros((0, d))),
+        Batch(np.zeros((0, d)), np.zeros(0, dtype=int), batch.neg_features),
+    )
+
+
+@pytest.mark.parametrize("scope", KR_SCOPES)
+@pytest.mark.parametrize("variant", KR_VARIANTS)
+@pytest.mark.parametrize("mode", MODES)
+def test_backward_matches_loop_reference(mode, variant, scope):
+    state, bank, batch, cfg, _ = make_gradcheck_instance(mode, variant, 41)
+    cfg = dataclasses.replace(cfg, kr_scope=scope)
+    for part in full_and_one_sided(batch):
+        report, grads = backward(state, bank, part, cfg)
+        want_report, want_grads = loop_backward(state, bank, part, cfg)
+        assert (report.n_pos, report.n_neg) == (want_report.n_pos, want_report.n_neg)
+        for name in ("l_pos", "l_neg", "l_kr", "total"):
+            got, want = getattr(report, name), getattr(want_report, name)
+            assert abs(got - want) <= LOOP_RTOL * abs(want), name
+        assert grads.keys() == want_grads.keys()
+        for key, want in want_grads.items():
+            err = np.max(np.abs(grads[key] - want))
+            assert err <= LOOP_RTOL * np.max(np.abs(want)), key
+
+
+def batch_images(batch):
+    return np.vstack([batch.pos_features, batch.neg_features])
+
+
+def forward_cosines_and_dots(state, bank, imgs):
+    roles = _forward(state, bank, imgs)
+    return np.hstack([r.s for r in roles]), np.hstack([r.d for r in roles])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_forward_matches_materialized_bank(mode):
+    state, bank, batch, _, _ = make_gradcheck_instance(mode, "feature", 42)
+    imgs = batch_images(batch)
+    s, d = forward_cosines_and_dots(state, bank, imgs)
+    for i, v in enumerate(imgs):
+        tuned = transform_bank(state, bank, v)
+        assert np.max(np.abs(s[i] - tuned @ v)) <= 1e-12
+        assert np.max(np.abs(d[i] - np.sum(bank.rows() * tuned, axis=1))) <= 1e-12
+
+
+def test_forward_near_zero_norm_guard():
+    state, bank, batch, _, _ = make_gradcheck_instance("scale_shift", "feature", 42)
+    imgs = batch_images(batch)
+    v0, k0 = imgs[0], 2
+    # shift the positive head so that image v0 tunes row k0 to ||u|| = 1e-6
+    a, b = affine_params(state, v0, "positive")
+    e = unit_rows(np.random.default_rng(43), 1, bank.dim)[0]
+    state.pos_head.beta += 1e-6 * e - (a * bank.pos[k0] + b)
+    a, b = affine_params(state, v0, "positive")
+    assert np.linalg.norm(a * bank.pos[k0] + b) == pytest.approx(1e-6, rel=1e-3)
+
+    s, d = forward_cosines_and_dots(state, bank, imgs)
+    # Expanding ||u||^2 = ||a*c||^2 + 2 (a*b).c + ||b||^2 into D-term GEMMs
+    # costs up to ~D eps (||a*c|| + ||b||)^2 absolutely, which v.u / ||u|| and
+    # c.u / ||u|| carry with relative weight 1 / ||u||^2.
+    k = 4 * bank.dim
+    eps = np.finfo(np.float64).eps
+    for i, v in enumerate(imgs):
+        tuned = transform_bank(state, bank, v)
+        scale = np.zeros(tuned.shape[0])
+        u_norm = np.zeros(tuned.shape[0])
+        for role, rows in (("positive", slice(0, bank.n_pos)),
+                           ("negative", slice(bank.n_pos, None))):
+            a, b = affine_params(state, v, role)
+            c = bank.rows()[rows]
+            scale[rows] = np.linalg.norm(a * c, axis=1) + np.linalg.norm(b)
+            u_norm[rows] = np.linalg.norm(a * c + b, axis=1)
+        bound = k * eps * scale**2 / u_norm**2
+        assert np.all(np.abs(s[i] - tuned @ v) <= bound)
+        assert np.all(np.abs(d[i] - np.sum(bank.rows() * tuned, axis=1)) <= bound)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_exactly_zero_u_raises_zero_norm(mode):
+    state, bank, batch, cfg, _ = make_gradcheck_instance(mode, "feature", 44)
+    # a constant unit row, so that even const_shift's scalar shift can cancel it
+    c0 = np.full(bank.dim, 1.0 / math.sqrt(bank.dim))
+    bank = FeatureBank.from_rows(np.vstack([c0, bank.pos[1:]]), bank.neg)
+    net, head = state.pos_net, state.pos_head
+    for arr in (net.w_alpha, net.b_alpha, net.w_beta, net.b_beta):
+        arr[...] = 0.0
+    # with no image-conditional residual, u = a * c0 + shift == 0 exactly
+    a = head.alpha if mode == "scale_shift" else 1.0
+    shift = net.b_beta if mode == "mlp" else head.beta
+    shift[...] = -a * c0
+    with pytest.raises(ZeroNorm):
+        total_loss(state, bank, batch, cfg)
+    with pytest.raises(ZeroNorm):
         backward(state, bank, batch, cfg)
