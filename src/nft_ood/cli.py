@@ -219,9 +219,12 @@ def cmd_score(args):
 def _read_scores_csv(path):
     with open(path) as f:
         reader = csv.DictReader(f)
-        if "score" not in reader.fieldnames:
-            raise DataError(f"{path} has no 'score' column")
-        return np.array([float(row["score"]) for row in reader])
+        if "score" not in (reader.fieldnames or ()):
+            raise DataError(f"{path} line 1: no 'score' column")
+        try:
+            return np.array([float(row["score"]) for row in reader])
+        except (TypeError, ValueError):  # empty cell, short row or not a number
+            raise DataError(f"{path} line {reader.line_num}: score is not a number") from None
 
 
 def cmd_eval(args):

@@ -19,6 +19,8 @@ from .errors import DimMismatch, FormatError, InvalidDim, ZeroNorm
 from .numerics import as_f64, l2_normalize, normalize_rows
 
 MODES = ("const_shift", "vec_shift", "scale_shift", "mlp")
+# modes whose tuned bank does not depend on the image feature
+IMAGE_INDEPENDENT_MODES = ("const_shift", "mlp")
 ROLES = ("positive", "negative")
 
 _MODE_CODE = {m: i for i, m in enumerate(MODES)}

@@ -41,6 +41,7 @@ from .errors import (
     NonPositiveTemperature,
     ZeroNorm,
 )
+from .model import IMAGE_INDEPENDENT_MODES
 from .numerics import EPS_NORM, as_f64, logsumexp, stable_softmax
 
 KR_VARIANTS = ("feature", "logits", "prob")
@@ -172,8 +173,6 @@ def _images(batch):
     return np.vstack(parts)
 
 
-_IMAGE_INDEPENDENT = ("const_shift", "mlp")
-
 # Where ||u||^2 falls below this share of ||a*c||^2 + ||b||^2, its GEMM
 # expansion has cancelled: its relative error grows like D * eps divided by
 # that share, and an exactly zero u can come out as a tiny positive norm that
@@ -211,7 +210,7 @@ def _forward(state, bank, imgs):
         if c.shape[0] == 0:
             continue
         r = _Role(name=name, c=c)
-        if state.mode in _IMAGE_INDEPENDENT:
+        if state.mode in IMAGE_INDEPENDENT_MODES:
             if state.mode == "const_shift":
                 u = c + state.head(name).beta[0]
             else:
@@ -258,7 +257,7 @@ def _backprop_role(state, r, imgs, g_s, g_d, grads):
     prefix = "pos" if r.name == "positive" else "neg"
     net = state.net(r.name)
     g_a = None
-    if state.mode in _IMAGE_INDEPENDENT:
+    if state.mode in IMAGE_INDEPENDENT_MODES:
         # dL/dc' summed over the batch, then through the normalization once
         g = g_s.T @ imgs + np.sum(g_d) * r.c
         g_b = (g - np.sum(g * r.cp, axis=1, keepdims=True) * r.cp) / r.n[:, None]

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimMismatch,
     EmptyBank,
     EmptyInput,
@@ -15,7 +16,7 @@ from .errors import (
     NonPositiveInput,
     NonPositiveTemperature,
 )
-from .model import transform_bank
+from .model import IMAGE_INDEPENDENT_MODES, transform_bank
 from .numerics import as_f64, logsumexp, sigmoid, stable_softmax
 
 THREADS_ENV = "NFT_OOD_THREADS"
@@ -39,31 +40,43 @@ class MetricReport:
         }
 
 
+def _neglabel_scorer(bank_rows, n_pos, tau_score):
+    """Validate the bank once; return the per-image NegLabel score against it."""
+    if tau_score <= 0:
+        raise NonPositiveTemperature(f"tau_score must be > 0, got {tau_score}")
+    bank_rows = as_f64(bank_rows)
+    if n_pos < 1:
+        raise EmptyBank("need at least one positive label row")
+    if bank_rows.shape[0] - n_pos < 1:
+        raise NoNegativeLabels("NegLabel score requires negative label rows")
+
+    def score(v):
+        cos = bank_rows @ v
+        return sigmoid(logsumexp(cos[:n_pos] / tau_score) - logsumexp(cos[n_pos:] / tau_score))
+
+    return score
+
+
+def _mcm_scorer(pos_rows, tau):
+    """Validate the positive rows once; return the per-image MCM score against them."""
+    pos_rows = as_f64(pos_rows)
+    if pos_rows.shape[0] < 1:
+        raise EmptyBank("MCM score requires at least one positive label row")
+    return lambda v: float(np.max(stable_softmax(pos_rows @ v, tau)))
+
+
 def score_neglabel(v, bank_rows, n_pos, tau_score=1.0):
     """sigmoid(logsumexp(pos cosines / tau) - logsumexp(neg cosines / tau)).
 
     Algebraically identical to the ratio of exponentiated positive
     similarities to the total over positive plus negative labels.
     """
-    if tau_score <= 0:
-        raise NonPositiveTemperature(f"tau_score must be > 0, got {tau_score}")
-    bank_rows = as_f64(bank_rows)
-    v = as_f64(v)
-    if n_pos < 1:
-        raise EmptyBank("need at least one positive label row")
-    if bank_rows.shape[0] - n_pos < 1:
-        raise NoNegativeLabels("NegLabel score requires negative label rows")
-    cos = bank_rows @ v
-    return sigmoid(logsumexp(cos[:n_pos] / tau_score) - logsumexp(cos[n_pos:] / tau_score))
+    return _neglabel_scorer(bank_rows, n_pos, tau_score)(as_f64(v))
 
 
 def score_mcm(v, pos_rows, tau=1.0):
     """Maximum softmax probability over positive label similarities."""
-    pos_rows = as_f64(pos_rows)
-    if pos_rows.shape[0] < 1:
-        raise EmptyBank("MCM score requires at least one positive label row")
-    v = as_f64(v)
-    return float(np.max(stable_softmax(pos_rows @ v, tau)))
+    return _mcm_scorer(pos_rows, tau)(as_f64(v))
 
 
 def score_krnft(state, v, bank, tau_score=1.0):
@@ -75,21 +88,31 @@ def score_krnft(state, v, bank, tau_score=1.0):
 def score_many(images, method, bank, state=None, tau_score=1.0, n_threads=None):
     """Score each row of images; output order follows input order.
 
-    n_threads defaults to the NFT_OOD_THREADS environment variable (1 if unset).
+    The bank is validated once per call, and so is the tuned bank in the
+    image-independent krnft modes; results equal the per-image score_* calls.
+    n_threads defaults to the NFT_OOD_THREADS environment variable (1 if
+    unset), which must be an integer >= 1.
     """
     images = as_f64(np.atleast_2d(images))
     if images.shape[1] != bank.dim:
         raise DimMismatch("image features do not match bank dimension")
     if n_threads is None:
-        n_threads = int(os.environ.get(THREADS_ENV, "1"))
+        raw = os.environ.get(THREADS_ENV, "1")
+        if not raw.isdecimal() or int(raw) < 1:
+            raise ConfigError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
+        n_threads = int(raw)
     if method == "mcm":
-        fn = lambda v: score_mcm(v, bank.pos, tau_score)
+        fn = _mcm_scorer(bank.pos, tau_score)
     elif method == "neglabel":
-        fn = lambda v: score_neglabel(v, bank.rows(), bank.n_pos, tau_score)
+        fn = _neglabel_scorer(bank.rows(), bank.n_pos, tau_score)
     elif method == "krnft":
         if state is None:
             raise EmptyInput("krnft scoring requires a model state")
-        fn = lambda v: score_krnft(state, v, bank, tau_score)
+        if state.mode in IMAGE_INDEPENDENT_MODES and images.shape[0]:
+            rows = transform_bank(state, bank, images[0])  # any image: it is unused
+            fn = _neglabel_scorer(rows, bank.n_pos, tau_score)
+        else:
+            fn = lambda v: score_krnft(state, v, bank, tau_score)
     else:
         raise EmptyInput(f"unknown scoring method {method!r}")
     if n_threads > 1:
@@ -103,49 +126,49 @@ def decide(score, gamma):
     return "ID" if score >= gamma else "OOD"
 
 
+def _sorted_sides(id_scores, ood_scores, tpr=None):
+    """Both score sets validated (and tpr, if given), flattened and sorted ascending."""
+    id_scores = as_f64(id_scores).reshape(-1)
+    ood_scores = as_f64(ood_scores).reshape(-1)
+    if id_scores.size == 0 or ood_scores.size == 0:
+        raise EmptyInput("ID and OOD score sets must be non-empty")
+    if tpr is not None and not 0 < tpr <= 1:
+        raise NonPositiveInput(f"tpr must be in (0, 1], got {tpr}")
+    return np.sort(id_scores), np.sort(ood_scores)
+
+
+def _auroc_sorted(id_sorted, ood_sorted):
+    # sorted queries keep searchsorted's binary searches cache-friendly
+    wins = int(np.searchsorted(ood_sorted, id_sorted, side="left").sum())
+    ties = int(np.searchsorted(ood_sorted, id_sorted, side="right").sum()) - wins
+    return (wins + 0.5 * ties) / (id_sorted.size * ood_sorted.size)
+
+
+def _fpr_sorted(id_sorted, ood_sorted, tpr):
+    n = id_sorted.size
+    c = max(int(math.ceil(tpr * n - 1e-9)), 1)
+    threshold = float(id_sorted[n - c])
+    above = ood_sorted.size - int(np.searchsorted(ood_sorted, threshold, side="left"))
+    return above / ood_sorted.size, threshold
+
+
 def auroc(id_scores, ood_scores):
     """Probability a random ID score exceeds a random OOD score; ties count 0.5.
 
-    Computed by the rank statistic, which matches the O(n^2) pairwise count
-    exactly (rank sums are half-integers, exact in float64).
+    Sort + searchsorted, O(n log n) and exact: (wins + 0.5 * ties) is a
+    half-integer, exact in float64 while n_id * n_ood < 2**53.
     """
-    id_scores = as_f64(id_scores).reshape(-1)
-    ood_scores = as_f64(ood_scores).reshape(-1)
-    n_id, n_ood = id_scores.size, ood_scores.size
-    if n_id == 0 or n_ood == 0:
-        raise EmptyInput("auroc requires non-empty score sets")
-    combined = np.concatenate([id_scores, ood_scores])
-    order = np.argsort(combined, kind="mergesort")
-    ranks = np.empty(combined.size)
-    sorted_vals = combined[order]
-    i = 0
-    while i < combined.size:
-        j = i
-        while j + 1 < combined.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average 1-based rank
-        i = j + 1
-    r_id = float(np.sum(ranks[:n_id]))
-    return (r_id - n_id * (n_id + 1) / 2.0) / (n_id * n_ood)
+    return _auroc_sorted(*_sorted_sides(id_scores, ood_scores))
 
 
 def fpr_at_tpr(id_scores, ood_scores, tpr=0.95):
     """FPR at the tightest threshold admitting at least tpr of the ID scores.
 
-    The threshold is the c-th largest ID score with c = ceil(tpr * n_id);
-    samples scoring exactly the threshold count as detected-ID.
+    The threshold is the c-th largest ID score with c = ceil(tpr * n_id), at
+    least 1; samples scoring exactly the threshold count as detected-ID.
+    Sort + searchsorted, O(n log n) and exact.
     """
-    id_scores = as_f64(id_scores).reshape(-1)
-    ood_scores = as_f64(ood_scores).reshape(-1)
-    if id_scores.size == 0 or ood_scores.size == 0:
-        raise EmptyInput("fpr_at_tpr requires non-empty score sets")
-    if not 0 < tpr <= 1:
-        raise NonPositiveInput(f"tpr must be in (0, 1], got {tpr}")
-    n = id_scores.size
-    c = int(math.ceil(tpr * n - 1e-9))
-    threshold = float(np.sort(id_scores)[::-1][c - 1])
-    fpr = float(np.mean(ood_scores >= threshold))
-    return fpr, threshold
+    return _fpr_sorted(*_sorted_sides(id_scores, ood_scores, tpr), tpr)
 
 
 def hmean(a, b):
@@ -156,11 +179,13 @@ def hmean(a, b):
 
 
 def evaluate(id_scores, ood_scores, tpr=0.95):
-    fpr, threshold = fpr_at_tpr(id_scores, ood_scores, tpr)
+    """auroc and fpr_at_tpr from one sort of each side: O(n log n), exact."""
+    id_sorted, ood_sorted = _sorted_sides(id_scores, ood_scores, tpr)
+    fpr, threshold = _fpr_sorted(id_sorted, ood_sorted, tpr)
     return MetricReport(
-        auroc=auroc(id_scores, ood_scores),
+        auroc=_auroc_sorted(id_sorted, ood_sorted),
         fpr95=fpr,
-        n_id=len(np.asarray(id_scores).reshape(-1)),
-        n_ood=len(np.asarray(ood_scores).reshape(-1)),
+        n_id=id_sorted.size,
+        n_ood=ood_sorted.size,
         threshold_at_95tpr=threshold,
     )

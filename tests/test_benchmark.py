@@ -8,13 +8,22 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_benchmark_pipeline_fixture_smoke():
+def _smoke(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "pipeline_fixture",
-         "--seconds", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_benchmark_pipeline_fixture_smoke():
+    _smoke("pipeline_fixture")
+
+
+def test_benchmark_eval_1m_smoke():
+    # evaluate on 1M+1M scores, checked for exact equality with the
+    # benchmark's independent AUROC and FPR95 references
+    _smoke("eval_1m")

@@ -235,6 +235,18 @@ def test_score_missing_bank_is_data_error(tmp_path):
                "--out", str(tmp_path / "s.csv")) == EXIT_DATA
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_score_bad_threads_env_is_usage_error(tmp_path, monkeypatch, capsys, value):
+    d = tiny_bank_dir(tmp_path)
+    write_bank(tmp_path / "imgs.fbnk", np.eye(4)[:2])
+    monkeypatch.setenv("NFT_OOD_THREADS", value)
+    assert run("score", "--bank", str(d), "--images", str(tmp_path / "imgs.fbnk"),
+               "--out", str(tmp_path / "s.csv")) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "NFT_OOD_THREADS" in err and repr(value) in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # ---- eval ----
 
 
@@ -282,6 +294,23 @@ def test_eval_matches_library_metrics(tmp_path):
 
     assert metrics["auroc"] == round(auroc(ids, oods), 4)
     assert metrics["fpr95"] == round(fpr_at_tpr(ids, oods)[0], 4)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("id,score,truth\nx0,0.5,ID\nx1,,ID\n", 3),  # empty score cell
+    ("id,score,truth\nx0,high,ID\n", 2),  # non-numeric score cell
+    ("", 1),  # empty file: no header at all
+])
+def test_eval_malformed_scores_csv_is_data_error(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    good = tmp_path / "good.csv"
+    write_scores_csv(good, [0.1, 0.2], "OOD")
+    assert run("eval", "--scores-id", str(bad), "--scores-ood", str(good),
+               "--out", str(tmp_path / "m.json")) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{bad} line {line}:" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 # ---- gradcheck ----

@@ -10,7 +10,8 @@ from nft_ood.errors import (
     NoNegativeLabels,
     NonPositiveInput,
 )
-from nft_ood.model import FeatureBank, init_model
+from nft_ood.model import MODES, FeatureBank, init_model
+from nft_ood.numerics import as_f64
 from nft_ood.scoring import (
     auroc,
     decide,
@@ -33,6 +34,37 @@ def pairwise_auroc(id_scores, ood_scores):
             elif a == b:
                 wins += 0.5
     return wins / (len(id_scores) * len(ood_scores))
+
+
+def rank_auroc(id_scores, ood_scores):
+    """The former library AUROC: tie-averaged ranks assigned in a Python loop."""
+    id_scores = as_f64(id_scores).reshape(-1)
+    ood_scores = as_f64(ood_scores).reshape(-1)
+    n_id, n_ood = id_scores.size, ood_scores.size
+    if n_id == 0 or n_ood == 0:
+        raise EmptyInput("auroc requires non-empty score sets")
+    combined = np.concatenate([id_scores, ood_scores])
+    order = np.argsort(combined, kind="mergesort")
+    ranks = np.empty(combined.size)
+    sorted_vals = combined[order]
+    i = 0
+    while i < combined.size:
+        j = i
+        while j + 1 < combined.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average 1-based rank
+        i = j + 1
+    r_id = float(np.sum(ranks[:n_id]))
+    return (r_id - n_id * (n_id + 1) / 2.0) / (n_id * n_ood)
+
+
+def draws(kind, n=100_000, seed=63):
+    """Seeded ID N(1,1) and OOD N(0,1) scores, distinct or rounded to a 0.25 grid."""
+    rng = np.random.default_rng(seed)
+    ids, oods = rng.normal(1.0, 1.0, n), rng.normal(0.0, 1.0, n)
+    if kind == "grid":
+        ids, oods = np.round(ids / 0.25) * 0.25, np.round(oods / 0.25) * 0.25
+    return ids, oods
 
 
 def sweep_fpr(id_scores, ood_scores, tpr):
@@ -147,6 +179,26 @@ def test_score_many_order_and_threads(monkeypatch):
     assert np.array_equal(sequential, threaded)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_score_many_matches_per_image_scores(mode):
+    rng = np.random.default_rng(64)
+    bank = FeatureBank.from_rows(unit_rows(rng, 3, 8), unit_rows(rng, 5, 8))
+    state = init_model(8, hidden=4, mode=mode, seed=1)
+    for arr in state.params().values():  # off the identity init
+        arr += 0.2 * rng.standard_normal(arr.shape)
+    images = unit_rows(rng, 12, 8)
+    tau = 0.3
+    loops = {
+        "krnft": [score_krnft(state, v, bank, tau) for v in images],
+        "neglabel": [score_neglabel(v, bank.rows(), bank.n_pos, tau) for v in images],
+        "mcm": [score_mcm(v, bank.pos, tau) for v in images],
+    }
+    for method, loop in loops.items():
+        got = score_many(images, method, bank, state=state, tau_score=tau)
+        assert np.array_equal(got, np.array(loop)), method
+        assert score_many(images[:0], method, bank, state=state).shape == (0,)
+
+
 def test_score_many_unknown_method():
     rng = np.random.default_rng(55)
     bank = FeatureBank.from_rows(unit_rows(rng, 2, 8), unit_rows(rng, 2, 8))
@@ -178,6 +230,27 @@ def test_auroc_matches_pairwise_oracle_with_ties():
         ids = rng.integers(0, 10, size=25) / 10.0
         oods = rng.integers(0, 10, size=25) / 10.0
         assert auroc(ids, oods) == pairwise_auroc(ids, oods)
+
+
+@pytest.mark.parametrize("kind", ["distinct", "grid"])
+def test_auroc_bit_equal_to_rank_oracle(kind):
+    ids, oods = draws(kind)
+    assert auroc(ids, oods) == rank_auroc(ids, oods)
+    assert auroc(oods, ids) == rank_auroc(oods, ids)
+
+
+@pytest.mark.parametrize("ids, oods, want", [
+    ([0.0, 1.0], [-0.0], 0.75),  # -0.0 ties +0.0
+    ([-0.0, -0.0], [0.0, 0.0, 0.0], 0.5),
+    ([2.0], [1.0], 1.0),  # one-element sides
+    ([1.0], [2.0], 0.0),
+    ([3.0], [3.0], 0.5),
+    ([0.25] * 7, [0.25] * 5, 0.5),  # all equal
+    ([0.9, 0.8, 0.7], [0.1, 0.2], 1.0),  # perfect separation
+    ([0.1, 0.2], [0.9, 0.8, 0.7], 0.0),
+])
+def test_auroc_edge_cases_match_rank_oracle(ids, oods, want):
+    assert auroc(ids, oods) == rank_auroc(ids, oods) == want
 
 
 def test_auroc_complement_property():
@@ -222,6 +295,12 @@ def test_fpr_matches_sweep_oracle():
         assert got_thr == exp_thr
 
 
+def test_fpr_tiny_tpr_uses_largest_id_score():
+    # ceil(tpr * n) rounds to 0 here; the threshold is still the largest ID score
+    ids, oods = [0.1, 0.5, 0.9], [0.0, 0.6, 1.0]
+    assert fpr_at_tpr(ids, oods, tpr=1e-12) == sweep_fpr(ids, oods, 1e-12) == (1 / 3, 0.9)
+
+
 def test_fpr_rank_invariance():
     rng = np.random.default_rng(61)
     ids = rng.standard_normal(50)
@@ -261,3 +340,20 @@ def test_evaluate_report():
     assert set(d) == {"auroc", "fpr95", "n_id", "n_ood", "threshold"}
     assert d["auroc"] == auroc(ids, oods)
     assert d["fpr95"] == fpr_at_tpr(ids, oods)[0]
+
+
+@pytest.mark.parametrize("kind", ["distinct", "grid"])
+@pytest.mark.parametrize("tpr", [0.95, 0.5, 1.0])
+def test_evaluate_equals_separate_metrics(kind, tpr):
+    ids, oods = draws(kind, n=20_000)
+    report = evaluate(ids, oods, tpr=tpr)
+    assert report.auroc == auroc(ids, oods)
+    assert (report.fpr95, report.threshold_at_95tpr) == fpr_at_tpr(ids, oods, tpr)
+    assert (report.n_id, report.n_ood) == (ids.size, oods.size)
+
+
+def test_evaluate_empty_before_tpr_check():
+    with pytest.raises(EmptyInput):
+        evaluate([], [0.5], tpr=2.0)
+    with pytest.raises(NonPositiveInput):
+        evaluate([0.5], [0.5], tpr=2.0)
