@@ -9,6 +9,7 @@ data/format error, 3 numeric failure.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -217,14 +218,24 @@ def cmd_score(args):
 
 
 def _read_scores_csv(path):
-    with open(path) as f:
-        reader = csv.DictReader(f)
-        if "score" not in (reader.fieldnames or ()):
-            raise DataError(f"{path} line 1: no 'score' column")
-        try:
-            return np.array([float(row["score"]) for row in reader])
-        except (TypeError, ValueError):  # empty cell, short row or not a number
-            raise DataError(f"{path} line {reader.line_num}: score is not a number") from None
+    scores = []
+    try:
+        with open(path, encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            if "score" not in (reader.fieldnames or ()):
+                raise DataError(f"{path} line 1: no 'score' column")
+            for row in reader:
+                try:
+                    score = float(row["score"])
+                except (TypeError, ValueError):  # empty cell, short row or not a number
+                    raise DataError(
+                        f"{path} line {reader.line_num}: score is not a number") from None
+                if not math.isfinite(score):
+                    raise DataError(f"{path} line {reader.line_num}: score is NaN or Inf")
+                scores.append(score)
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not valid UTF-8") from None
+    return np.array(scores)
 
 
 def cmd_eval(args):

@@ -7,7 +7,6 @@ initialization the transform is the identity for every mode, so tuned scoring
 coincides with zero-shot scoring.
 """
 
-import hashlib
 import json
 import struct
 import warnings
@@ -250,21 +249,51 @@ def mlp_residual(net, c_rows):
     return h @ net.w_beta.T + net.b_beta
 
 
-def _transform_rows(state, c_rows, v, role):
-    c_rows = np.atleast_2d(c_rows)
-    if c_rows.shape[1] != state.dim:
-        raise DimMismatch(
-            f"bank dim {c_rows.shape[1]} does not match model dim {state.dim}"
-        )
+# rows per block of the in-place tuning kernel: each pass rereads a block from
+# cache, and the squares need only a block-sized scratch, not a (K, D) one
+_BLOCK_ROWS = 1024
+
+
+def _transform_rows_into(state, c_rows, v, role, out):
+    """Write the tuned, unit-normalized rows of one role into out, block by block.
+
+    Per block: u = a * c + b (mlp: c + residual) in out, the row norms from
+    the squares in a block-sized scratch, the ZeroNorm check, then u / norms
+    in place. Returns False if some row norm is NaN or Inf; only then can a
+    tuned row hold NaN or Inf.
+    """
     if state.mode == "mlp":
-        u = c_rows + mlp_residual(state.net(role), c_rows)
+        res = mlp_residual(state.net(role), c_rows)
     else:
         a, b = affine_params(state, v, role)
-        u = a * c_rows + b
-    norms = np.sqrt(np.sum(u * u, axis=1))
-    if np.any(norms <= 1e-12):
-        raise ZeroNorm("transform produced a zero vector; parameters are degenerate")
-    return u / norms[:, None]
+    sq = np.empty((min(_BLOCK_ROWS, c_rows.shape[0]), state.dim))
+    finite = True
+    for i in range(0, c_rows.shape[0], _BLOCK_ROWS):
+        c, o = c_rows[i : i + _BLOCK_ROWS], out[i : i + _BLOCK_ROWS]
+        if state.mode == "mlp":
+            np.add(c, res[i : i + _BLOCK_ROWS], out=o)
+        else:
+            np.multiply(a, c, out=o)
+            np.add(o, b, out=o)
+        norms = np.sqrt(np.sum(np.multiply(o, o, out=sq[: o.shape[0]]), axis=1))
+        if np.any(norms <= 1e-12):
+            raise ZeroNorm("transform produced a zero vector; parameters are degenerate")
+        finite = finite and bool(np.all(np.isfinite(norms)))
+        np.divide(o, norms[:, None], out=o)
+    return finite
+
+
+def _transform_bank_into(state, bank, v, out):
+    """Tuned bank written into out (K, D): positive rows to out[:N], negative to out[N:].
+
+    Returns False if some row norm is NaN or Inf (see _transform_rows_into).
+    """
+    v = as_f64(v)
+    if bank.dim != state.dim or v.shape != (state.dim,):
+        raise DimMismatch("bank, model and image feature dimensions must agree")
+    pos = _transform_rows_into(state, bank.pos, v, "positive", out[: bank.n_pos])
+    neg = _transform_rows_into(state, bank.neg, v, "negative", out[bank.n_pos :])
+    return pos and neg
 
 
 def transform(state, c, v, role):
@@ -275,18 +304,19 @@ def transform(state, c, v, role):
     v = as_f64(v)
     if c.shape != (state.dim,) or v.shape != (state.dim,):
         raise DimMismatch("c and v must both have the model dimension")
-    return _transform_rows(state, c[None, :], v, role)[0]
+    out = np.empty((1, state.dim))
+    _transform_rows_into(state, c[None, :], v, role, out)
+    return out[0]
 
 
 def transform_bank(state, bank, v):
-    """Tuned bank: positive rows with the positive head/net, negative with the negative."""
-    v = as_f64(v)
-    if bank.dim != state.dim or v.shape != (state.dim,):
-        raise DimMismatch("bank, model and image feature dimensions must agree")
-    parts = [_transform_rows(state, bank.pos, v, "positive")]
-    if bank.n_neg:
-        parts.append(_transform_rows(state, bank.neg, v, "negative"))
-    return np.vstack(parts)
+    """Tuned bank: positive rows with the positive head/net, negative with the negative.
+
+    Returns a freshly allocated (N + M, D) array.
+    """
+    out = np.empty((bank.n_pos + bank.n_neg, bank.dim))
+    _transform_bank_into(state, bank, v, out)
+    return out
 
 
 _PARAM_ORDER = (
@@ -349,8 +379,24 @@ def load_checkpoint(path):
     if mode_code >= len(MODES):
         raise FormatError(f"unknown transform mode code {mode_code}")
     dim, hidden = struct.unpack("<II", take(8))
+    if dim < 1 or hidden < 1:
+        raise FormatError(f"checkpoint declares dim={dim}, hidden={hidden}; both must be >= 1")
     (meta_len,) = struct.unpack("<I", take(4))
-    blob = json.loads(take(meta_len).decode("utf-8"))
+    meta_raw = take(meta_len)
+    # the _PARAM_ORDER arrays: 4 head vectors of D, 2 nets of (3*hidden*D + hidden + 2*D)
+    payload = 8 * (8 * dim + 6 * hidden * dim + 2 * hidden)
+    if len(data) - off < payload:
+        raise FormatError(
+            f"checkpoint file truncated: dim={dim}, hidden={hidden} need {payload} "
+            f"parameter bytes, {len(data) - off} left")
+    try:
+        blob = json.loads(meta_raw.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise FormatError("checkpoint metadata is not valid UTF-8") from None
+    except json.JSONDecodeError as e:
+        raise FormatError(f"checkpoint metadata is not valid JSON: {e}") from None
+    if not isinstance(blob, dict) or not {"config", "meta"} <= blob.keys():
+        raise FormatError("checkpoint metadata lacks its 'config' and 'meta' entries")
     state = init_model(dim, hidden=hidden, mode=MODES[mode_code], seed=0)
     params = state.params()
     for key in _PARAM_ORDER:
@@ -360,11 +406,6 @@ def load_checkpoint(path):
     if off != len(data):
         raise FormatError("trailing bytes after checkpoint payload")
     return Checkpoint(model=state, config=blob["config"], meta=blob["meta"])
-
-
-def checkpoint_digest(path):
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
 
 
 def states_equal(a, b):

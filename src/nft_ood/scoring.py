@@ -1,14 +1,11 @@
 """OOD score functions (MCM, NegLabel, tuned NegLabel) and evaluation metrics."""
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimMismatch,
     EmptyBank,
     EmptyInput,
@@ -16,10 +13,8 @@ from .errors import (
     NonPositiveInput,
     NonPositiveTemperature,
 )
-from .model import IMAGE_INDEPENDENT_MODES, transform_bank
+from .model import IMAGE_INDEPENDENT_MODES, _transform_bank_into, transform_bank
 from .numerics import as_f64, logsumexp, sigmoid, stable_softmax
-
-THREADS_ENV = "NFT_OOD_THREADS"
 
 
 @dataclass
@@ -40,11 +35,16 @@ class MetricReport:
         }
 
 
-def _neglabel_scorer(bank_rows, n_pos, tau_score):
-    """Validate the bank once; return the per-image NegLabel score against it."""
+def _neglabel_scorer(bank_rows, n_pos, tau_score, finite=False):
+    """Validate the bank once; return the per-image NegLabel score against it.
+
+    finite=True skips the NaN/Inf scan of bank_rows, which the caller has
+    already ruled out.
+    """
     if tau_score <= 0:
         raise NonPositiveTemperature(f"tau_score must be > 0, got {tau_score}")
-    bank_rows = as_f64(bank_rows)
+    if not finite:
+        bank_rows = as_f64(bank_rows)
     if n_pos < 1:
         raise EmptyBank("need at least one positive label row")
     if bank_rows.shape[0] - n_pos < 1:
@@ -85,22 +85,34 @@ def score_krnft(state, v, bank, tau_score=1.0):
     return score_neglabel(v, rows, bank.n_pos, tau_score)
 
 
-def score_many(images, method, bank, state=None, tau_score=1.0, n_threads=None):
+def _krnft_scorer(state, bank, tau_score):
+    """Per-image krnft score, equal to score_krnft bit for bit.
+
+    Each image's tuned bank is written into one buffer allocated here and
+    reused for every image. The NaN/Inf scan of that bank runs only when a
+    row norm is non-finite, the only case in which a tuned row can be.
+    """
+    rows = np.empty((bank.n_pos + bank.n_neg, bank.dim))
+
+    def score(v):
+        finite = _transform_bank_into(state, bank, v, rows)
+        return _neglabel_scorer(rows, bank.n_pos, tau_score, finite)(v)
+
+    return score
+
+
+def score_many(images, method, bank, state=None, tau_score=1.0):
     """Score each row of images; output order follows input order.
 
     The bank is validated once per call, and so is the tuned bank in the
-    image-independent krnft modes; results equal the per-image score_* calls.
-    n_threads defaults to the NFT_OOD_THREADS environment variable (1 if
-    unset), which must be an integer >= 1.
+    image-independent krnft modes. In the image-conditional krnft modes the
+    tuned bank of each image is written into one buffer reused across the
+    call. Results equal the per-image score_* calls (score_krnft, i.e.
+    transform_bank + score_neglabel) bit for bit.
     """
     images = as_f64(np.atleast_2d(images))
     if images.shape[1] != bank.dim:
         raise DimMismatch("image features do not match bank dimension")
-    if n_threads is None:
-        raw = os.environ.get(THREADS_ENV, "1")
-        if not raw.isdecimal() or int(raw) < 1:
-            raise ConfigError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
-        n_threads = int(raw)
     if method == "mcm":
         fn = _mcm_scorer(bank.pos, tau_score)
     elif method == "neglabel":
@@ -112,12 +124,9 @@ def score_many(images, method, bank, state=None, tau_score=1.0, n_threads=None):
             rows = transform_bank(state, bank, images[0])  # any image: it is unused
             fn = _neglabel_scorer(rows, bank.n_pos, tau_score)
         else:
-            fn = lambda v: score_krnft(state, v, bank, tau_score)
+            fn = _krnft_scorer(state, bank, tau_score)
     else:
         raise EmptyInput(f"unknown scoring method {method!r}")
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return np.array(list(pool.map(fn, images)))
     return np.array([fn(v) for v in images])
 
 

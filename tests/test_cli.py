@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -235,15 +236,61 @@ def test_score_missing_bank_is_data_error(tmp_path):
                "--out", str(tmp_path / "s.csv")) == EXIT_DATA
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_score_bad_threads_env_is_usage_error(tmp_path, monkeypatch, capsys, value):
+def test_score_ignores_threads_env(tmp_path, monkeypatch):
+    d = tiny_bank_dir(tmp_path, n_pos=2)
+    write_bank(tmp_path / "imgs.fbnk", np.eye(4)[:3])
+    plain, with_env = tmp_path / "plain.csv", tmp_path / "env.csv"
+    argv = ["score", "--bank", str(d), "--images", str(tmp_path / "imgs.fbnk"), "--out"]
+    assert run(*argv, str(plain)) == EXIT_OK
+    monkeypatch.setenv("NFT_OOD_THREADS", "abc")
+    assert run(*argv, str(with_env)) == EXIT_OK
+    assert with_env.read_bytes() == plain.read_bytes()
+
+
+def _checkpoint_bytes(tmp_path):
+    path = tmp_path / "good.nftc"
+    save_checkpoint(Checkpoint(model=init_model(4, hidden=4, seed=0)), path)
+    return bytearray(path.read_bytes())
+
+
+def _header_only(dim, hidden):
+    return (b"NFTC" + struct.pack("<BBHII", 1, 2, 0, dim, hidden)
+            + struct.pack("<I", 2) + b"{}")
+
+
+def _with_dims(dim, hidden):
+    def edit(data):
+        struct.pack_into("<II", data, 8, dim, hidden)
+        return data
+    return edit
+
+
+def _with_meta(byte):
+    def edit(data):
+        (meta_len,) = struct.unpack_from("<I", data, 16)
+        data[20 : 20 + meta_len] = byte * meta_len
+        return data
+    return edit
+
+
+@pytest.mark.parametrize("case, make, needle", [
+    # 22 bytes declaring a 298 GiB payload: rejected before any allocation
+    ("huge_dims", lambda data: _header_only(200000, 200000), "truncated"),
+    ("zero_dim", _with_dims(0, 4), "dim=0"),
+    ("zero_hidden", _with_dims(4, 0), "hidden=0"),
+    ("non_utf8_meta", _with_meta(b"\xff"), "UTF-8"),
+    ("malformed_json_meta", _with_meta(b"{"), "JSON"),
+])
+def test_score_malformed_checkpoint_is_data_error(tmp_path, capsys, case, make, needle):
     d = tiny_bank_dir(tmp_path)
     write_bank(tmp_path / "imgs.fbnk", np.eye(4)[:2])
-    monkeypatch.setenv("NFT_OOD_THREADS", value)
+    ckpt = tmp_path / f"{case}.nftc"
+    ckpt.write_bytes(bytes(make(_checkpoint_bytes(tmp_path))))
     assert run("score", "--bank", str(d), "--images", str(tmp_path / "imgs.fbnk"),
-               "--out", str(tmp_path / "s.csv")) == EXIT_USAGE
+               "--method", "krnft", "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "s.csv")) == EXIT_DATA
     err = capsys.readouterr().err
-    assert "NFT_OOD_THREADS" in err and repr(value) in err
+    assert needle in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -300,6 +347,8 @@ def test_eval_matches_library_metrics(tmp_path):
     ("id,score,truth\nx0,0.5,ID\nx1,,ID\n", 3),  # empty score cell
     ("id,score,truth\nx0,high,ID\n", 2),  # non-numeric score cell
     ("", 1),  # empty file: no header at all
+    ("id,score,truth\nx0,0.5,ID\nx1,nan,ID\n", 3),  # NaN score cell
+    ("id,score,truth\nx0,inf,ID\n", 2),  # infinite score cell
 ])
 def test_eval_malformed_scores_csv_is_data_error(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.csv"
@@ -310,6 +359,18 @@ def test_eval_malformed_scores_csv_is_data_error(tmp_path, capsys, text, line):
                "--out", str(tmp_path / "m.json")) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{bad} line {line}:" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_eval_non_utf8_scores_csv_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"id,score,truth\nx0,\xff\xfe,ID\n")
+    good = tmp_path / "good.csv"
+    write_scores_csv(good, [0.1, 0.2], "OOD")
+    assert run("eval", "--scores-id", str(bad), "--scores-ood", str(good),
+               "--out", str(tmp_path / "m.json")) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(bad) in err and "UTF-8" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
 

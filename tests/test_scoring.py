@@ -167,16 +167,13 @@ def test_krnft_differs_after_parameter_change():
     assert score_krnft(state, v, bank) != pytest.approx(zs, abs=1e-12)
 
 
-def test_score_many_order_and_threads(monkeypatch):
+def test_score_many_order():
     rng = np.random.default_rng(54)
     bank = FeatureBank.from_rows(unit_rows(rng, 3, 8), unit_rows(rng, 5, 8))
     images = unit_rows(rng, 20, 8)
     sequential = score_many(images, "neglabel", bank)
     loop = np.array([score_neglabel(v, bank.rows(), 3) for v in images])
     assert np.array_equal(sequential, loop)
-    monkeypatch.setenv("NFT_OOD_THREADS", "4")
-    threaded = score_many(images, "neglabel", bank)
-    assert np.array_equal(sequential, threaded)
 
 
 @pytest.mark.parametrize("mode", MODES)
