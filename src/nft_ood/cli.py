@@ -8,6 +8,7 @@ data/format error, 3 numeric failure.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import data_io, mining, scoring
-from .errors import ConfigError, DataError, NftError, NumericError
+from .errors import ConfigError, DataError, NftError, NumericError, SchemaError
 from .model import (
     FeatureBank,
     TrainingSet,
@@ -69,27 +70,43 @@ def _merged(file_cfg, args, keys):
     return out
 
 
-def _bank_from_dir(data_dir):
-    labels = data_io.read_bank(os.path.join(data_dir, "labels.fbnk"), unit_rows=True)
-    records = data_io.read_manifest(os.path.join(data_dir, "manifest.jsonl"))
-    pos_rows = sorted(r["row"] for r in records if r["role"] == "pos_label")
-    neg_rows = sorted(r["row"] for r in records if r["role"] == "neg_label")
+def _dataset_manifest(data_dir):
+    return data_io.read_manifest(os.path.join(data_dir, "manifest.jsonl"))
+
+
+def _records_in(records, roles, lo, hi, bank_path):
+    """The records with these roles, each checked to have its row in [lo, hi)."""
+    kept = [r for r in records if r["role"] in roles]
+    for r in kept:
+        if not lo <= r["row"] < hi:
+            raise SchemaError(f"manifest row {r['row']} (id {r['id']!r}) is outside "
+                              f"rows [{lo}, {hi}) of {bank_path}")
+    return kept
+
+
+def _bank_from_dir(data_dir, records):
+    """The label bank, and the row count of labels.fbnk."""
+    path = os.path.join(data_dir, "labels.fbnk")
+    labels = data_io.read_bank(path, unit_rows=True)
+    recs = _records_in(records, ("pos_label", "neg_label"), 0, labels.shape[0], path)
+    pos_rows = sorted(r["row"] for r in recs if r["role"] == "pos_label")
+    neg_rows = sorted(r["row"] for r in recs if r["role"] == "neg_label")
     if not pos_rows:
         raise DataError("manifest declares no pos_label rows")
-    return FeatureBank.from_rows(labels[pos_rows], labels[neg_rows])
+    return FeatureBank.from_rows(labels[pos_rows], labels[neg_rows]), labels.shape[0]
 
 
-def _training_from_dir(data_dir):
-    feats = data_io.read_bank(os.path.join(data_dir, "train.fbnk"), unit_rows=True)
-    records = data_io.read_manifest(os.path.join(data_dir, "manifest.jsonl"))
-    n_labels = sum(r["role"] in ("pos_label", "neg_label") for r in records)
-    pos = [(r["row"] - n_labels, r["class"]) for r in records if r["role"] == "train_pos"]
-    neg = [r["row"] - n_labels for r in records if r["role"] == "train_neg"]
-    pos.sort()
-    neg.sort()
-    pos_idx = [i for i, _ in pos]
+def _training_from_dir(data_dir, records, n_labels):
+    """Training rows follow the n_labels rows of labels.fbnk in manifest numbering."""
+    path = os.path.join(data_dir, "train.fbnk")
+    feats = data_io.read_bank(path, unit_rows=True)
+    recs = _records_in(records, ("train_pos", "train_neg"), n_labels,
+                       n_labels + feats.shape[0], path)
+    pos = sorted((r["row"] - n_labels, r["class"])
+                 for r in recs if r["role"] == "train_pos")
+    neg = sorted(r["row"] - n_labels for r in recs if r["role"] == "train_neg")
     return TrainingSet(
-        pos_features=feats[pos_idx],
+        pos_features=feats[[i for i, _ in pos]],
         pos_labels=np.array([c for _, c in pos], dtype=int),
         neg_features=feats[neg],
     )
@@ -115,6 +132,9 @@ def cmd_synth(args):
 
 
 def cmd_mine_neg(args):
+    if args.stat == "quantile" and (args.quantile is None or not 0 <= args.quantile <= 1):
+        raise ConfigError(
+            f"--stat quantile needs --quantile in [0, 1], got {args.quantile}")
     lex_feats = data_io.read_bank(args.lexicon, unit_rows=True)
     lexicon = mining.CandidateLexicon(
         features=lex_feats, names=[f"cand_{i}" for i in range(lex_feats.shape[0])]
@@ -180,8 +200,9 @@ def cmd_train(args):
         {k: v for k, v in file_cfg.items() if k in _TRAIN_KEYS}, args, _TRAIN_KEYS
     )
     cfg = TrainConfig(**train_kwargs)
-    bank = _bank_from_dir(data_dir)
-    training = _training_from_dir(data_dir)
+    records = _dataset_manifest(data_dir)
+    bank, n_labels = _bank_from_dir(data_dir, records)
+    training = _training_from_dir(data_dir, records, n_labels)
     state = init_model(bank.dim, hidden=hidden, mode=mode, seed=cfg.seed)
     ckpt, trace = train(state, bank, training, cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -195,7 +216,7 @@ def cmd_train(args):
 
 
 def cmd_score(args):
-    bank = _bank_from_dir(args.bank)
+    bank, _ = _bank_from_dir(args.bank, _dataset_manifest(args.bank))
     images = data_io.read_bank(args.images, unit_rows=True)
     state = None
     if args.method == "krnft":
@@ -243,6 +264,10 @@ def cmd_eval(args):
         a, b = args.pair
         out = {"hmean": round(scoring.hmean(a, b), 4)}
     else:
+        if args.scores_id is None or args.scores_ood is None:
+            raise ConfigError("eval needs --scores-id and --scores-ood, or --pair")
+        if not 0 < args.tpr <= 1:
+            raise ConfigError(f"--tpr must be in (0, 1], got {args.tpr}")
         id_scores = _read_scores_csv(args.scores_id)
         ood_scores = _read_scores_csv(args.scores_ood)
         report = scoring.evaluate(id_scores, ood_scores, tpr=args.tpr)
@@ -408,10 +433,15 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    # parse_args leaves the parser unchanged, so one per process serves every call
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:

@@ -97,6 +97,8 @@ def _validate_record(rec, lineno):
     for key in ("row", "id", "role"):
         if key not in rec:
             raise SchemaError(f"manifest line {lineno}: missing key {key!r}")
+    if type(rec["row"]) is not int:
+        raise SchemaError(f"manifest line {lineno}: row {rec['row']!r} is not an integer")
     if rec["role"] not in MANIFEST_ROLES:
         raise SchemaError(f"manifest line {lineno}: unknown role {rec['role']!r}")
     if rec["role"] in _CLASS_REQUIRED and "class" not in rec:
@@ -110,24 +112,36 @@ def _validate_record(rec, lineno):
 
 
 def read_manifest(path, n_rows=None):
-    """Read JSONL manifest records, preserving unknown keys."""
+    """Read JSONL manifest records, preserving unknown keys.
+
+    A line that is not UTF-8 JSON or not a JSON object raises SchemaError.
+    """
     records = []
     seen_rows = set()
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            _validate_record(rec, lineno)
-            if rec["row"] in seen_rows:
-                raise SchemaError(f"manifest line {lineno}: duplicate row {rec['row']}")
-            if n_rows is not None and not 0 <= rec["row"] < n_rows:
-                raise SchemaError(
-                    f"manifest line {lineno}: row {rec['row']} outside bank bounds"
-                )
-            seen_rows.add(rec["row"])
-            records.append(rec)
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise SchemaError(
+                        f"{path} line {lineno}: not valid JSON: {e}") from None
+                if not isinstance(rec, dict):
+                    raise SchemaError(f"{path} line {lineno}: not a JSON object")
+                _validate_record(rec, lineno)
+                if rec["row"] in seen_rows:
+                    raise SchemaError(f"manifest line {lineno}: duplicate row {rec['row']}")
+                if n_rows is not None and not 0 <= rec["row"] < n_rows:
+                    raise SchemaError(
+                        f"manifest line {lineno}: row {rec['row']} outside bank bounds"
+                    )
+                seen_rows.add(rec["row"])
+                records.append(rec)
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: not valid UTF-8") from None
     return records
 
 

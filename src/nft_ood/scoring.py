@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from .errors import (
     NonPositiveTemperature,
 )
 from .model import IMAGE_INDEPENDENT_MODES, _transform_bank_into, transform_bank
-from .numerics import as_f64, logsumexp, sigmoid, stable_softmax
+from .numerics import as_f64, sigmoid
 
 
 @dataclass
@@ -35,8 +36,13 @@ class MetricReport:
         }
 
 
-def _neglabel_scorer(bank_rows, n_pos, tau_score, finite=False):
-    """Validate the bank once; return the per-image NegLabel score against it.
+# cosines per block of score_many: bounds the (b, K) block and its reduction
+# temporaries, whatever the image count
+_BLOCK_ELEMS = 2**16
+
+
+def _neglabel_rows(bank_rows, n_pos, tau_score, finite=False):
+    """The bank checked for NegLabel scoring: tau, NaN/Inf, then its two parts.
 
     finite=True skips the NaN/Inf scan of bank_rows, which the caller has
     already ruled out.
@@ -49,20 +55,68 @@ def _neglabel_scorer(bank_rows, n_pos, tau_score, finite=False):
         raise EmptyBank("need at least one positive label row")
     if bank_rows.shape[0] - n_pos < 1:
         raise NoNegativeLabels("NegLabel score requires negative label rows")
-
-    def score(v):
-        cos = bank_rows @ v
-        return sigmoid(logsumexp(cos[:n_pos] / tau_score) - logsumexp(cos[n_pos:] / tau_score))
-
-    return score
+    return bank_rows
 
 
-def _mcm_scorer(pos_rows, tau):
-    """Validate the positive rows once; return the per-image MCM score against them."""
+def _mcm_rows(pos_rows):
     pos_rows = as_f64(pos_rows)
     if pos_rows.shape[0] < 1:
         raise EmptyBank("MCM score requires at least one positive label row")
-    return lambda v: float(np.max(stable_softmax(pos_rows @ v, tau)))
+    return pos_rows
+
+
+def _logsumexp_rows(x):
+    """numerics.logsumexp of each row of x, bit for bit: max, exp, sum per row."""
+    m = np.max(x, axis=1)
+    if x.shape[1] == 1:
+        return m.tolist()
+    s = np.sum(np.exp(x - m[:, None]), axis=1)
+    return [a + math.log(b) for a, b in zip(m.tolist(), s.tolist())]
+
+
+def _neglabel_block(cos, n_pos, tau_score):
+    # the NaN/Inf check logsumexp made: a tiny tau can overflow cos / tau
+    x = as_f64(cos / tau_score)
+    pos, neg = _logsumexp_rows(x[:, :n_pos]), _logsumexp_rows(x[:, n_pos:])
+    return [sigmoid(p - q) for p, q in zip(pos, neg)]
+
+
+def _mcm_block(cos, tau):
+    """Max softmax probability per row, as numerics.stable_softmax gives it.
+
+    max(e) / sum(e) equals the max of e / sum(e) bit for bit, because
+    rounded division by a positive number is monotone.
+    """
+    if tau <= 0:
+        raise NonPositiveTemperature(f"tau must be > 0, got {tau}")
+    x = as_f64(cos) / tau
+    e = np.exp(x - np.max(x, axis=1)[:, None])
+    return (np.max(e, axis=1) / np.sum(e, axis=1)).tolist()
+
+
+def _blocked_scores(images, rows, reduce, tune=None):
+    """Scores of each image against rows, in input order.
+
+    Per image one matrix-vector product writes its cosines into a row of a
+    (b, K) block; reduce then scores the whole block. tune(v), if given,
+    first writes the image's own bank into rows.
+    """
+    n, k = images.shape[0], rows.shape[0]
+    b = max(1, _BLOCK_ELEMS // k)
+    cos = np.empty((min(b, n), k))
+    scores = []
+    for start in range(0, n, b):
+        block = cos[: min(b, n - start)]
+        for v, c in zip(images[start : start + b], block):
+            if tune is not None:
+                tune(v)
+            np.dot(rows, v, out=c)
+        scores += reduce(block)
+    return np.array(scores)
+
+
+def _score_one(v, rows, reduce):
+    return float(_blocked_scores(as_f64(v)[None, :], rows, reduce)[0])
 
 
 def score_neglabel(v, bank_rows, n_pos, tau_score=1.0):
@@ -71,12 +125,13 @@ def score_neglabel(v, bank_rows, n_pos, tau_score=1.0):
     Algebraically identical to the ratio of exponentiated positive
     similarities to the total over positive plus negative labels.
     """
-    return _neglabel_scorer(bank_rows, n_pos, tau_score)(as_f64(v))
+    rows = _neglabel_rows(bank_rows, n_pos, tau_score)
+    return _score_one(v, rows, partial(_neglabel_block, n_pos=n_pos, tau_score=tau_score))
 
 
 def score_mcm(v, pos_rows, tau=1.0):
     """Maximum softmax probability over positive label similarities."""
-    return _mcm_scorer(pos_rows, tau)(as_f64(v))
+    return _score_one(v, _mcm_rows(pos_rows), partial(_mcm_block, tau=tau))
 
 
 def score_krnft(state, v, bank, tau_score=1.0):
@@ -85,49 +140,42 @@ def score_krnft(state, v, bank, tau_score=1.0):
     return score_neglabel(v, rows, bank.n_pos, tau_score)
 
 
-def _krnft_scorer(state, bank, tau_score):
-    """Per-image krnft score, equal to score_krnft bit for bit.
-
-    Each image's tuned bank is written into one buffer allocated here and
-    reused for every image. The NaN/Inf scan of that bank runs only when a
-    row norm is non-finite, the only case in which a tuned row can be.
-    """
-    rows = np.empty((bank.n_pos + bank.n_neg, bank.dim))
-
-    def score(v):
-        finite = _transform_bank_into(state, bank, v, rows)
-        return _neglabel_scorer(rows, bank.n_pos, tau_score, finite)(v)
-
-    return score
-
-
 def score_many(images, method, bank, state=None, tau_score=1.0):
     """Score each row of images; output order follows input order.
 
     The bank is validated once per call, and so is the tuned bank in the
     image-independent krnft modes. In the image-conditional krnft modes the
     tuned bank of each image is written into one buffer reused across the
-    call. Results equal the per-image score_* calls (score_krnft, i.e.
-    transform_bank + score_neglabel) bit for bit.
+    call. Each image's cosines come from one matrix-vector product; the
+    scores of a block of images are reduced together. Results equal the
+    per-image score_* calls (score_krnft, i.e. transform_bank +
+    score_neglabel) bit for bit.
     """
     images = as_f64(np.atleast_2d(images))
     if images.shape[1] != bank.dim:
         raise DimMismatch("image features do not match bank dimension")
+    tune = None
+    reduce = partial(_neglabel_block, n_pos=bank.n_pos, tau_score=tau_score)
     if method == "mcm":
-        fn = _mcm_scorer(bank.pos, tau_score)
+        rows, reduce = _mcm_rows(bank.pos), partial(_mcm_block, tau=tau_score)
     elif method == "neglabel":
-        fn = _neglabel_scorer(bank.rows(), bank.n_pos, tau_score)
+        rows = _neglabel_rows(bank.rows(), bank.n_pos, tau_score)
     elif method == "krnft":
         if state is None:
             raise EmptyInput("krnft scoring requires a model state")
         if state.mode in IMAGE_INDEPENDENT_MODES and images.shape[0]:
             rows = transform_bank(state, bank, images[0])  # any image: it is unused
-            fn = _neglabel_scorer(rows, bank.n_pos, tau_score)
+            rows = _neglabel_rows(rows, bank.n_pos, tau_score)
         else:
-            fn = _krnft_scorer(state, bank, tau_score)
+            rows = np.empty((bank.n_pos + bank.n_neg, bank.dim))
+
+            def tune(v):
+                # only a non-finite row norm can leave NaN/Inf in a tuned row
+                finite = _transform_bank_into(state, bank, v, rows)
+                _neglabel_rows(rows, bank.n_pos, tau_score, finite)
     else:
         raise EmptyInput(f"unknown scoring method {method!r}")
-    return np.array([fn(v) for v in images])
+    return _blocked_scores(images, rows, reduce, tune)
 
 
 def decide(score, gamma):

@@ -8,9 +8,10 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _smoke(workload):
+def _smoke(workload, *extra):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "1",
+         *extra],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
@@ -21,6 +22,11 @@ def _smoke(workload):
 
 def test_benchmark_pipeline_fixture_smoke():
     _smoke("pipeline_fixture")
+
+
+def test_benchmark_pipeline_fixture_traced_smoke():
+    # the traced run adds the per-layer spans and re-checks every output
+    _smoke("pipeline_fixture", "--trace", "1")
 
 
 def test_benchmark_eval_1m_smoke():

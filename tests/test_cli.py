@@ -8,9 +8,18 @@ import sys
 import numpy as np
 import pytest
 
-from nft_ood.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from nft_ood.data_io import write_bank, write_manifest
-from nft_ood.model import Checkpoint, init_model, save_checkpoint
+from nft_ood.cli import (
+    EXIT_DATA,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    _bank_from_dir,
+    _training_from_dir,
+    main,
+)
+from nft_ood.data_io import read_bank, read_manifest, write_bank, write_manifest
+from nft_ood.model import Checkpoint, FeatureBank, init_model, save_checkpoint
+from nft_ood.scoring import score_many
 
 
 def run(*argv):
@@ -27,6 +36,22 @@ def synth_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "synth"
     assert run("synth", "--out", str(out)) == EXIT_OK
     return out
+
+
+def assert_one_line(err, *needles):
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    for needle in needles:
+        assert needle in err
+
+
+def copy_dataset(src, dst, keep=lambda rec: True):
+    """Copy a dataset directory, keeping only the manifest records keep accepts."""
+    dst.mkdir()
+    for name in ("labels.fbnk", "train.fbnk", "test_id.fbnk"):
+        (dst / name).write_bytes((src / name).read_bytes())
+    records = [r for r in read_manifest(src / "manifest.jsonl") if keep(r)]
+    write_manifest(dst / "manifest.jsonl", records)
+    return records
 
 
 def tiny_bank_dir(tmp_path, n_pos=1):
@@ -95,6 +120,16 @@ def test_mine_neg_cli(tmp_path):
 
     lex = CandidateLexicon(feats, [f"cand_{i}" for i in range(20)])
     assert picked == mine_negative_labels(lex, ids, 5).tolist()
+
+
+@pytest.mark.parametrize("extra", [[], ["--quantile", "1.5"]])
+def test_mine_neg_bad_quantile_is_usage_error(tmp_path, capsys, extra):
+    rng = np.random.default_rng(95)
+    write_bank(tmp_path / "lex.fbnk", np.linalg.qr(rng.standard_normal((8, 8)))[0])
+    assert run("mine-neg", "--lexicon", str(tmp_path / "lex.fbnk"),
+               "--id-bank", str(tmp_path / "lex.fbnk"), "-m", "2", "--stat", "quantile",
+               *extra, "--out", str(tmp_path / "mined.json")) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, "--quantile")
 
 
 def test_select_crops_cli(tmp_path):
@@ -185,6 +220,43 @@ def test_train_config_file_with_override(synth_dir, tmp_path):
     assert echoed["epochs"] == 1
 
 
+def test_train_rows_offset_by_label_bank(synth_dir, tmp_path):
+    # drop 2 of the 72 label records and 2 train_neg records: training rows
+    # still start after all 72 rows of labels.fbnk
+    dropped = {"neg_3", "neg_60", "train_neg_0", "train_neg_9"}
+    d = tmp_path / "trimmed"
+    records = copy_dataset(synth_dir, d, keep=lambda r: r["id"] not in dropped)
+    n_labels = read_bank(d / "labels.fbnk").shape[0]
+    bank, rows = _bank_from_dir(d, records)
+    assert rows == n_labels and bank.n_pos + bank.n_neg == n_labels - 2
+    training = _training_from_dir(d, records, n_labels)
+    feats = read_bank(d / "train.fbnk", unit_rows=True)
+    neg = sorted(r["row"] - n_labels for r in records if r["role"] == "train_neg")
+    assert np.array_equal(training.neg_features, feats[neg])
+    assert run("train", "--data", str(d), "--out", str(tmp_path / "t"),
+               "--epochs", "1") == EXIT_OK
+
+
+@pytest.mark.parametrize("cmd, role, row", [
+    ("score", "neg_label", "past_end"),
+    ("train", "train_neg", "past_end"),
+    ("train", "train_neg", "label_row"),  # below the training rows
+])
+def test_manifest_row_outside_its_bank_is_data_error(synth_dir, tmp_path, capsys,
+                                                     cmd, role, row):
+    d = tmp_path / "bad"
+    records = copy_dataset(synth_dir, d, keep=lambda r: r["id"] != "neg_0")
+    victim = next(r for r in records if r["role"] == role)
+    # a row no other record uses; 8 was the dropped neg_0's
+    victim["row"] = 1 + max(r["row"] for r in records) if row == "past_end" else 8
+    write_manifest(d / "manifest.jsonl", records)
+    argv = {"train": ["train", "--data", str(d), "--out", str(tmp_path / "t")],
+            "score": ["score", "--bank", str(d), "--images", str(d / "test_id.fbnk"),
+                      "--out", str(tmp_path / "s.csv")]}[cmd]
+    assert run(*argv) == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, f"row {victim['row']} ", repr(victim["id"]))
+
+
 # ---- score ----
 
 
@@ -245,6 +317,39 @@ def test_score_ignores_threads_env(tmp_path, monkeypatch):
     monkeypatch.setenv("NFT_OOD_THREADS", "abc")
     assert run(*argv, str(with_env)) == EXIT_OK
     assert with_env.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("line3, needle", [
+    (b'{"row": 2, "id": oops\n', "line 3: not valid JSON"),
+    (b'[2, "x", "neg_label"]\n', "line 3: not a JSON object"),
+    (b'{"row": 2, "id": "x\xff", "role": "neg_label"}\n', "not valid UTF-8"),
+])
+def test_score_malformed_manifest_line_is_data_error(tmp_path, capsys, line3, needle):
+    d = tiny_bank_dir(tmp_path)  # two records
+    manifest = d / "manifest.jsonl"
+    manifest.write_bytes(manifest.read_bytes() + line3)
+    write_bank(tmp_path / "imgs.fbnk", np.eye(4)[:2])
+    assert run("score", "--bank", str(d), "--images", str(tmp_path / "imgs.fbnk"),
+               "--out", str(tmp_path / "s.csv")) == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, str(manifest), needle)
+
+
+def test_score_parser_reuse_keeps_no_state(tmp_path):
+    # the second call omits --tau-score: it must score at the default 1.0
+    d = tiny_bank_dir(tmp_path, n_pos=2)
+    rng = np.random.default_rng(96)
+    imgs = rng.standard_normal((5, 4))
+    imgs /= np.linalg.norm(imgs, axis=1, keepdims=True)
+    write_bank(tmp_path / "imgs.fbnk", imgs)
+    argv = ["score", "--bank", str(d), "--images", str(tmp_path / "imgs.fbnk"), "--out"]
+    assert run(*argv, str(tmp_path / "half.csv"), "--tau-score", "0.5") == EXIT_OK
+    assert run(*argv, str(tmp_path / "default.csv")) == EXIT_OK
+    eye = np.eye(4)
+    bank = FeatureBank.from_rows(eye[:2], eye[2:3])
+    images = read_bank(tmp_path / "imgs.fbnk", unit_rows=True)
+    for name, tau in (("half.csv", 0.5), ("default.csv", 1.0)):
+        want = score_many(images, "neglabel", bank, tau_score=tau)
+        assert np.array_equal(read_scores(tmp_path / name), want), name
 
 
 def _checkpoint_bytes(tmp_path):
@@ -309,6 +414,30 @@ def test_eval_pair_hmean(tmp_path):
     out = tmp_path / "h.json"
     assert run("eval", "--pair", "22.79", "11.41", "--out", str(out)) == EXIT_OK
     assert abs(json.loads(out.read_text())["hmean"] - 15.21) < 0.01
+
+
+def test_eval_pair_then_scores(tmp_path):
+    assert run("eval", "--pair", "0.2", "0.1", "--out", str(tmp_path / "h.json")) == EXIT_OK
+    write_scores_csv(tmp_path / "id.csv", [0.9, 0.8], "ID")
+    write_scores_csv(tmp_path / "ood.csv", [0.1, 0.85], "OOD")
+    out = tmp_path / "m.json"
+    assert run("eval", "--scores-id", str(tmp_path / "id.csv"),
+               "--scores-ood", str(tmp_path / "ood.csv"), "--out", str(out)) == EXIT_OK
+    assert json.loads(out.read_text()) == {
+        "auroc": 0.75, "fpr95": 0.5, "n_id": 2, "n_ood": 2, "threshold": 0.8}
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["--tpr", "0"], "--tpr"),
+    (["--tpr", "1.5"], "--tpr"),
+    (["--tpr", "0.95"], "--scores-id"),  # no score files and no --pair
+])
+def test_eval_bad_flags_are_usage_errors(tmp_path, capsys, argv, needle):
+    write_scores_csv(tmp_path / "s.csv", [0.1, 0.2], "ID")
+    files = [] if needle == "--scores-id" else [
+        "--scores-id", str(tmp_path / "s.csv"), "--scores-ood", str(tmp_path / "s.csv")]
+    assert run("eval", *files, *argv, "--out", str(tmp_path / "m.json")) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, needle)
 
 
 def test_eval_perfect_separation(tmp_path):

@@ -175,6 +175,14 @@ def test_manifest_missing_key(tmp_path):
         read_manifest(path)
 
 
+@pytest.mark.parametrize("row", ["3", 1.0, True, None])
+def test_manifest_row_must_be_an_integer(tmp_path, row):
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps({"row": row, "id": "a", "role": "neg_label"}) + "\n")
+    with pytest.raises(SchemaError, match="not an integer"):
+        read_manifest(path)
+
+
 # ---- synthetic generator ----
 
 

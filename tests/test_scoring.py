@@ -8,11 +8,13 @@ from nft_ood.errors import (
     EmptyBank,
     EmptyInput,
     NoNegativeLabels,
+    NonFiniteInput,
     NonPositiveInput,
 )
-from nft_ood.model import MODES, FeatureBank, init_model
-from nft_ood.numerics import as_f64
+from nft_ood.model import MODES, FeatureBank, init_model, transform_bank
+from nft_ood.numerics import as_f64, logsumexp, sigmoid, stable_softmax
 from nft_ood.scoring import (
+    _BLOCK_ELEMS,
     auroc,
     decide,
     evaluate,
@@ -194,6 +196,72 @@ def test_score_many_matches_per_image_scores(mode):
         got = score_many(images, method, bank, state=state, tau_score=tau)
         assert np.array_equal(got, np.array(loop)), method
         assert score_many(images[:0], method, bank, state=state).shape == (0,)
+
+
+def neglabel_reference(v, bank_rows, n_pos, tau):
+    """The former per-image library NegLabel score."""
+    cos = bank_rows @ v
+    return sigmoid(logsumexp(cos[:n_pos] / tau) - logsumexp(cos[n_pos:] / tau))
+
+
+def mcm_reference(v, pos_rows, tau):
+    """The former per-image library MCM score."""
+    return float(np.max(stable_softmax(pos_rows @ v, tau)))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_score_many_blocks_match_per_image_scores(mode):
+    # N and N + M both exceed a fifth of the block budget: mcm blocks hold 5
+    # images and neglabel/krnft blocks 2, so 7 images end each part-way
+    rng = np.random.default_rng(65)
+    n = m = _BLOCK_ELEMS // 5
+    bank = FeatureBank.from_rows(unit_rows(rng, n, 8), unit_rows(rng, m, 8))
+    state = init_model(8, hidden=4, mode=mode, seed=2)
+    for arr in state.params().values():  # off the identity init
+        arr += 0.2 * rng.standard_normal(arr.shape)
+    images = unit_rows(rng, 7, 8)
+    tau = 0.05
+    per_image = {
+        "krnft": [score_krnft(state, v, bank, tau) for v in images],
+        "neglabel": [score_neglabel(v, bank.rows(), n, tau) for v in images],
+        "mcm": [score_mcm(v, bank.pos, tau) for v in images],
+    }
+    reference = {
+        "krnft": [neglabel_reference(v, transform_bank(state, bank, v), n, tau)
+                  for v in images],
+        "neglabel": [neglabel_reference(v, bank.rows(), n, tau) for v in images],
+        "mcm": [mcm_reference(v, bank.pos, tau) for v in images],
+    }
+    for method, loop in per_image.items():
+        assert np.array_equal(loop, reference[method]), method
+        got = score_many(images, method, bank, state=state, tau_score=tau)
+        assert np.array_equal(got, np.array(loop)), method
+        one = score_many(images[:1], method, bank, state=state, tau_score=tau)
+        assert np.array_equal(one, np.array(loop[:1])), method
+
+
+def test_score_many_matches_reference_on_many_images():
+    # enough rows that a vectorized log or a reordered sum would differ from
+    # the per-image math.log somewhere in the last bit
+    rng = np.random.default_rng(67)
+    bank = FeatureBank.from_rows(unit_rows(rng, 3, 8), unit_rows(rng, 6, 8))
+    images = unit_rows(rng, 20000, 8)
+    for tau in (1.0, 0.07):
+        want = [neglabel_reference(v, bank.rows(), 3, tau) for v in images]
+        assert np.array_equal(score_many(images, "neglabel", bank, tau_score=tau), want)
+        want = [mcm_reference(v, bank.pos, tau) for v in images]
+        assert np.array_equal(score_many(images, "mcm", bank, tau_score=tau), want)
+
+
+def test_neglabel_overflowing_temperature_is_non_finite():
+    # cos / tau overflows at a subnormal tau: the scores raise, not return NaN
+    rng = np.random.default_rng(66)
+    bank = FeatureBank.from_rows(unit_rows(rng, 3, 8), unit_rows(rng, 5, 8))
+    images = unit_rows(rng, 4, 8)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteInput):
+        score_neglabel(images[0], bank.rows(), 3, 1e-309)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteInput):
+        score_many(images, "neglabel", bank, tau_score=1e-309)
 
 
 def test_score_many_unknown_method():
