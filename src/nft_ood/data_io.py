@@ -93,28 +93,29 @@ def write_manifest(path, records):
         warnings.warn(f"dropped unknown manifest keys: {sorted(dropped)}")
 
 
-def _validate_record(rec, lineno):
+def _validate_record(rec, where):
     for key in ("row", "id", "role"):
         if key not in rec:
-            raise SchemaError(f"manifest line {lineno}: missing key {key!r}")
+            raise SchemaError(f"{where}: missing key {key!r}")
     if type(rec["row"]) is not int:
-        raise SchemaError(f"manifest line {lineno}: row {rec['row']!r} is not an integer")
+        raise SchemaError(f"{where}: row {rec['row']!r} is not an integer")
     if rec["role"] not in MANIFEST_ROLES:
-        raise SchemaError(f"manifest line {lineno}: unknown role {rec['role']!r}")
+        raise SchemaError(f"{where}: unknown role {rec['role']!r}")
     if rec["role"] in _CLASS_REQUIRED and "class" not in rec:
-        raise SchemaError(
-            f"manifest line {lineno}: role {rec['role']!r} requires a class index"
-        )
+        raise SchemaError(f"{where}: role {rec['role']!r} requires a class index")
     if rec["role"] in _CLASS_FORBIDDEN and "class" in rec:
-        raise SchemaError(
-            f"manifest line {lineno}: role {rec['role']!r} must not carry a class"
-        )
+        raise SchemaError(f"{where}: role {rec['role']!r} must not carry a class")
+    if "class" in rec and type(rec["class"]) is not int:
+        raise SchemaError(f"{where}: class {rec['class']!r} is not an integer")
+    if rec["role"] == "crop" and "parent" not in rec:
+        raise SchemaError(f"{where}: role 'crop' requires a parent")
 
 
 def read_manifest(path, n_rows=None):
     """Read JSONL manifest records, preserving unknown keys.
 
-    A line that is not UTF-8 JSON or not a JSON object raises SchemaError.
+    A line that is not UTF-8 JSON, not a JSON object or not a valid record
+    raises SchemaError naming the file and line.
     """
     records = []
     seen_rows = set()
@@ -124,20 +125,18 @@ def read_manifest(path, n_rows=None):
                 line = line.strip()
                 if not line:
                     continue
+                where = f"{path} line {lineno}"
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError as e:
-                    raise SchemaError(
-                        f"{path} line {lineno}: not valid JSON: {e}") from None
+                    raise SchemaError(f"{where}: not valid JSON: {e}") from None
                 if not isinstance(rec, dict):
-                    raise SchemaError(f"{path} line {lineno}: not a JSON object")
-                _validate_record(rec, lineno)
+                    raise SchemaError(f"{where}: not a JSON object")
+                _validate_record(rec, where)
                 if rec["row"] in seen_rows:
-                    raise SchemaError(f"manifest line {lineno}: duplicate row {rec['row']}")
+                    raise SchemaError(f"{where}: duplicate row {rec['row']}")
                 if n_rows is not None and not 0 <= rec["row"] < n_rows:
-                    raise SchemaError(
-                        f"manifest line {lineno}: row {rec['row']} outside bank bounds"
-                    )
+                    raise SchemaError(f"{where}: row {rec['row']} outside bank bounds")
                 seen_rows.add(rec["row"])
                 records.append(rec)
     except UnicodeDecodeError:

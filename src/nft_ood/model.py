@@ -8,14 +8,15 @@ coincides with zero-shot scoring.
 """
 
 import json
+import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DimMismatch, FormatError, InvalidDim, ZeroNorm
-from .numerics import as_f64, l2_normalize, normalize_rows
+from .numerics import as_f64, normalize_rows
 
 MODES = ("const_shift", "vec_shift", "scale_shift", "mlp")
 # modes whose tuned bank does not depend on the image feature
@@ -25,7 +26,7 @@ ROLES = ("positive", "negative")
 _MODE_CODE = {m: i for i, m in enumerate(MODES)}
 
 CHECKPOINT_MAGIC = b"NFTC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # v1 files are still read
 
 
 @dataclass
@@ -95,76 +96,107 @@ class TrainingSet:
 
 @dataclass
 class TransformHead:
-    alpha: np.ndarray  # (D,), all ones at init
-    beta: np.ndarray  # (D,), all zeros at init
+    """A role's static scale and shift; vec_shift has no alpha, const_shift a (1,) beta."""
+
+    beta: np.ndarray  # (D,) or (1,), all zeros at init
+    alpha: np.ndarray = None  # (D,), all ones at init
 
 
 @dataclass
 class MetaNet:
-    """Shared trunk (D -> hidden, relu) with zero-initialized alpha/beta heads."""
+    """Shared trunk (D -> hidden, relu) with zero-initialized heads; the alpha head is
+    scale_shift's only."""
 
     w1: np.ndarray  # (hidden, D)
     b1: np.ndarray  # (hidden,)
-    w_alpha: np.ndarray  # (D, hidden)
-    b_alpha: np.ndarray  # (D,)
     w_beta: np.ndarray  # (D, hidden)
     b_beta: np.ndarray  # (D,)
+    w_alpha: np.ndarray = None  # (D, hidden)
+    b_alpha: np.ndarray = None  # (D,)
 
-    @property
-    def hidden(self):
-        return self.w1.shape[0]
+
+# The live arrays of each mode, per role: (name, shape in the dims D and H,
+# identity value). Every array starts at its identity value, so every mode
+# starts as the identity transform, except the trunk (w1, b1), which has none:
+# it starts uniform in +-1/sqrt(D), behind zero heads. Weight decay pulls an
+# array toward its identity value, the trunk toward 0.
+MODE_PARAMS = {
+    "const_shift": (("head.beta", (1,), 0.0),),
+    "vec_shift": (("head.beta", ("D",), 0.0),
+                  ("net.w1", ("H", "D"), None), ("net.b1", ("H",), None),
+                  ("net.w_beta", ("D", "H"), 0.0), ("net.b_beta", ("D",), 0.0)),
+    "scale_shift": (("head.alpha", ("D",), 1.0), ("head.beta", ("D",), 0.0),
+                    ("net.w1", ("H", "D"), None), ("net.b1", ("H",), None),
+                    ("net.w_alpha", ("D", "H"), 0.0), ("net.b_alpha", ("D",), 0.0),
+                    ("net.w_beta", ("D", "H"), 0.0), ("net.b_beta", ("D",), 0.0)),
+    "mlp": (("net.w1", ("H", "D"), None), ("net.b1", ("H",), None),
+            ("net.w_beta", ("D", "H"), 0.0), ("net.b_beta", ("D",), 0.0)),
+}
+# (field, key) of each live array of a mode's role and group ("head" or "net")
+_GROUP_FIELDS = {
+    (mode, role, group): [(name.split(".")[1], f"{prefix}_{name}")
+                          for name, _, _ in spec if name.startswith(group + ".")]
+    for mode, spec in MODE_PARAMS.items()
+    for role, prefix in (("positive", "pos"), ("negative", "neg"))
+    for group in ("head", "net")
+}
+
+
+def param_layout(mode, dim, hidden):
+    """(key, shape, identity value) of each live array of a mode, in checkpoint order.
+
+    Keys are paths such as `pos_head.beta` or `neg_net.w1`. Heads come before
+    nets and positive before negative.
+    """
+    size = {"D": int(dim), "H": int(hidden)}
+    return [(f"{prefix}_{name}", tuple(size.get(n, n) for n in shape), ident)
+            for group in ("head", "net") for prefix in ("pos", "neg")
+            for name, shape, ident in MODE_PARAMS[mode] if name.startswith(group)]
+
+
+def v1_layout(dim, hidden):
+    """Checkpoint v1 stored every mode with scale_shift's 16 arrays."""
+    return param_layout("scale_shift", dim, hidden)
+
+
+def live_from_v1(mode, dim, hidden, v1_arrays):
+    """A mode's live arrays cut from arrays of the v1 layout (const_shift: beta[:1])."""
+    return {key: v1_arrays[key][tuple(slice(n) for n in shape)]
+            for key, shape, _ in param_layout(mode, dim, hidden)}
 
 
 @dataclass
 class ModelState:
+    """The live parameter arrays of one transform mode (see MODE_PARAMS)."""
+
     mode: str
     dim: int
     hidden: int
-    pos_head: TransformHead
-    neg_head: TransformHead
-    pos_net: MetaNet
-    neg_net: MetaNet
+    arrays: dict  # key -> array, in param_layout order
+
+    def _group(self, role, group, cls):
+        fields = _GROUP_FIELDS[self.mode, role, group]
+        return cls(**{f: self.arrays[k] for f, k in fields}) if fields else None
 
     def head(self, role):
-        return self.pos_head if role == "positive" else self.neg_head
+        """The role's static scale and shift; None in mlp."""
+        return self._group(role, "head", TransformHead)
 
     def net(self, role):
-        return self.pos_net if role == "positive" else self.neg_net
+        """The role's meta-net; None in const_shift."""
+        return self._group(role, "net", MetaNet)
+
+    pos_head = property(lambda self: self.head("positive"))
+    neg_head = property(lambda self: self.head("negative"))
+    pos_net = property(lambda self: self.net("positive"))
+    neg_net = property(lambda self: self.net("negative"))
 
     def params(self):
-        """Live views of every parameter array, keyed by a stable path."""
-        out = {}
-        for hname, h in (("pos_head", self.pos_head), ("neg_head", self.neg_head)):
-            out[f"{hname}.alpha"] = h.alpha
-            out[f"{hname}.beta"] = h.beta
-        for nname, n in (("pos_net", self.pos_net), ("neg_net", self.neg_net)):
-            for f in ("w1", "b1", "w_alpha", "b_alpha", "w_beta", "b_beta"):
-                out[f"{nname}.{f}"] = getattr(n, f)
-        return out
+        """Live views of the mode's parameter arrays, keyed by a stable path."""
+        return dict(self.arrays)
 
     def copy(self):
-        def _h(h):
-            return TransformHead(alpha=h.alpha.copy(), beta=h.beta.copy())
-
-        def _n(n):
-            return MetaNet(
-                w1=n.w1.copy(),
-                b1=n.b1.copy(),
-                w_alpha=n.w_alpha.copy(),
-                b_alpha=n.b_alpha.copy(),
-                w_beta=n.w_beta.copy(),
-                b_beta=n.b_beta.copy(),
-            )
-
-        return ModelState(
-            mode=self.mode,
-            dim=self.dim,
-            hidden=self.hidden,
-            pos_head=_h(self.pos_head),
-            neg_head=_h(self.neg_head),
-            pos_net=_n(self.pos_net),
-            neg_net=_n(self.neg_net),
-        )
+        return replace(self, arrays={k: a.copy() for k, a in self.arrays.items()})
 
 
 @dataclass
@@ -190,39 +222,24 @@ def init_model(dim, hidden=None, mode="scale_shift", seed=0):
         raise InvalidDim(f"unknown transform mode {mode!r}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     bound = 1.0 / np.sqrt(dim)
-
-    def _net():
-        return MetaNet(
-            w1=rng.uniform(-bound, bound, size=(hidden, dim)),
-            b1=rng.uniform(-bound, bound, size=hidden),
-            w_alpha=np.zeros((dim, hidden)),
-            b_alpha=np.zeros(dim),
-            w_beta=np.zeros((dim, hidden)),
-            b_beta=np.zeros(dim),
-        )
-
-    def _head():
-        return TransformHead(alpha=np.ones(dim), beta=np.zeros(dim))
-
-    return ModelState(
-        mode=mode,
-        dim=int(dim),
-        hidden=int(hidden),
-        pos_head=_head(),
-        neg_head=_head(),
-        pos_net=_net(),
-        neg_net=_net(),
-    )
+    arrays = {key: rng.uniform(-bound, bound, size=shape) if ident is None
+              else np.full(shape, ident)
+              for key, shape, ident in param_layout(mode, dim, hidden)}
+    return ModelState(mode=mode, dim=int(dim), hidden=int(hidden), arrays=arrays)
 
 
 def metanet_forward(net, v):
-    """Image-conditional residuals (alpha_res, beta_res) for image feature v."""
+    """Image-conditional residuals (alpha_res, beta_res) for image feature v.
+
+    alpha_res is None for a net without the alpha head.
+    """
     v = as_f64(v)
     if v.shape != (net.w1.shape[1],):
         raise DimMismatch(f"expected image feature of length {net.w1.shape[1]}")
     z = net.w1 @ v + net.b1
     h = np.maximum(z, 0.0)
-    return net.w_alpha @ h + net.b_alpha, net.w_beta @ h + net.b_beta
+    alpha_res = None if net.w_alpha is None else net.w_alpha @ h + net.b_alpha
+    return alpha_res, net.w_beta @ h + net.b_beta
 
 
 def affine_params(state, v, role):
@@ -319,46 +336,27 @@ def transform_bank(state, bank, v):
     return out
 
 
-_PARAM_ORDER = (
-    "pos_head.alpha",
-    "pos_head.beta",
-    "neg_head.alpha",
-    "neg_head.beta",
-    "pos_net.w1",
-    "pos_net.b1",
-    "pos_net.w_alpha",
-    "pos_net.b_alpha",
-    "pos_net.w_beta",
-    "pos_net.b_beta",
-    "neg_net.w1",
-    "neg_net.b1",
-    "neg_net.w_alpha",
-    "neg_net.b_alpha",
-    "neg_net.w_beta",
-    "neg_net.b_beta",
-)
-
-
 def _canonical_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def save_checkpoint(ckpt, path):
-    """Write a checkpoint: NFTC magic, version, dims, JSON metadata, raw float64 params."""
+    """Write a v2 checkpoint: NFTC magic, version, dims, JSON metadata, the live arrays."""
     state = ckpt.model
     meta_blob = _canonical_json({"config": ckpt.config, "meta": ckpt.meta})
+    params = state.params()
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<BBH", CHECKPOINT_VERSION, _MODE_CODE[state.mode], 0))
         f.write(struct.pack("<II", state.dim, state.hidden))
         f.write(struct.pack("<I", len(meta_blob)))
         f.write(meta_blob)
-        params = state.params()
-        for key in _PARAM_ORDER:
+        for key, _, _ in param_layout(state.mode, state.dim, state.hidden):
             f.write(params[key].astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
+    """Read a v2 checkpoint, or a v1 one, whose 16 arrays are cut to the live ones."""
     with open(path, "rb") as f:
         data = f.read()
     off = 0
@@ -374,17 +372,18 @@ def load_checkpoint(path):
     if take(4) != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint magic")
     version, mode_code, _ = struct.unpack("<BBH", take(4))
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise FormatError(f"unsupported checkpoint version {version}")
     if mode_code >= len(MODES):
         raise FormatError(f"unknown transform mode code {mode_code}")
+    mode = MODES[mode_code]
     dim, hidden = struct.unpack("<II", take(8))
     if dim < 1 or hidden < 1:
         raise FormatError(f"checkpoint declares dim={dim}, hidden={hidden}; both must be >= 1")
     (meta_len,) = struct.unpack("<I", take(4))
     meta_raw = take(meta_len)
-    # the _PARAM_ORDER arrays: 4 head vectors of D, 2 nets of (3*hidden*D + hidden + 2*D)
-    payload = 8 * (8 * dim + 6 * hidden * dim + 2 * hidden)
+    layout = v1_layout(dim, hidden) if version == 1 else param_layout(mode, dim, hidden)
+    payload = 8 * sum(math.prod(shape) for _, shape, _ in layout)
     if len(data) - off < payload:
         raise FormatError(
             f"checkpoint file truncated: dim={dim}, hidden={hidden} need {payload} "
@@ -397,14 +396,14 @@ def load_checkpoint(path):
         raise FormatError(f"checkpoint metadata is not valid JSON: {e}") from None
     if not isinstance(blob, dict) or not {"config", "meta"} <= blob.keys():
         raise FormatError("checkpoint metadata lacks its 'config' and 'meta' entries")
-    state = init_model(dim, hidden=hidden, mode=MODES[mode_code], seed=0)
-    params = state.params()
-    for key in _PARAM_ORDER:
-        arr = params[key]
-        raw = take(arr.size * 8)
-        arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
+    arrays = {key: np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+              .reshape(shape).astype(np.float64)
+              for key, shape, _ in layout}
     if off != len(data):
         raise FormatError("trailing bytes after checkpoint payload")
+    if version == 1:
+        arrays = live_from_v1(mode, dim, hidden, arrays)
+    state = ModelState(mode=mode, dim=dim, hidden=hidden, arrays=arrays)
     return Checkpoint(model=state, config=blob["config"], meta=blob["meta"])
 
 

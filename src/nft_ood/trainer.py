@@ -1,4 +1,5 @@
-"""AdamW optimizer, batch construction and the few-shot training loop."""
+"""AdamW optimizer, batch construction, the few-shot training loop, and the
+seeded instances of the gradient check."""
 
 import csv
 import hashlib
@@ -7,9 +8,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, InvalidConfig, ShapeMismatch
-from .model import Checkpoint
-from .objectives import KR_SCOPES, KR_VARIANTS, Batch, backward
+from .errors import EmptyTrainingSet, InvalidConfig, NumericError, ShapeMismatch
+from .model import (Checkpoint, FeatureBank, init_model, live_from_v1, param_layout,
+                    v1_layout)
+from .objectives import KR_SCOPES, KR_VARIANTS, Batch, backward, fd_well_conditioned
 
 
 @dataclass
@@ -50,18 +52,19 @@ class OptimizerState:
     m: dict
     v: dict
     step: int = 0
-
-
-# alpha parameters rest at 1, not 0; decoupled decay pulls them toward 1
-_ALPHA_KEYS = ("pos_head.alpha", "neg_head.alpha")
+    # decoupled decay pulls each array toward this value; keys not here decay to 0
+    rest: dict = field(default_factory=dict)
 
 
 def init_optimizer(state):
+    """Zero moments per live array; decay targets are the arrays' identity values."""
     params = state.params()
     return OptimizerState(
         m={k: np.zeros_like(a) for k, a in params.items()},
         v={k: np.zeros_like(a) for k, a in params.items()},
         step=0,
+        rest={k: ident for k, _, ident in param_layout(state.mode, state.dim, state.hidden)
+              if ident},
     )
 
 
@@ -83,7 +86,7 @@ def adamw_step(params, grads, opt, cfg):
         v += (1.0 - cfg.beta2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        rest = 1.0 if key in _ALPHA_KEYS else 0.0
+        rest = opt.rest.get(key, 0.0)
         p -= cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
                        + cfg.weight_decay * (p - rest))
 
@@ -182,3 +185,42 @@ def train(state, bank, train_set, cfg):
         meta={"seed": cfg.seed, "trace_digest": trace.digest(), "steps": step},
     )
     return ckpt, trace
+
+
+def _unit_rows(rng, n, d):
+    g = rng.standard_normal((n, d))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def gradcheck_instance(mode, kr_variant, base_seed):
+    """A random gradient-check instance that the fd oracle can resolve.
+
+    D=16, hidden 8, N=5, M=7, a batch of 4 positives and 4 negatives, and the
+    parameters moved 0.2 N(0, 1) off the initialization so that every path is
+    exercised. tau_loss 0.25 and lambda2 0.5 keep the loss surface smooth
+    enough for central differences at eps=1e-5. Attempt a draws from
+    np.random.default_rng(base_seed * 1000 + a), for up to 50 attempts, until
+    fd_well_conditioned accepts the instance. The perturbation is drawn over
+    the 16 arrays of the v1 checkpoint layout, whatever the mode, and each
+    live array takes its part, so that every mode draws the same batch.
+
+    Returns (state, bank, batch, cfg, analytic gradients).
+    """
+    cfg = TrainConfig(kr_variant=kr_variant, lambda1=0.3, lambda2=0.5, tau_loss=0.25)
+    d, hidden = 16, 8
+    for attempt in range(50):
+        seed = base_seed * 1000 + attempt
+        rng = np.random.default_rng(seed)
+        bank = FeatureBank.from_rows(_unit_rows(rng, 5, d), _unit_rows(rng, 7, d))
+        state = init_model(d, hidden=hidden, mode=mode, seed=seed)
+        noise = {key: 0.2 * rng.standard_normal(shape) for key, shape, _ in v1_layout(d, hidden)}
+        for key, part in live_from_v1(mode, d, hidden, noise).items():
+            state.arrays[key] += part
+        batch = Batch(pos_features=_unit_rows(rng, 4, d),
+                      pos_labels=rng.integers(0, 5, size=4),
+                      neg_features=_unit_rows(rng, 4, d))
+        _, grads = backward(state, bank, batch, cfg)
+        if fd_well_conditioned(state, bank, batch, grads):
+            return state, bank, batch, cfg, grads
+    raise NumericError(f"no gradient-check instance for {mode}/{kr_variant} at "
+                       f"seed {base_seed} is resolvable by the fd oracle")

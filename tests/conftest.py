@@ -2,47 +2,7 @@
 
 import numpy as np
 
-from nft_ood.model import FeatureBank, init_model
-from nft_ood.objectives import Batch, backward, fd_well_conditioned
-from nft_ood.trainer import TrainConfig
-
 
 def unit_rows(rng, n, d):
     g = rng.standard_normal((n, d))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-# Gradient-check instance recipe shared by the objectives tests and the
-# acceptance suite: N=5, M=7, D=16, hidden=8, batch of 4 positives and 4
-# negatives, parameters perturbed off the identity init. tau_loss=0.25 and
-# lambda2=0.5 keep the loss surface smooth enough for the eps=1e-5 oracle.
-GRADCHECK_CFG = dict(lambda1=0.3, lambda2=0.5, tau_loss=0.25)
-
-
-def _build_instance(mode, variant, seed):
-    rng = np.random.default_rng(seed)
-    bank = FeatureBank.from_rows(unit_rows(rng, 5, 16), unit_rows(rng, 7, 16))
-    state = init_model(16, hidden=8, mode=mode, seed=seed)
-    for arr in state.params().values():
-        arr += 0.2 * rng.standard_normal(arr.shape)
-    batch = Batch(
-        pos_features=unit_rows(rng, 4, 16),
-        pos_labels=rng.integers(0, 5, size=4),
-        neg_features=unit_rows(rng, 4, 16),
-    )
-    cfg = TrainConfig(kr_variant=variant, **GRADCHECK_CFG)
-    return state, bank, batch, cfg
-
-
-def make_gradcheck_instance(mode, variant, base_seed):
-    """Deterministic random instance, redrawn until the fd oracle can resolve it."""
-    for attempt in range(50):
-        state, bank, batch, cfg = _build_instance(
-            mode, variant, base_seed * 1000 + attempt
-        )
-        _, grads = backward(state, bank, batch, cfg)
-        if fd_well_conditioned(state, bank, batch, grads):
-            return state, bank, batch, cfg, grads
-    raise AssertionError(
-        f"no well-conditioned instance for {mode}/{variant} at seed {base_seed}"
-    )

@@ -10,7 +10,8 @@ import time
 
 import numpy as np
 
-from conftest import make_gradcheck_instance, unit_rows
+from conftest import unit_rows
+from loss_reference import loss_kr_feature
 from nft_ood.data_io import SynthConfig, synth_dataset
 from nft_ood.model import (
     MODES,
@@ -22,7 +23,7 @@ from nft_ood.model import (
     states_equal,
     transform_bank,
 )
-from nft_ood.objectives import finite_diff_grad, loss_kr_feature, max_relative_error
+from nft_ood.objectives import finite_diff_grad, max_relative_error
 from nft_ood.scoring import (
     auroc,
     evaluate,
@@ -32,7 +33,7 @@ from nft_ood.scoring import (
     score_many,
     score_neglabel,
 )
-from nft_ood.trainer import TrainConfig, train
+from nft_ood.trainer import TrainConfig, gradcheck_instance, train
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "fixtures",
                             "fixture_metrics.json")
@@ -94,7 +95,7 @@ def test_criterion_2_gradient_correctness():
         for vi, variant in enumerate(KR_VARIANTS):
             for s in range(7):
                 base_seed = 10000 * mi + 100 * vi + s
-                state, bank, batch, cfg, grads = make_gradcheck_instance(
+                state, bank, batch, cfg, grads = gradcheck_instance(
                     mode, variant, base_seed
                 )
                 fd = finite_diff_grad(state, bank, batch, cfg, eps=1e-5)

@@ -19,7 +19,9 @@ from nft_ood.cli import (
 )
 from nft_ood.data_io import read_bank, read_manifest, write_bank, write_manifest
 from nft_ood.model import Checkpoint, FeatureBank, init_model, save_checkpoint
+from nft_ood.objectives import finite_diff_grad, max_relative_error
 from nft_ood.scoring import score_many
+from nft_ood.trainer import gradcheck_instance
 
 
 def run(*argv):
@@ -255,6 +257,54 @@ def test_manifest_row_outside_its_bank_is_data_error(synth_dir, tmp_path, capsys
                       "--out", str(tmp_path / "s.csv")]}[cmd]
     assert run(*argv) == EXIT_DATA
     assert_one_line(capsys.readouterr().err, f"row {victim['row']} ", repr(victim["id"]))
+
+
+def test_train_pos_class_must_be_an_integer(synth_dir, tmp_path, capsys):
+    d = tmp_path / "bad"
+    records = copy_dataset(synth_dir, d)
+    victim = next(r for r in records if r["role"] == "train_pos")
+    victim["class"] = "a"
+    write_manifest(d / "manifest.jsonl", records)
+    assert run("train", "--data", str(d), "--out", str(tmp_path / "t"),
+               "--epochs", "1") == EXIT_DATA
+    line = 1 + records.index(victim)
+    assert_one_line(capsys.readouterr().err, str(d / "manifest.jsonl"), f"line {line}:",
+                    "class 'a' is not an integer")
+
+
+def select_crops_argv(tmp_path, edit=lambda rec: None):
+    """select-crops on 2 images of 6 crops and 2 label rows; edit changes img_0's crops."""
+    rng = np.random.default_rng(93)
+    crops = rng.standard_normal((12, 8))
+    labels = rng.standard_normal((2, 8))
+    write_bank(tmp_path / "crops.fbnk", crops / np.linalg.norm(crops, axis=1, keepdims=True))
+    write_bank(tmp_path / "labels.fbnk", labels / np.linalg.norm(labels, axis=1, keepdims=True))
+    records = [{"row": i, "id": f"crop_{i}", "role": "crop",
+                "class": i // 6, "parent": f"img_{i // 6}"} for i in range(12)]
+    for rec in records[:6]:
+        edit(rec)
+    write_manifest(tmp_path / "crops.jsonl", records)
+    return ["select-crops", "--crops", str(tmp_path / "crops.fbnk"),
+            "--crops-manifest", str(tmp_path / "crops.jsonl"),
+            "--labels", str(tmp_path / "labels.fbnk"), "-q", "2",
+            "--out", str(tmp_path / "training")]
+
+
+def test_select_crops_crop_without_parent_is_data_error(tmp_path, capsys):
+    assert run(*select_crops_argv(tmp_path, lambda rec: rec.pop("parent"))) == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, str(tmp_path / "crops.jsonl"), "line 1:",
+                    "parent")
+
+
+@pytest.mark.parametrize("cls", (99, 2, -1))
+def test_select_crops_class_outside_labels_is_data_error(tmp_path, capsys, cls):
+    def edit(rec):
+        rec["class"] = cls
+
+    assert run(*select_crops_argv(tmp_path, edit)) == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, "'crop_0'", f"class {cls},",
+                    str(tmp_path / "labels.fbnk"))
+    assert not (tmp_path / "training").exists()
 
 
 # ---- score ----
@@ -511,6 +561,18 @@ def test_gradcheck_passes(capsys):
                "--instances", "2") == EXIT_OK
     out = capsys.readouterr().out
     assert "ok" in out and "FAIL" not in out
+
+
+def test_gradcheck_replays_acceptance_instances(capsys):
+    # criterion 2 draws instance s of (mode i, variant j) at base seed
+    # 10000 i + 100 j + s, and gradcheck --seed S instance k at 10000 i + 100 j + S + k
+    assert run("gradcheck", "--mode", "vec_shift", "--kr-variant", "prob",
+               "--seed", "2", "--instances", "2") == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()[1]
+    state, bank, batch, cfg, grads = gradcheck_instance("vec_shift", "prob",
+                                                        10000 * 1 + 100 * 2 + 3)
+    err = max_relative_error(grads, finite_diff_grad(state, bank, batch, cfg, eps=1e-5))
+    assert f"instance=1 max_rel_err={err:.3e} ok" in printed
 
 
 def test_gradcheck_corrupted_fails():

@@ -1,3 +1,7 @@
+import json
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from nft_ood.model import (
     Checkpoint,
     FeatureBank,
     MetaNet,
+    ModelState,
     init_model,
     load_checkpoint,
     metanet_forward,
@@ -16,6 +21,9 @@ from nft_ood.model import (
     transform,
     transform_bank,
 )
+from nft_ood.scoring import score_many
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def small_bank(rng, n=3, m=4, d=8):
@@ -292,3 +300,73 @@ def test_checkpoint_wrong_dim_fails_at_use_site(tmp_path):
     bank32 = FeatureBank.from_rows(unit_rows(rng, 2, 32), unit_rows(rng, 2, 32))
     with pytest.raises(DimMismatch):
         transform_bank(loaded, bank32, unit_rows(rng, 1, 32)[0])
+
+
+# ---- live parameters and checkpoint versions ----
+
+LIVE_KEYS = {
+    "const_shift": {"head.beta"},
+    "vec_shift": {"head.beta", "net.w1", "net.b1", "net.w_beta", "net.b_beta"},
+    "scale_shift": {"head.alpha", "head.beta", "net.w1", "net.b1", "net.w_alpha",
+                    "net.b_alpha", "net.w_beta", "net.b_beta"},
+    "mlp": {"net.w1", "net.b1", "net.w_beta", "net.b_beta"},
+}
+
+
+@pytest.mark.parametrize("mode, scalars", [
+    ("const_shift", 2), ("vec_shift", 592), ("scale_shift", 912), ("mlp", 560)])
+def test_params_hold_only_live_arrays(mode, scalars):
+    state = init_model(16, hidden=8, mode=mode, seed=0)
+    params = state.params()
+    assert set(params) == {f"{p}_{k}" for p in ("pos", "neg") for k in LIVE_KEYS[mode]}
+    assert sum(a.size for a in params.values()) == scalars
+    assert set(state.copy().params()) == set(params)
+
+
+def test_const_shift_checkpoint_holds_two_values(tmp_path):
+    state = init_model(16, hidden=8, mode="const_shift", seed=0)
+    state.pos_head.beta[0], state.neg_head.beta[0] = 0.25, -0.5
+    path = tmp_path / "c.nftc"
+    save_checkpoint(Checkpoint(model=state), path)
+    data = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", data, 16)
+    assert data[4] == 2 and len(data) == 20 + meta_len + 2 * 8
+    assert struct.unpack_from("<2d", data, 20 + meta_len) == (0.25, -0.5)
+
+
+def _v1_fixture_inputs():
+    with open(os.path.join(FIXTURES, "v1_checkpoints.json")) as f:
+        spec = json.load(f)
+    rng = np.random.default_rng(spec["data_seed"])
+    bank = FeatureBank.from_rows(unit_rows(rng, spec["n_pos"], spec["dim"]),
+                                 unit_rows(rng, spec["n_neg"], spec["dim"]))
+    images = unit_rows(rng, spec["n_images"], spec["dim"])
+    return spec, bank, images
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_v1_checkpoint_loads_to_identical_scores(mode):
+    # written by the v1 writer: init_model(8, hidden=4) with every one of the
+    # 16 arrays moved off its initial value, dead ones included
+    spec, bank, images = _v1_fixture_inputs()
+    path = os.path.join(FIXTURES, f"v1_{mode}.nftc")
+    with open(path, "rb") as f:
+        assert f.read(5)[4] == 1
+    ckpt = load_checkpoint(path)
+    assert ckpt.model.mode == mode and ckpt.config == {"mode": mode}
+    assert isinstance(ckpt.model, ModelState)
+    assert {k.split("_", 1)[1] for k in ckpt.model.params()} == LIVE_KEYS[mode]
+    got = score_many(images, "krnft", bank, state=ckpt.model, tau_score=spec["tau_score"])
+    assert np.array_equal(got, np.array(spec["krnft_scores"][mode]))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_v1_checkpoint_resaves_as_v2(tmp_path, mode):
+    ckpt = load_checkpoint(os.path.join(FIXTURES, f"v1_{mode}.nftc"))
+    first, second = tmp_path / "a.nftc", tmp_path / "b.nftc"
+    save_checkpoint(ckpt, first)
+    assert first.read_bytes()[4] == 2
+    reloaded = load_checkpoint(first)
+    assert states_equal(reloaded.model, ckpt.model)
+    save_checkpoint(reloaded, second)
+    assert second.read_bytes() == first.read_bytes()

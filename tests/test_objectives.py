@@ -4,8 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_gradcheck_instance, unit_rows
+from conftest import unit_rows
 from loop_reference import backward as loop_backward
+from loss_reference import (
+    loss_kr_feature,
+    loss_kr_logits,
+    loss_kr_prob,
+    loss_negative,
+    loss_positive,
+)
 from nft_ood.errors import (
     BadClassIndex,
     EmptyBatch,
@@ -22,16 +29,11 @@ from nft_ood.objectives import (
     backward,
     fd_well_conditioned,
     finite_diff_grad,
-    loss_kr_feature,
-    loss_kr_logits,
-    loss_kr_prob,
-    loss_negative,
-    loss_positive,
     max_relative_error,
     total_loss,
     zero_gradients,
 )
-from nft_ood.trainer import TrainConfig
+from nft_ood.trainer import TrainConfig, gradcheck_instance
 
 
 def perturbed_state(rng, d=8, hidden=4, mode="scale_shift", scale=0.15):
@@ -369,14 +371,14 @@ def test_backward_mean_semantics_under_duplication():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_gradcheck_spot(mode):
-    state, bank, batch, cfg, grads = make_gradcheck_instance(mode, "feature", 77)
+    state, bank, batch, cfg, grads = gradcheck_instance(mode, "feature", 77)
     fd = finite_diff_grad(state, bank, batch, cfg, eps=1e-5)
     assert max_relative_error(grads, fd) < 1e-4
 
 
 def test_finite_diff_const_shift_tight():
     # single effective parameter, well scaled: the oracle is very accurate
-    state, bank, batch, cfg, grads = make_gradcheck_instance("const_shift", "logits", 3)
+    state, bank, batch, cfg, grads = gradcheck_instance("const_shift", "logits", 3)
     fd = finite_diff_grad(state, bank, batch, cfg, eps=1e-5)
     assert max_relative_error(grads, fd) < 1e-6
 
@@ -440,7 +442,7 @@ def full_and_one_sided(batch):
 @pytest.mark.parametrize("variant", KR_VARIANTS)
 @pytest.mark.parametrize("mode", MODES)
 def test_backward_matches_loop_reference(mode, variant, scope):
-    state, bank, batch, cfg, _ = make_gradcheck_instance(mode, variant, 41)
+    state, bank, batch, cfg, _ = gradcheck_instance(mode, variant, 41)
     cfg = dataclasses.replace(cfg, kr_scope=scope)
     for part in full_and_one_sided(batch):
         report, grads = backward(state, bank, part, cfg)
@@ -466,7 +468,7 @@ def forward_cosines_and_dots(state, bank, imgs):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_forward_matches_materialized_bank(mode):
-    state, bank, batch, _, _ = make_gradcheck_instance(mode, "feature", 42)
+    state, bank, batch, _, _ = gradcheck_instance(mode, "feature", 42)
     imgs = batch_images(batch)
     s, d = forward_cosines_and_dots(state, bank, imgs)
     for i, v in enumerate(imgs):
@@ -476,7 +478,7 @@ def test_forward_matches_materialized_bank(mode):
 
 
 def test_forward_near_zero_norm_guard():
-    state, bank, batch, _, _ = make_gradcheck_instance("scale_shift", "feature", 42)
+    state, bank, batch, _, _ = gradcheck_instance("scale_shift", "feature", 42)
     imgs = batch_images(batch)
     v0, k0 = imgs[0], 2
     # shift the positive head so that image v0 tunes row k0 to ||u|| = 1e-6
@@ -509,17 +511,18 @@ def test_forward_near_zero_norm_guard():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_exactly_zero_u_raises_zero_norm(mode):
-    state, bank, batch, cfg, _ = make_gradcheck_instance(mode, "feature", 44)
+    state, bank, batch, cfg, _ = gradcheck_instance(mode, "feature", 44)
     # a constant unit row, so that even const_shift's scalar shift can cancel it
     c0 = np.full(bank.dim, 1.0 / math.sqrt(bank.dim))
     bank = FeatureBank.from_rows(np.vstack([c0, bank.pos[1:]]), bank.neg)
-    net, head = state.pos_net, state.pos_head
-    for arr in (net.w_alpha, net.b_alpha, net.w_beta, net.b_beta):
-        arr[...] = 0.0
+    params = state.params()
+    for key in ("pos_net.w_alpha", "pos_net.b_alpha", "pos_net.w_beta", "pos_net.b_beta"):
+        if key in params:  # the mode's live meta-net heads
+            params[key][...] = 0.0
     # with no image-conditional residual, u = a * c0 + shift == 0 exactly
-    a = head.alpha if mode == "scale_shift" else 1.0
-    shift = net.b_beta if mode == "mlp" else head.beta
-    shift[...] = -a * c0
+    a = params["pos_head.alpha"] if mode == "scale_shift" else 1.0
+    shift = params["pos_net.b_beta" if mode == "mlp" else "pos_head.beta"]
+    shift[...] = (-a * c0)[: shift.size]  # const_shift's beta is one scalar
     with pytest.raises(ZeroNorm):
         total_loss(state, bank, batch, cfg)
     with pytest.raises(ZeroNorm):

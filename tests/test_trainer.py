@@ -4,6 +4,7 @@ import pytest
 from conftest import unit_rows
 from nft_ood.errors import EmptyTrainingSet, InvalidConfig, ShapeMismatch
 from nft_ood.model import (
+    MODES,
     Checkpoint,
     FeatureBank,
     TrainingSet,
@@ -122,12 +123,14 @@ def test_adamw_shape_mismatch():
 
 
 def test_optimizer_shapes_mirror_state():
-    state = init_model(8, hidden=4, seed=0)
-    opt = init_optimizer(state)
-    for key, arr in state.params().items():
-        assert opt.m[key].shape == arr.shape
-        assert opt.v[key].shape == arr.shape
-        assert not np.any(opt.m[key]) and not np.any(opt.v[key])
+    for mode in MODES:
+        state = init_model(8, hidden=4, mode=mode, seed=0)
+        opt = init_optimizer(state)
+        assert opt.m.keys() == opt.v.keys() == state.params().keys()
+        for key, arr in state.params().items():
+            assert opt.m[key].shape == arr.shape
+            assert opt.v[key].shape == arr.shape
+            assert not np.any(opt.m[key]) and not np.any(opt.v[key])
 
 
 # ---- batching ----
