@@ -3,7 +3,8 @@
 Subcommands cover the full pipeline: synthetic data generation, negative
 label mining, crop selection, training, scoring, metric evaluation, and a
 gradient self-check. Exit codes: 0 success, 1 usage/config error, 2
-data/format error, 3 numeric failure.
+data/format error, 3 numeric failure, 4 internal error (a bug; its
+traceback is printed).
 """
 
 import argparse
@@ -13,7 +14,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+import traceback
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 
 def _write_json(path, obj):
@@ -46,14 +49,38 @@ def _echo_config(out_dir, cfg_dict):
     _write_json(os.path.join(out_dir, "config.json"), cfg_dict)
 
 
-def _load_config_file(path):
+# the JSON values a config file may give a field of each type; bool is no int
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
+def _config_keys(cls, **extra):
+    """The type of each key a command echoes into its config.json: cls's fields and extra."""
+    return dict({f.name: f.type for f in fields(cls)}, **extra)
+
+
+def _load_config_file(path, keys):
+    """The JSON object in path; each of its keys must be in keys and hold a value of its type.
+
+    keys are those the command echoes into its config.json, so an echoed
+    config.json can be replayed, and a misspelt key fails instead of being
+    ignored.
+    """
     if path is None:
         return {}
     try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config file {path}: {e}")
+        with open(path, encoding="utf-8") as f:
+            cfg = json.load(f)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path}: not a JSON object")
+    for key, value in cfg.items():
+        if key not in keys:
+            raise ConfigError(f"config file {path}: unknown key {key!r}")
+        if type(value) not in _JSON_TYPES[keys[key]]:
+            raise ConfigError(f"config file {path}: key {key!r} must be "
+                              f"{keys[key].__name__}, got {value!r}")
+    return cfg
 
 
 def _merged(file_cfg, args, keys):
@@ -109,7 +136,7 @@ def _training_from_dir(data_dir, records, n_labels):
 
 
 def cmd_synth(args):
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args.config, _config_keys(data_io.SynthConfig))
     keys = ("dim", "n_classes", "m_neg", "shots", "crops_per_sample", "select",
             "kappa", "seed", "n_test_per_class", "n_test_ood")
     cfg = data_io.SynthConfig(**_merged(file_cfg, args, keys))
@@ -187,17 +214,19 @@ def cmd_select_crops(args):
 
 _TRAIN_KEYS = ("lambda1", "lambda2", "lr", "epochs", "batch_size", "tau_loss",
                "seed", "kr_variant", "kr_scope", "weight_decay")
+# what train echoes into its config.json besides TrainConfig's fields
+_TRAIN_RUN_KEYS = {"data_dir": str, "mode": str, "hidden": int}
 
 
 def cmd_train(args):
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args.config, _config_keys(TrainConfig, **_TRAIN_RUN_KEYS))
     data_dir = args.data or file_cfg.get("data_dir")
     if data_dir is None:
         raise ConfigError("train requires --data or a data_dir config entry")
     mode = args.mode or file_cfg.get("mode", "scale_shift")
     hidden = args.hidden if args.hidden is not None else file_cfg.get("hidden")
     train_kwargs = _merged(
-        {k: v for k, v in file_cfg.items() if k in _TRAIN_KEYS}, args, _TRAIN_KEYS
+        {k: v for k, v in file_cfg.items() if k not in _TRAIN_RUN_KEYS}, args, _TRAIN_KEYS
     )
     cfg = TrainConfig(**train_kwargs)
     records = _dataset_manifest(data_dir)
@@ -425,6 +454,10 @@ def main(argv=None):
     except NftError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:  # a bug: keep it visible, under a code of its own
+        traceback.print_exc()
+        print("internal error: the traceback above is a bug", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -109,6 +109,8 @@ def _validate_record(rec, where):
         raise SchemaError(f"{where}: class {rec['class']!r} is not an integer")
     if rec["role"] == "crop" and "parent" not in rec:
         raise SchemaError(f"{where}: role 'crop' requires a parent")
+    if "parent" in rec and type(rec["parent"]) is not str:
+        raise SchemaError(f"{where}: parent {rec['parent']!r} is not a string")
 
 
 def read_manifest(path, n_rows=None):

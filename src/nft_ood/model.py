@@ -266,51 +266,51 @@ def mlp_residual(net, c_rows):
     return h @ net.w_beta.T + net.b_beta
 
 
-# rows per block of the in-place tuning kernel: each pass rereads a block from
-# cache, and the squares need only a block-sized scratch, not a (K, D) one
-_BLOCK_ROWS = 1024
+# rows per block of the tuning kernel: a block and its squares stay in cache
+_BLOCK_ROWS = 256
 
 
-def _transform_rows_into(state, c_rows, v, role, out):
-    """Write the tuned, unit-normalized rows of one role into out, block by block.
+def _role_affine(state, v, role, c_rows):
+    """(a, b) that tune one role's rows c_rows to u = a * c + b, before normalization.
 
-    Per block: u = a * c + b (mlp: c + residual) in out, the row norms from
-    the squares in a block-sized scratch, the ZeroNorm check, then u / norms
-    in place. Returns False if some row norm is NaN or Inf; only then can a
-    tuned row hold NaN or Inf.
+    a is None where it would be all ones (u = c + b). In mlp, b holds the
+    residual of each row of c_rows; otherwise it is one (D,) vector, and
+    c_rows is not read.
     """
     if state.mode == "mlp":
-        res = mlp_residual(state.net(role), c_rows)
-    else:
-        a, b = affine_params(state, v, role)
-    sq = np.empty((min(_BLOCK_ROWS, c_rows.shape[0]), state.dim))
+        return None, mlp_residual(state.net(role), c_rows)
+    a, b = affine_params(state, v, role)
+    return (a if state.mode == "scale_shift" else None), b
+
+
+def _tune_rows(c_rows, a, b, out, sq):
+    """Write the tuned, unit-normalized rows u = a * c + b of c_rows into out.
+
+    (a, b) come from _role_affine; sq is a scratch of at least
+    min(_BLOCK_ROWS, rows) rows. Per block of _BLOCK_ROWS rows: u in out, the
+    row norms from the squares in sq, the ZeroNorm check, then u / norms in
+    place. Each tuned row depends on its own c row alone, so any split into
+    calls gives the same bits. Returns whether every tuned row is finite:
+    only a NaN or Inf row norm can leave NaN or Inf in one, and then the
+    block is scanned.
+    """
     finite = True
     for i in range(0, c_rows.shape[0], _BLOCK_ROWS):
         c, o = c_rows[i : i + _BLOCK_ROWS], out[i : i + _BLOCK_ROWS]
-        if state.mode == "mlp":
-            np.add(c, res[i : i + _BLOCK_ROWS], out=o)
+        shift = b[i : i + _BLOCK_ROWS] if b.ndim == 2 else b
+        if a is None:
+            np.add(c, shift, out=o)
         else:
             np.multiply(a, c, out=o)
-            np.add(o, b, out=o)
-        norms = np.sqrt(np.sum(np.multiply(o, o, out=sq[: o.shape[0]]), axis=1))
-        if np.any(norms <= 1e-12):
+            np.add(o, shift, out=o)
+        # array methods: the np.* wrappers cost a few percent at 256-row blocks
+        norms = np.sqrt(np.multiply(o, o, out=sq[: o.shape[0]]).sum(axis=1))
+        if (norms <= 1e-12).any():
             raise ZeroNorm("transform produced a zero vector; parameters are degenerate")
-        finite = finite and bool(np.all(np.isfinite(norms)))
         np.divide(o, norms[:, None], out=o)
+        if not np.isfinite(norms).all():
+            finite = bool(np.isfinite(o).all()) and finite
     return finite
-
-
-def _transform_bank_into(state, bank, v, out):
-    """Tuned bank written into out (K, D): positive rows to out[:N], negative to out[N:].
-
-    Returns False if some row norm is NaN or Inf (see _transform_rows_into).
-    """
-    v = as_f64(v)
-    if bank.dim != state.dim or v.shape != (state.dim,):
-        raise DimMismatch("bank, model and image feature dimensions must agree")
-    pos = _transform_rows_into(state, bank.pos, v, "positive", out[: bank.n_pos])
-    neg = _transform_rows_into(state, bank.neg, v, "negative", out[bank.n_pos :])
-    return pos and neg
 
 
 def transform(state, c, v, role):
@@ -322,7 +322,7 @@ def transform(state, c, v, role):
     if c.shape != (state.dim,) or v.shape != (state.dim,):
         raise DimMismatch("c and v must both have the model dimension")
     out = np.empty((1, state.dim))
-    _transform_rows_into(state, c[None, :], v, role, out)
+    _tune_rows(c[None, :], *_role_affine(state, v, role, c[None, :]), out, np.empty_like(out))
     return out[0]
 
 
@@ -331,8 +331,14 @@ def transform_bank(state, bank, v):
 
     Returns a freshly allocated (N + M, D) array.
     """
+    v = as_f64(v)
+    if bank.dim != state.dim or v.shape != (state.dim,):
+        raise DimMismatch("bank, model and image feature dimensions must agree")
     out = np.empty((bank.n_pos + bank.n_neg, bank.dim))
-    _transform_bank_into(state, bank, v, out)
+    sq = np.empty((min(_BLOCK_ROWS, out.shape[0]), bank.dim))
+    for role, c_rows, o in (("positive", bank.pos, out[: bank.n_pos]),
+                            ("negative", bank.neg, out[bank.n_pos :])):
+        _tune_rows(c_rows, *_role_affine(state, v, role, c_rows), o, sq)
     return out
 
 

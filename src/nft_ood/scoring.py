@@ -11,10 +11,18 @@ from .errors import (
     EmptyBank,
     EmptyInput,
     NoNegativeLabels,
+    NonFiniteInput,
     NonPositiveInput,
     NonPositiveTemperature,
 )
-from .model import IMAGE_INDEPENDENT_MODES, _transform_bank_into, transform_bank
+from .model import (
+    _BLOCK_ROWS,
+    IMAGE_INDEPENDENT_MODES,
+    ROLES,
+    _role_affine,
+    _tune_rows,
+    transform_bank,
+)
 from .numerics import as_f64, sigmoid
 
 
@@ -39,22 +47,34 @@ class MetricReport:
 # cosines per block of score_many: bounds the (b, K) block and its reduction
 # temporaries, whatever the image count
 _BLOCK_ELEMS = 2**16
+# entries per row chunk of the bank: every cosine comes from one matrix-vector
+# product per chunk of this fixed grid. A product over part of the rows can
+# differ in the last bits from one over all of them, so the tuned and the
+# plain paths agree bit for bit only on a shared grid. 2**19 is the smallest
+# chunk that OpenBLAS still splits over threads, and a tuned chunk stays in cache.
+_CHUNK_ELEMS = 2**19
 
 
-def _neglabel_rows(bank_rows, n_pos, tau_score, finite=False):
-    """The bank checked for NegLabel scoring: tau, NaN/Inf, then its two parts.
+def _chunk_rows(dim):
+    return max(1, _CHUNK_ELEMS // max(dim, 1))
 
-    finite=True skips the NaN/Inf scan of bank_rows, which the caller has
-    already ruled out.
-    """
+
+def _check_neglabel(k, n_pos, tau_score, finite):
+    """NegLabel's checks on a bank of k rows: tau, NaN/Inf, then its two parts."""
     if tau_score <= 0:
         raise NonPositiveTemperature(f"tau_score must be > 0, got {tau_score}")
     if not finite:
-        bank_rows = as_f64(bank_rows)
+        raise NonFiniteInput("input contains NaN or Inf")
     if n_pos < 1:
         raise EmptyBank("need at least one positive label row")
-    if bank_rows.shape[0] - n_pos < 1:
+    if k - n_pos < 1:
         raise NoNegativeLabels("NegLabel score requires negative label rows")
+
+
+def _neglabel_rows(bank_rows, n_pos, tau_score):
+    """The bank as float64, checked for NegLabel scoring."""
+    bank_rows = np.asarray(bank_rows, dtype=np.float64)
+    _check_neglabel(bank_rows.shape[0], n_pos, tau_score, np.all(np.isfinite(bank_rows)))
     return bank_rows
 
 
@@ -63,6 +83,52 @@ def _mcm_rows(pos_rows):
     if pos_rows.shape[0] < 1:
         raise EmptyBank("MCM score requires at least one positive label row")
     return pos_rows
+
+
+def _grid_cosines(rows):
+    """cosines(v, c) writing rows @ v into c, one matrix-vector product per grid chunk."""
+    step = _chunk_rows(rows.shape[1])
+    if rows.shape[0] <= step:  # one chunk: no per-image loop, which small banks would feel
+        return partial(np.dot, rows)
+    parts = [(rows[r : r + step], slice(r, r + step)) for r in range(0, rows.shape[0], step)]
+
+    def cosines(v, c):
+        for part, s in parts:
+            np.dot(part, v, out=c[s])
+
+    return cosines
+
+
+def _tuned_cosines(state, bank, tau_score):
+    """cosines(v, c) writing the cosines of v with its tuned bank into c.
+
+    The tuned bank is never built: each chunk of the grid is tuned into one
+    chunk-sized scratch and its cosines taken while it is still in cache. A
+    chunk that straddles N tunes its two parts with their own role's
+    parameters, computed once per image. NegLabel's checks follow the last
+    chunk, as they follow transform_bank on the per-image path.
+    """
+    if state.dim != bank.dim:
+        raise DimMismatch("bank, model and image feature dimensions must agree")
+    n, k, step = bank.n_pos, bank.n_pos + bank.n_neg, _chunk_rows(bank.dim)
+    chunk = np.empty((min(step, k), bank.dim))
+    sq = np.empty((min(_BLOCK_ROWS, k), bank.dim))
+
+    def cosines(v, c):
+        (a_pos, b_pos), (a_neg, b_neg) = (_role_affine(state, v, role, None) for role in ROLES)
+        finite = True
+        for r in range(0, k, step):
+            e = min(r + step, k)
+            if r < n:
+                finite &= _tune_rows(bank.pos[r:e], a_pos, b_pos, chunk[: min(e, n) - r], sq)
+            if e > n:
+                lo = max(r, n)
+                finite &= _tune_rows(bank.neg[lo - n : e - n], a_neg, b_neg,
+                                     chunk[lo - r : e - r], sq)
+            np.dot(chunk[: e - r], v, out=c[r:e])
+        _check_neglabel(k, n, tau_score, finite)
+
+    return cosines
 
 
 def _logsumexp_rows(x):
@@ -94,29 +160,27 @@ def _mcm_block(cos, tau):
     return (np.max(e, axis=1) / np.sum(e, axis=1)).tolist()
 
 
-def _blocked_scores(images, rows, reduce, tune=None):
-    """Scores of each image against rows, in input order.
+def _blocked_scores(images, k, cosines, reduce):
+    """Scores of each image, in input order.
 
-    Per image one matrix-vector product writes its cosines into a row of a
-    (b, K) block; reduce then scores the whole block. tune(v), if given,
-    first writes the image's own bank into rows.
+    cosines(v, c) writes the k cosines of image v into c, a row of a (b, k)
+    block; reduce then scores the whole block.
     """
-    n, k = images.shape[0], rows.shape[0]
+    n = images.shape[0]
     b = max(1, _BLOCK_ELEMS // k)
     cos = np.empty((min(b, n), k))
     scores = []
     for start in range(0, n, b):
         block = cos[: min(b, n - start)]
         for v, c in zip(images[start : start + b], block):
-            if tune is not None:
-                tune(v)
-            np.dot(rows, v, out=c)
+            cosines(v, c)
         scores += reduce(block)
     return np.array(scores)
 
 
 def _score_one(v, rows, reduce):
-    return float(_blocked_scores(as_f64(v)[None, :], rows, reduce)[0])
+    v = as_f64(v)[None, :]
+    return float(_blocked_scores(v, rows.shape[0], _grid_cosines(rows), reduce)[0])
 
 
 def score_neglabel(v, bank_rows, n_pos, tau_score=1.0):
@@ -144,17 +208,18 @@ def score_many(images, method, bank, state=None, tau_score=1.0):
     """Score each row of images; output order follows input order.
 
     The bank is validated once per call, and so is the tuned bank in the
-    image-independent krnft modes. In the image-conditional krnft modes the
-    tuned bank of each image is written into one buffer reused across the
-    call. Each image's cosines come from one matrix-vector product; the
-    scores of a block of images are reduced together. Results equal the
+    image-independent krnft modes. Every cosine comes from one matrix-vector
+    product per chunk of a fixed grid of 2**19 // D bank rows, the grid the
+    per-image score_* calls use too. In the image-conditional krnft modes no
+    tuned bank is built: each chunk is tuned into one chunk-sized scratch and
+    its cosines taken at once, and the image's checks follow its last chunk.
+    The scores of a block of images are reduced together. Results equal the
     per-image score_* calls (score_krnft, i.e. transform_bank +
     score_neglabel) bit for bit.
     """
     images = as_f64(np.atleast_2d(images))
     if images.shape[1] != bank.dim:
         raise DimMismatch("image features do not match bank dimension")
-    tune = None
     reduce = partial(_neglabel_block, n_pos=bank.n_pos, tau_score=tau_score)
     if method == "mcm":
         rows, reduce = _mcm_rows(bank.pos), partial(_mcm_block, tau=tau_score)
@@ -167,15 +232,11 @@ def score_many(images, method, bank, state=None, tau_score=1.0):
             rows = transform_bank(state, bank, images[0])  # any image: it is unused
             rows = _neglabel_rows(rows, bank.n_pos, tau_score)
         else:
-            rows = np.empty((bank.n_pos + bank.n_neg, bank.dim))
-
-            def tune(v):
-                # only a non-finite row norm can leave NaN/Inf in a tuned row
-                finite = _transform_bank_into(state, bank, v, rows)
-                _neglabel_rows(rows, bank.n_pos, tau_score, finite)
+            k = bank.n_pos + bank.n_neg
+            return _blocked_scores(images, k, _tuned_cosines(state, bank, tau_score), reduce)
     else:
         raise EmptyInput(f"unknown scoring method {method!r}")
-    return _blocked_scores(images, rows, reduce, tune)
+    return _blocked_scores(images, rows.shape[0], _grid_cosines(rows), reduce)
 
 
 def decide(score, gamma):

@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from nft_ood import scoring
 from nft_ood.cli import (
     EXIT_DATA,
+    EXIT_INTERNAL,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
@@ -222,6 +224,40 @@ def test_train_config_file_with_override(synth_dir, tmp_path):
     assert echoed["epochs"] == 1
 
 
+@pytest.mark.parametrize("cmd, cfg, needle", [
+    ("synth", {"dimm": 8}, "unknown key 'dimm'"),
+    ("synth", {"dim": "x"}, "key 'dim' must be int, got 'x'"),
+    ("synth", [1], "not a JSON object"),
+    ("train", [1], "not a JSON object"),
+    ("train", {"lambda_1": 1.0}, "unknown key 'lambda_1'"),
+    ("train", {"epochs": 1.5}, "key 'epochs' must be int, got 1.5"),
+], ids=["synth-typo", "synth-type", "synth-list", "train-list", "train-typo", "train-type"])
+def test_config_file_outside_the_echoed_keys_is_usage_error(synth_dir, tmp_path, capsys,
+                                                            cmd, cfg, needle):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    data = ["--data", str(synth_dir)] if cmd == "train" else []
+    out = tmp_path / "out"
+    assert run(cmd, "--config", str(cfg_path), *data, "--out", str(out)) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, str(cfg_path), needle)
+    assert not out.exists()
+
+
+def test_train_replays_its_echoed_config(synth_dir, tmp_path):
+    first = tmp_path / "first"
+    assert run("train", "--data", str(synth_dir), "--out", str(first), "--epochs", "1",
+               "--mode", "vec_shift") == EXIT_OK
+    echoed = json.loads((first / "config.json").read_text())
+    echoed.update(beta1=0.5, beta2=0.9, adam_eps=1e-6)  # keys with no flag of their own
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(echoed))
+    again = tmp_path / "again"
+    assert run("train", "--config", str(cfg_path), "--out", str(again)) == EXIT_OK
+    assert json.loads((again / "config.json").read_text()) == echoed
+    assert ((again / "checkpoint.nftc").read_bytes()
+            != (first / "checkpoint.nftc").read_bytes())
+
+
 def test_train_rows_offset_by_label_bank(synth_dir, tmp_path):
     # drop 2 of the 72 label records and 2 train_neg records: training rows
     # still start after all 72 rows of labels.fbnk
@@ -294,6 +330,19 @@ def test_select_crops_crop_without_parent_is_data_error(tmp_path, capsys):
     assert run(*select_crops_argv(tmp_path, lambda rec: rec.pop("parent"))) == EXIT_DATA
     assert_one_line(capsys.readouterr().err, str(tmp_path / "crops.jsonl"), "line 1:",
                     "parent")
+
+
+@pytest.mark.parametrize("parents", ([[1]] * 6, [5, "img_0"] * 3))
+def test_select_crops_parent_must_be_a_string(tmp_path, capsys, parents):
+    it = iter(parents)
+
+    def edit(rec):
+        rec["parent"] = next(it)
+
+    assert run(*select_crops_argv(tmp_path, edit)) == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, str(tmp_path / "crops.jsonl"), "line 1:",
+                    f"parent {parents[0]!r} is not a string")
+    assert not (tmp_path / "training").exists()
 
 
 @pytest.mark.parametrize("cls", (99, 2, -1))
@@ -581,6 +630,16 @@ def test_gradcheck_corrupted_fails():
 
 
 # ---- argument handling ----
+
+
+def test_internal_error_exits_4_with_its_traceback(tmp_path, capsys, monkeypatch):
+    def boom(a, b):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(scoring, "hmean", boom)
+    assert run("eval", "--pair", "0.1", "0.2", "--out", str(tmp_path / "m.json")) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 def test_unknown_arguments_exit_usage():

@@ -2,8 +2,12 @@
 
 `transform_bank` and krnft `score_many` must give the reference's bits
 exactly, at shapes that end a block part-way, and raise the same
-exception class on degenerate parameters.
+exception class on degenerate parameters. Banks of more than 2**19 entries
+span several chunks of the scoring grid, which the fused krnft path and the
+per-image path must share.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +15,26 @@ import pytest
 import bank_reference
 from conftest import unit_rows
 from nft_ood.errors import NoNegativeLabels, NonFiniteInput, NonPositiveTemperature, ZeroNorm
-from nft_ood.model import _BLOCK_ROWS, MODES, FeatureBank, init_model, transform_bank
-from nft_ood.scoring import score_many, score_neglabel
+from nft_ood.model import (
+    _BLOCK_ROWS,
+    IMAGE_INDEPENDENT_MODES,
+    MODES,
+    FeatureBank,
+    init_model,
+    transform_bank,
+)
+from nft_ood.scoring import (
+    _CHUNK_ELEMS,
+    _tuned_cosines,
+    score_many,
+    score_mcm,
+    score_neglabel,
+)
 
 D = 16
+# K*D = 563,200 > 2**19: at D=512 a grid chunk is 1,024 rows, so N falls
+# inside the first chunk and K = 1,100 ends part-way through the second
+GRID_BANK = (512, 100, 1000)
 
 SHAPES = {
     # K = N + M is no multiple of the block; both roles end part-way through a block
@@ -26,13 +46,13 @@ SHAPES = {
 }
 
 
-def make_bank(rng, n, m):
-    neg = unit_rows(rng, m, D) if m else np.zeros((0, D))
-    return FeatureBank.from_rows(unit_rows(rng, n, D), neg)
+def make_bank(rng, n, m, dim=D):
+    neg = unit_rows(rng, m, dim) if m else np.zeros((0, dim))
+    return FeatureBank.from_rows(unit_rows(rng, n, dim), neg)
 
 
-def perturbed_state(rng, mode):
-    state = init_model(D, hidden=8, mode=mode, seed=3)
+def perturbed_state(rng, mode, dim=D):
+    state = init_model(dim, hidden=8, mode=mode, seed=3)
     for arr in state.params().values():  # off the identity init
         arr += 0.3 * rng.standard_normal(arr.shape)
     return state
@@ -64,6 +84,52 @@ def test_score_many_krnft_bit_identical_to_per_image_path(mode):
         split = [score_neglabel(v, transform_bank(state, bank, v), bank.n_pos, tau)
                  for v in images]
         assert np.array_equal(got, np.array(split))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_score_many_on_the_chunk_grid_matches_per_image_paths(mode):
+    dim, n, m = GRID_BANK
+    rng = np.random.default_rng(75)
+    bank = make_bank(rng, n, m, dim)
+    state = perturbed_state(rng, mode, dim)
+    for arr in state.params().values():  # back near identity: scores far from 0 and 1
+        arr *= 0.05
+    images = unit_rows(rng, 16, dim)
+    step, k = _CHUNK_ELEMS // dim, n + m
+    cos = np.empty(k)
+    for v in images if mode not in IMAGE_INDEPENDENT_MODES else ():
+        # the fused path's cosines: a product over all K rows differs from the
+        # grid's in the last bits of a few, too few to show in a score
+        _tuned_cosines(state, bank, 1.0)(v, cos)
+        rows = transform_bank(state, bank, v)
+        assert np.array_equal(cos, np.concatenate([rows[r : r + step] @ v
+                                                   for r in range(0, k, step)]))
+    for tau in (1.0, 0.01):
+        got = score_many(images, "krnft", bank, state=state, tau_score=tau)
+        split = [score_neglabel(v, transform_bank(state, bank, v), n, tau) for v in images]
+        want = [bank_reference.score_krnft(state, v, bank, tau) for v in images]
+        assert np.array_equal(got, np.array(split))
+        assert np.array_equal(got, np.array(want))
+        got = score_many(images, "neglabel", bank, tau_score=tau)
+        assert np.array_equal(got, [score_neglabel(v, bank.rows(), n, tau) for v in images])
+        got = score_many(images, "mcm", bank, tau_score=tau)
+        assert np.array_equal(got, [score_mcm(v, bank.pos, tau) for v in images])
+
+
+@pytest.mark.parametrize("mode", ["vec_shift", "scale_shift"])
+def test_score_many_krnft_builds_no_tuned_bank(mode):
+    rng = np.random.default_rng(76)
+    k, dim = 40_000, 64  # 2.56M entries: five chunks of the grid
+    bank = make_bank(rng, 1_000, k - 1_000, dim)
+    state = perturbed_state(rng, mode, dim)
+    images = unit_rows(rng, 2, dim)
+    tracemalloc.start()
+    try:
+        score_many(images, "krnft", bank, state=state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < k * dim * 8 / 2
 
 
 def _outcome(fn):
@@ -107,15 +173,15 @@ CASES = {  # edits, tau, negative rows, expected exception (None: finite scores)
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_degenerate_parameters_match_reference(case):
+def _check_degenerate(case, dim, n, m_bank):
+    """score_many and the reference end alike; m_bank replaces the case's M."""
     edits, tau, m, want = CASES[case]
     rng = np.random.default_rng(73)
-    bank = make_bank(rng, 5, m)
-    state = init_model(D, hidden=8, mode="scale_shift", seed=3)
+    bank = make_bank(rng, n, m and m_bank, dim)
+    state = init_model(dim, hidden=8, mode="scale_shift", seed=3)
     for edit, role in edits:
         edit(state, role)
-    images = unit_rows(rng, 3, D)
+    images = unit_rows(rng, 3, dim)
     got = _outcome(lambda: score_many(images, "krnft", bank, state=state, tau_score=tau))
     ref = _outcome(lambda: np.array(
         [bank_reference.score_krnft(state, v, bank, tau) for v in images]))
@@ -123,6 +189,16 @@ def test_degenerate_parameters_match_reference(case):
         assert np.array_equal(got, ref) and np.all(np.isfinite(got))
     else:
         assert got is ref is want
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_degenerate_parameters_match_reference(case):
+    _check_degenerate(case, D, 5, M)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_degenerate_parameters_on_the_chunk_grid_match_reference(case):
+    _check_degenerate(case, *GRID_BANK)
 
 
 def test_transform_bank_returns_a_fresh_array():
