@@ -53,9 +53,9 @@ def _echo_config(out_dir, cfg_dict):
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
-def _config_keys(cls, **extra):
-    """The type of each key a command echoes into its config.json: cls's fields and extra."""
-    return dict({f.name: f.type for f in fields(cls)}, **extra)
+def _config_keys(cls):
+    """The type of each of cls's fields, which a command echoes into its config.json."""
+    return {f.name: f.type for f in fields(cls)}
 
 
 def _load_config_file(path, keys):
@@ -84,8 +84,11 @@ def _load_config_file(path, keys):
 
 
 def _merged(file_cfg, args, keys):
-    """File config overridden by any explicitly passed CLI flags."""
-    out = dict(file_cfg)
+    """The file's entries among keys, each overridden by its CLI flag if one was passed.
+
+    A key without a flag reads as None from args, so only the file sets it.
+    """
+    out = {k: file_cfg[k] for k in keys if k in file_cfg}
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
@@ -136,10 +139,8 @@ def _training_from_dir(data_dir, records, n_labels):
 
 
 def cmd_synth(args):
-    file_cfg = _load_config_file(args.config, _config_keys(data_io.SynthConfig))
-    keys = ("dim", "n_classes", "m_neg", "shots", "crops_per_sample", "select",
-            "kappa", "seed", "n_test_per_class", "n_test_ood")
-    cfg = data_io.SynthConfig(**_merged(file_cfg, args, keys))
+    keys = _config_keys(data_io.SynthConfig)
+    cfg = data_io.SynthConfig(**_merged(_load_config_file(args.config, keys), args, keys))
     result = data_io.synth_dataset(cfg)
     os.makedirs(args.out, exist_ok=True)
     data_io.write_bank(os.path.join(args.out, "labels.fbnk"), result.bank.rows())
@@ -212,23 +213,19 @@ def cmd_select_crops(args):
     return EXIT_OK
 
 
-_TRAIN_KEYS = ("lambda1", "lambda2", "lr", "epochs", "batch_size", "tau_loss",
-               "seed", "kr_variant", "kr_scope", "weight_decay")
 # what train echoes into its config.json besides TrainConfig's fields
 _TRAIN_RUN_KEYS = {"data_dir": str, "mode": str, "hidden": int}
 
 
 def cmd_train(args):
-    file_cfg = _load_config_file(args.config, _config_keys(TrainConfig, **_TRAIN_RUN_KEYS))
+    keys = _config_keys(TrainConfig)
+    file_cfg = _load_config_file(args.config, dict(keys, **_TRAIN_RUN_KEYS))
     data_dir = args.data or file_cfg.get("data_dir")
     if data_dir is None:
         raise ConfigError("train requires --data or a data_dir config entry")
     mode = args.mode or file_cfg.get("mode", "scale_shift")
     hidden = args.hidden if args.hidden is not None else file_cfg.get("hidden")
-    train_kwargs = _merged(
-        {k: v for k, v in file_cfg.items() if k not in _TRAIN_RUN_KEYS}, args, _TRAIN_KEYS
-    )
-    cfg = TrainConfig(**train_kwargs)
+    cfg = TrainConfig(**_merged(file_cfg, args, keys))
     records = _dataset_manifest(data_dir)
     bank, n_labels = _bank_from_dir(data_dir, records)
     training = _training_from_dir(data_dir, records, n_labels)
@@ -291,6 +288,8 @@ def _read_scores_csv(path):
 def cmd_eval(args):
     if args.pair:
         a, b = args.pair
+        if not (0 < a <= 100 and 0 < b <= 100):  # also rejects NaN; Inf is > 100
+            raise ConfigError(f"--pair values must be in (0, 100], got {a} and {b}")
         out = {"hmean": round(scoring.hmean(a, b), 4)}
     else:
         if args.scores_id is None or args.scores_ood is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimMismatch, FormatError, InvalidDim, ZeroNorm
-from .numerics import as_f64, normalize_rows
+from .numerics import EPS_NORM, as_f64
 
 MODES = ("const_shift", "vec_shift", "scale_shift", "mlp")
 # modes whose tuned bank does not depend on the image feature
@@ -33,14 +33,17 @@ CHECKPOINT_VERSION = 2  # v1 files are still read
 class FeatureBank:
     """Immutable matrix of unit-norm text features: N positive rows then M negative."""
 
-    pos: np.ndarray  # (N, D)
-    neg: np.ndarray  # (M, D)
+    matrix: np.ndarray  # (N + M, D), read-only
+    n_pos: int
     labels: list
 
     @classmethod
     def from_rows(cls, pos, neg, labels=None):
         pos = as_f64(np.atleast_2d(pos))
-        neg = as_f64(neg).reshape(-1, pos.shape[1]) if np.size(neg) else np.zeros((0, pos.shape[1]))
+        neg = as_f64(np.atleast_2d(neg)) if np.size(neg) else np.zeros((0, pos.shape[1]))
+        if neg.ndim != 2 or neg.shape[1] != pos.shape[1]:
+            raise DimMismatch(f"negative rows of shape {neg.shape} do not have the "
+                              f"positive rows' width {pos.shape[1]}")
         if pos.shape[0] < 1:
             raise InvalidDim("bank needs at least one positive label row")
         if labels is None:
@@ -51,35 +54,43 @@ class FeatureBank:
             raise DimMismatch("label count does not match row count")
         if len(set(labels)) != len(labels):
             raise DimMismatch("duplicate row identifiers in bank")
-        norms = np.sqrt(np.sum(pos * pos, axis=1))
-        if neg.shape[0]:
-            norms = np.concatenate([norms, np.sqrt(np.sum(neg * neg, axis=1))])
+        matrix = np.concatenate([pos, neg])
+        norms = np.sqrt(np.sum(matrix * matrix, axis=1))
         if np.any(np.abs(norms - 1.0) > 1e-5):
             warnings.warn("bank rows deviate from unit norm by > 1e-5; re-normalizing")
-        pos = normalize_rows(pos)
-        if neg.shape[0]:
-            neg = normalize_rows(neg)
-        return cls(pos=pos, neg=neg, labels=list(labels))
+        if np.any(norms <= EPS_NORM):
+            raise ZeroNorm("matrix contains a row with near-zero norm")
+        matrix /= norms[:, None]
+        matrix.flags.writeable = False
+        return cls(matrix=matrix, n_pos=pos.shape[0], labels=list(labels))
 
     @property
     def dim(self):
-        return self.pos.shape[1]
-
-    @property
-    def n_pos(self):
-        return self.pos.shape[0]
+        return self.matrix.shape[1]
 
     @property
     def n_neg(self):
-        return self.neg.shape[0]
+        return self.matrix.shape[0] - self.n_pos
+
+    @property
+    def pos(self):
+        return self.matrix[: self.n_pos]
+
+    @property
+    def neg(self):
+        return self.matrix[self.n_pos :]
 
     def rows(self):
-        return np.vstack([self.pos, self.neg])
+        """The (N + M, D) bank itself, not a copy."""
+        return self.matrix
 
 
 @dataclass
 class TrainingSet:
-    """Positive samples (feature, class index) and negative samples (feature only)."""
+    """Positive samples (feature, class index) and negative samples (feature only).
+
+    A training batch is one too; `objectives.Batch` names this class.
+    """
 
     pos_features: np.ndarray  # (n_p, D)
     pos_labels: np.ndarray  # (n_p,) int class indices
@@ -228,65 +239,39 @@ def init_model(dim, hidden=None, mode="scale_shift", seed=0):
     return ModelState(mode=mode, dim=int(dim), hidden=int(hidden), arrays=arrays)
 
 
-def metanet_forward(net, v):
-    """Image-conditional residuals (alpha_res, beta_res) for image feature v.
+def role_terms(state, role, v, c_rows=None):
+    """(a, b, z, h) of one role's tuned transform u = a * c + b, before normalization.
 
-    alpha_res is None for a net without the alpha head.
+    The meta-net trunk is z = x @ w1.T + b1 and h = relu(z), where x is the
+    image v (one (D,) image or a (B, D) batch) in vec_shift and scale_shift,
+    and the role's bank rows c_rows in mlp. Then b = beta + (h @ w_beta.T +
+    b_beta) and a = alpha + (h @ w_alpha.T + b_alpha), each head term only
+    where the mode has it. a is None where it is all ones. In const_shift b
+    is the head's (1,) beta and z, h are None. Training and scoring both tune
+    through this one definition.
     """
-    v = as_f64(v)
-    if v.shape != (net.w1.shape[1],):
-        raise DimMismatch(f"expected image feature of length {net.w1.shape[1]}")
-    z = net.w1 @ v + net.b1
+    head, net = state.head(role), state.net(role)
+    if net is None:
+        return None, head.beta, None, None
+    z = (c_rows if state.mode == "mlp" else v) @ net.w1.T + net.b1
     h = np.maximum(z, 0.0)
-    alpha_res = None if net.w_alpha is None else net.w_alpha @ h + net.b_alpha
-    return alpha_res, net.w_beta @ h + net.b_beta
-
-
-def affine_params(state, v, role):
-    """Effective (alpha, beta) for one role, including image-conditional residuals.
-
-    Returns None for modes whose transform is not an affine map on c.
-    """
-    head = state.head(role)
-    if state.mode == "const_shift":
-        return np.ones(state.dim), np.full(state.dim, head.beta[0])
-    if state.mode == "vec_shift":
-        _, beta_res = metanet_forward(state.net(role), v)
-        return np.ones(state.dim), head.beta + beta_res
-    if state.mode == "scale_shift":
-        alpha_res, beta_res = metanet_forward(state.net(role), v)
-        return head.alpha + alpha_res, head.beta + beta_res
-    return None
-
-
-def mlp_residual(net, c_rows):
-    """Residual of the two-layer MLP transform applied to each row of c_rows."""
-    z = c_rows @ net.w1.T + net.b1
-    h = np.maximum(z, 0.0)
-    return h @ net.w_beta.T + net.b_beta
+    b = h @ net.w_beta.T + net.b_beta
+    a = None
+    if head is not None:
+        b = head.beta + b
+        if head.alpha is not None:
+            a = head.alpha + (h @ net.w_alpha.T + net.b_alpha)
+    return a, b, z, h
 
 
 # rows per block of the tuning kernel: a block and its squares stay in cache
 _BLOCK_ROWS = 256
 
 
-def _role_affine(state, v, role, c_rows):
-    """(a, b) that tune one role's rows c_rows to u = a * c + b, before normalization.
-
-    a is None where it would be all ones (u = c + b). In mlp, b holds the
-    residual of each row of c_rows; otherwise it is one (D,) vector, and
-    c_rows is not read.
-    """
-    if state.mode == "mlp":
-        return None, mlp_residual(state.net(role), c_rows)
-    a, b = affine_params(state, v, role)
-    return (a if state.mode == "scale_shift" else None), b
-
-
 def _tune_rows(c_rows, a, b, out, sq):
     """Write the tuned, unit-normalized rows u = a * c + b of c_rows into out.
 
-    (a, b) come from _role_affine; sq is a scratch of at least
+    (a, b) come from role_terms; sq is a scratch of at least
     min(_BLOCK_ROWS, rows) rows. Per block of _BLOCK_ROWS rows: u in out, the
     row norms from the squares in sq, the ZeroNorm check, then u / norms in
     place. Each tuned row depends on its own c row alone, so any split into
@@ -322,7 +307,7 @@ def transform(state, c, v, role):
     if c.shape != (state.dim,) or v.shape != (state.dim,):
         raise DimMismatch("c and v must both have the model dimension")
     out = np.empty((1, state.dim))
-    _tune_rows(c[None, :], *_role_affine(state, v, role, c[None, :]), out, np.empty_like(out))
+    _tune_rows(c[None, :], *role_terms(state, role, v, c[None, :])[:2], out, np.empty_like(out))
     return out[0]
 
 
@@ -338,7 +323,7 @@ def transform_bank(state, bank, v):
     sq = np.empty((min(_BLOCK_ROWS, out.shape[0]), bank.dim))
     for role, c_rows, o in (("positive", bank.pos, out[: bank.n_pos]),
                             ("negative", bank.neg, out[bank.n_pos :])):
-        _tune_rows(c_rows, *_role_affine(state, v, role, c_rows), o, sq)
+        _tune_rows(c_rows, *role_terms(state, role, v, c_rows)[:2], o, sq)
     return out
 
 

@@ -40,26 +40,15 @@ from .errors import (
     NonPositiveTemperature,
     ZeroNorm,
 )
-from .model import IMAGE_INDEPENDENT_MODES, ROLES
+from .model import IMAGE_INDEPENDENT_MODES, ROLES, TrainingSet, role_terms
 from .numerics import EPS_NORM, as_f64
 
 KR_VARIANTS = ("feature", "logits", "prob")
 KR_SCOPES = ("pos", "both")
 
 
-@dataclass
-class Batch:
-    pos_features: np.ndarray  # (n_p, D)
-    pos_labels: np.ndarray  # (n_p,) int
-    neg_features: np.ndarray  # (n_n, D)
-
-    @property
-    def n_pos(self):
-        return self.pos_features.shape[0]
-
-    @property
-    def n_neg(self):
-        return self.neg_features.shape[0]
+# a batch is a slice of the training set: the same positive and negative samples
+Batch = TrainingSet
 
 
 @dataclass
@@ -151,27 +140,15 @@ def _forward(state, bank, imgs):
         if c.shape[0] == 0:
             continue
         r = _Role(name=name, c=c)
+        a, b, r.z, r.h = role_terms(state, name, imgs, c)
         if state.mode in IMAGE_INDEPENDENT_MODES:
-            if state.mode == "const_shift":
-                u = c + state.head(name).beta[0]
-            else:
-                net = state.net(name)
-                r.z = c @ net.w1.T + net.b1
-                r.h = np.maximum(r.z, 0.0)
-                u = c + r.h @ net.w_beta.T + net.b_beta
+            u = c + b
             r.n = _checked_norms((u * u).sum(axis=1))
             r.cp = u / r.n[:, None]
             r.s = imgs @ r.cp.T
             r.d = np.broadcast_to((c * r.cp).sum(axis=1), r.s.shape)
         else:
-            head, net = state.head(name), state.net(name)
-            r.z = imgs @ net.w1.T + net.b1
-            r.h = np.maximum(r.z, 0.0)
-            r.b = head.beta + r.h @ net.w_beta.T + net.b_beta
-            if state.mode == "scale_shift":
-                r.a = head.alpha + r.h @ net.w_alpha.T + net.b_alpha
-            else:
-                r.a = np.ones_like(r.b)
+            r.a, r.b = (np.ones_like(b) if a is None else a), b
             r.c2 = c * c
             bc = r.b @ c.T
             ac2 = (r.a * r.a) @ r.c2.T

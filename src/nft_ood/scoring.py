@@ -19,8 +19,8 @@ from .model import (
     _BLOCK_ROWS,
     IMAGE_INDEPENDENT_MODES,
     ROLES,
-    _role_affine,
     _tune_rows,
+    role_terms,
     transform_bank,
 )
 from .numerics import as_f64, sigmoid
@@ -110,21 +110,19 @@ def _tuned_cosines(state, bank, tau_score):
     """
     if state.dim != bank.dim:
         raise DimMismatch("bank, model and image feature dimensions must agree")
-    n, k, step = bank.n_pos, bank.n_pos + bank.n_neg, _chunk_rows(bank.dim)
+    rows, n, step = bank.rows(), bank.n_pos, _chunk_rows(bank.dim)
+    k = rows.shape[0]
     chunk = np.empty((min(step, k), bank.dim))
     sq = np.empty((min(_BLOCK_ROWS, k), bank.dim))
 
     def cosines(v, c):
-        (a_pos, b_pos), (a_neg, b_neg) = (_role_affine(state, v, role, None) for role in ROLES)
+        (a_pos, b_pos), (a_neg, b_neg) = (role_terms(state, role, v)[:2] for role in ROLES)
         finite = True
         for r in range(0, k, step):
             e = min(r + step, k)
-            if r < n:
-                finite &= _tune_rows(bank.pos[r:e], a_pos, b_pos, chunk[: min(e, n) - r], sq)
-            if e > n:
-                lo = max(r, n)
-                finite &= _tune_rows(bank.neg[lo - n : e - n], a_neg, b_neg,
-                                     chunk[lo - r : e - r], sq)
+            for lo, hi, a, b in ((r, min(e, n), a_pos, b_pos), (max(r, n), e, a_neg, b_neg)):
+                if lo < hi:
+                    finite &= _tune_rows(rows[lo:hi], a, b, chunk[lo - r : hi - r], sq)
             np.dot(chunk[: e - r], v, out=c[r:e])
         _check_neglabel(k, n, tau_score, finite)
 
@@ -224,7 +222,8 @@ def score_many(images, method, bank, state=None, tau_score=1.0):
     if method == "mcm":
         rows, reduce = _mcm_rows(bank.pos), partial(_mcm_block, tau=tau_score)
     elif method == "neglabel":
-        rows = _neglabel_rows(bank.rows(), bank.n_pos, tau_score)
+        rows = bank.rows()  # from_rows rejected NaN and Inf
+        _check_neglabel(rows.shape[0], bank.n_pos, tau_score, True)
     elif method == "krnft":
         if state is None:
             raise EmptyInput("krnft scoring requires a model state")

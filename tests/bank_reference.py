@@ -4,14 +4,55 @@ The former library path: each role's tuned rows are built with fresh
 temporaries (a * c + b, the squares, the quotient) and the two roles are
 stacked with `np.vstack`. The tests compare the in-place blocked kernel
 behind `transform_bank` and krnft `score_many` against it bit for bit.
+
+The transform's parameters come from this module's own per-image meta-net
+(`metanet_forward`, `affine_params`, `mlp_residual`, with `w @ v` products),
+not from `model.role_terms`, so the oracle stays independent of it.
 """
 
 import numpy as np
 
 from nft_ood.errors import DimMismatch, ZeroNorm
-from nft_ood.model import affine_params, mlp_residual
 from nft_ood.numerics import as_f64
 from nft_ood.scoring import score_neglabel
+
+
+def metanet_forward(net, v):
+    """Image-conditional residuals (alpha_res, beta_res) for image feature v.
+
+    alpha_res is None for a net without the alpha head.
+    """
+    v = as_f64(v)
+    if v.shape != (net.w1.shape[1],):
+        raise DimMismatch(f"expected image feature of length {net.w1.shape[1]}")
+    z = net.w1 @ v + net.b1
+    h = np.maximum(z, 0.0)
+    alpha_res = None if net.w_alpha is None else net.w_alpha @ h + net.b_alpha
+    return alpha_res, net.w_beta @ h + net.b_beta
+
+
+def affine_params(state, v, role):
+    """Effective (alpha, beta) for one role, including image-conditional residuals.
+
+    Returns None for modes whose transform is not an affine map on c.
+    """
+    head = state.head(role)
+    if state.mode == "const_shift":
+        return np.ones(state.dim), np.full(state.dim, head.beta[0])
+    if state.mode == "vec_shift":
+        _, beta_res = metanet_forward(state.net(role), v)
+        return np.ones(state.dim), head.beta + beta_res
+    if state.mode == "scale_shift":
+        alpha_res, beta_res = metanet_forward(state.net(role), v)
+        return head.alpha + alpha_res, head.beta + beta_res
+    return None
+
+
+def mlp_residual(net, c_rows):
+    """Residual of the two-layer MLP transform applied to each row of c_rows."""
+    z = c_rows @ net.w1.T + net.b1
+    h = np.maximum(z, 0.0)
+    return h @ net.w_beta.T + net.b_beta
 
 
 def _transform_rows(state, c_rows, v, role):

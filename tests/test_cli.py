@@ -526,6 +526,20 @@ def test_eval_pair_then_scores(tmp_path):
         "auroc": 0.75, "fpr95": 0.5, "n_id": 2, "n_ood": 2, "threshold": 0.8}
 
 
+@pytest.mark.parametrize("pair", [
+    ("nan", "0.5"),  # once written as {"hmean": NaN}, which is not JSON
+    ("inf", "0.5"),
+    ("0", "0.5"),  # once exit 2, from scoring.hmean
+    ("0.5", "-1"),
+    ("0.5", "101"),  # above 100 percent
+])
+def test_eval_bad_pair_is_usage_error(tmp_path, capsys, pair):
+    out = tmp_path / "h.json"
+    assert run("eval", "--pair", *pair, "--out", str(out)) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, "--pair")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["--tpr", "0"], "--tpr"),
     (["--tpr", "1.5"], "--tpr"),

@@ -11,11 +11,10 @@ from nft_ood.model import (
     MODES,
     Checkpoint,
     FeatureBank,
-    MetaNet,
     ModelState,
     init_model,
     load_checkpoint,
-    metanet_forward,
+    role_terms,
     save_checkpoint,
     states_equal,
     transform,
@@ -43,6 +42,21 @@ def test_bank_renormalizes_with_warning():
 def test_bank_duplicate_labels_rejected():
     with pytest.raises(DimMismatch):
         FeatureBank.from_rows([[1.0, 0.0]], [[0.0, 1.0]], labels=["a", "a"])
+
+
+def test_bank_rejects_negatives_of_another_width():
+    rng = np.random.default_rng(0)
+    with pytest.raises(DimMismatch):
+        FeatureBank.from_rows(unit_rows(rng, 2, 8), unit_rows(rng, 4, 16))
+
+
+def test_bank_is_one_read_only_array():
+    bank = small_bank(np.random.default_rng(1))
+    rows = bank.rows()
+    assert rows is bank.rows() and rows.shape == (7, 8)
+    assert np.shares_memory(bank.pos, rows) and np.shares_memory(bank.neg, rows)
+    assert np.array_equal(np.vstack([bank.pos, bank.neg]), rows)
+    assert not rows.flags.writeable
 
 
 def test_bank_needs_positive_rows():
@@ -100,32 +114,32 @@ def test_init_trunk_within_uniform_bound():
 def test_metanet_fresh_outputs_zero():
     state = init_model(8, hidden=4, seed=1)
     v = unit_rows(np.random.default_rng(0), 1, 8)[0]
-    a_res, b_res = metanet_forward(state.pos_net, v)
-    assert not np.any(a_res) and not np.any(b_res)
+    a, b, _, _ = role_terms(state, "positive", v)
+    # zero-initialized meta-net heads leave the head's identity scale and shift
+    assert np.array_equal(a, np.ones(8)) and not np.any(b)
 
 
 def test_metanet_hand_oracle():
     # one hidden unit per output coordinate so the product is hand-checkable
-    d, hidden = 3, 2
-    net = MetaNet(
-        w1=np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]),
-        b1=np.array([0.0, 0.5]),
-        w_alpha=np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]),
-        b_alpha=np.array([0.1, 0.0, 0.0]),
-        w_beta=np.zeros((d, hidden)),
-        b_beta=np.array([0.0, 0.0, 7.0]),
-    )
+    state = init_model(3, hidden=2, mode="scale_shift", seed=0)
+    params = state.params()
+    params["pos_net.w1"][...] = [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+    params["pos_net.b1"][...] = [0.0, 0.5]
+    params["pos_net.w_alpha"][...] = [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]
+    params["pos_net.b_alpha"][...] = [0.1, 0.0, 0.0]
+    params["pos_net.b_beta"][...] = [0.0, 0.0, 7.0]
     v = np.array([0.5, 0.25, 0.0])
     # z = [0.5, 0.25], relu keeps both
-    a_res, b_res = metanet_forward(net, v)
-    assert np.allclose(a_res, [0.6, 0.25, 1.0], atol=1e-15)
-    assert np.allclose(b_res, [0.0, 0.0, 7.0], atol=1e-15)
+    a, b, z, h = role_terms(state, "positive", v)
+    assert np.array_equal(z, [0.5, 0.25]) and np.array_equal(h, z)
+    assert np.allclose(a, 1.0 + np.array([0.6, 0.25, 1.0]), atol=1e-15)
+    assert np.allclose(b, [0.0, 0.0, 7.0], atol=1e-15)
 
 
 def test_metanet_wrong_length_rejected():
     state = init_model(8, hidden=4, seed=1)
     with pytest.raises(DimMismatch):
-        metanet_forward(state.pos_net, np.ones(5))
+        transform(state, np.ones(8) / np.sqrt(8), np.ones(5), "positive")
 
 
 # ---- transform ----

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bank_reference import affine_params
 from conftest import unit_rows
 from loop_reference import backward as loop_backward
 from loss_reference import (
@@ -20,7 +21,7 @@ from nft_ood.errors import (
     NoNegativeLabels,
     ZeroNorm,
 )
-from nft_ood.model import MODES, FeatureBank, affine_params, init_model, transform_bank
+from nft_ood.model import MODES, FeatureBank, TrainingSet, init_model, transform_bank
 from nft_ood.objectives import (
     KR_SCOPES,
     KR_VARIANTS,
@@ -41,6 +42,12 @@ def perturbed_state(rng, d=8, hidden=4, mode="scale_shift", scale=0.15):
     for arr in state.params().values():
         arr += scale * rng.standard_normal(arr.shape)
     return state
+
+
+def test_batch_is_the_training_set_class():
+    assert Batch is TrainingSet
+    batch = Batch(np.zeros((2, 4)), np.array([0, 1]), np.zeros((3, 4)))
+    assert (batch.n_pos, batch.n_neg) == (2, 3)
 
 
 # ---- task losses ----

@@ -132,6 +132,20 @@ def test_score_many_krnft_builds_no_tuned_bank(mode):
     assert peak < k * dim * 8 / 2
 
 
+def test_score_many_neglabel_copies_no_bank():
+    rng = np.random.default_rng(77)
+    k, dim = 40_000, 64
+    bank = make_bank(rng, 1_000, k - 1_000, dim)
+    images = unit_rows(rng, 2, dim)
+    tracemalloc.start()
+    try:
+        score_many(images, "neglabel", bank)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < k * dim * 8 / 2
+
+
 def _outcome(fn):
     try:
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
