@@ -6,6 +6,7 @@ generator keyed on the config seed, so fixtures are portable.
 """
 
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -165,8 +166,11 @@ class SynthConfig:
                      "select", "n_test_per_class", "n_test_ood"):
             if getattr(self, name) < 1:
                 raise InvalidConfig(f"{name} must be >= 1")
-        if self.kappa < 0:
-            raise InvalidConfig("kappa must be >= 0 (0 means noiseless prototypes)")
+        if not 0 <= self.kappa < math.inf:  # also rejects NaN; 0 means noiseless prototypes
+            raise InvalidConfig(f"kappa must be finite and >= 0, got {self.kappa}")
+        if not 0 <= self.background_fraction <= 1:
+            raise InvalidConfig(f"background_fraction must be in [0, 1], got "
+                                f"{self.background_fraction}")
         if 2 * self.select > self.crops_per_sample:
             raise InvalidConfig("need 2*select <= crops_per_sample")
 
@@ -182,7 +186,6 @@ class SynthResult:
     test_ood: np.ndarray
     test_id_classes: np.ndarray
     records: list = field(default_factory=list)
-    crop_sets: list = field(default_factory=list)
 
 
 def _sphere(rng, n, dim):
@@ -267,5 +270,4 @@ def synth_dataset(cfg):
         test_ood=test_ood,
         test_id_classes=test_id_classes,
         records=records,
-        crop_sets=crop_sets,
     )

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, QTooLarge, TooFewCandidates
+from .errors import DimMismatch, InvalidConfig, QTooLarge, TooFewCandidates
 from .model import TrainingSet
 from .numerics import as_f64
 
@@ -49,6 +49,8 @@ def mine_negative_labels(lexicon, id_bank_pos, m, stat="max", quantile=None):
     stat is 'max' (max cosine to any ID feature) or 'quantile' with the q
     level given by `quantile`. Ties are broken by ascending candidate index.
     """
+    if m < 1:
+        raise InvalidConfig(f"need m >= 1 negative labels, got m={m}")
     feats = as_f64(lexicon.features)
     id_rows = as_f64(id_bank_pos)
     if feats.shape[1] != id_rows.shape[1]:
@@ -76,6 +78,8 @@ def select_outliers(crops, label_feature, q):
     The index sets are always disjoint: the bottom set is drawn from the rows
     left after removing the top set, so massive ties cannot select a row twice.
     """
+    if q < 1:
+        raise InvalidConfig(f"need q >= 1 crops per side, got q={q}")
     feats = as_f64(crops.features)
     label_feature = as_f64(label_feature)
     p = feats.shape[0]
@@ -99,13 +103,12 @@ def select_outliers(crops, label_feature, q):
 
 
 def build_training_set(selections, crop_sets):
-    """Assemble D_p (top crops with their class) and D_n (bottom crops)."""
-    by_parent = {cs.parent_id: cs for cs in crop_sets}
+    """D_p (top crops with their class) and D_n (bottom crops) of each selection and its
+    crop set, selections[i] of crop_sets[i]: one parent may hold crops of several classes."""
     pos_feats = []
     pos_labels = []
     neg_feats = []
-    for sel in selections:
-        cs = by_parent[sel.parent_id]
+    for sel, cs in zip(selections, crop_sets, strict=True):
         for i in sel.top_indices:
             pos_feats.append(cs.features[i])
             pos_labels.append(sel.label_index)

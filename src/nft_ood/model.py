@@ -35,10 +35,9 @@ class FeatureBank:
 
     matrix: np.ndarray  # (N + M, D), read-only
     n_pos: int
-    labels: list
 
     @classmethod
-    def from_rows(cls, pos, neg, labels=None):
+    def from_rows(cls, pos, neg):
         pos = as_f64(np.atleast_2d(pos))
         neg = as_f64(np.atleast_2d(neg)) if np.size(neg) else np.zeros((0, pos.shape[1]))
         if neg.ndim != 2 or neg.shape[1] != pos.shape[1]:
@@ -46,14 +45,6 @@ class FeatureBank:
                               f"positive rows' width {pos.shape[1]}")
         if pos.shape[0] < 1:
             raise InvalidDim("bank needs at least one positive label row")
-        if labels is None:
-            labels = [f"pos_{i}" for i in range(pos.shape[0])] + [
-                f"neg_{j}" for j in range(neg.shape[0])
-            ]
-        if len(labels) != pos.shape[0] + neg.shape[0]:
-            raise DimMismatch("label count does not match row count")
-        if len(set(labels)) != len(labels):
-            raise DimMismatch("duplicate row identifiers in bank")
         matrix = np.concatenate([pos, neg])
         norms = np.sqrt(np.sum(matrix * matrix, axis=1))
         if np.any(np.abs(norms - 1.0) > 1e-5):
@@ -62,7 +53,7 @@ class FeatureBank:
             raise ZeroNorm("matrix contains a row with near-zero norm")
         matrix /= norms[:, None]
         matrix.flags.writeable = False
-        return cls(matrix=matrix, n_pos=pos.shape[0], labels=list(labels))
+        return cls(matrix=matrix, n_pos=pos.shape[0])
 
     @property
     def dim(self):
@@ -105,27 +96,6 @@ class TrainingSet:
         return self.neg_features.shape[0]
 
 
-@dataclass
-class TransformHead:
-    """A role's static scale and shift; vec_shift has no alpha, const_shift a (1,) beta."""
-
-    beta: np.ndarray  # (D,) or (1,), all zeros at init
-    alpha: np.ndarray = None  # (D,), all ones at init
-
-
-@dataclass
-class MetaNet:
-    """Shared trunk (D -> hidden, relu) with zero-initialized heads; the alpha head is
-    scale_shift's only."""
-
-    w1: np.ndarray  # (hidden, D)
-    b1: np.ndarray  # (hidden,)
-    w_beta: np.ndarray  # (D, hidden)
-    b_beta: np.ndarray  # (D,)
-    w_alpha: np.ndarray = None  # (D, hidden)
-    b_alpha: np.ndarray = None  # (D,)
-
-
 # The live arrays of each mode, per role: (name, shape in the dims D and H,
 # identity value). Every array starts at its identity value, so every mode
 # starts as the identity transform, except the trunk (w1, b1), which has none:
@@ -143,14 +113,6 @@ MODE_PARAMS = {
     "mlp": (("net.w1", ("H", "D"), None), ("net.b1", ("H",), None),
             ("net.w_beta", ("D", "H"), 0.0), ("net.b_beta", ("D",), 0.0)),
 }
-# (field, key) of each live array of a mode's role and group ("head" or "net")
-_GROUP_FIELDS = {
-    (mode, role, group): [(name.split(".")[1], f"{prefix}_{name}")
-                          for name, _, _ in spec if name.startswith(group + ".")]
-    for mode, spec in MODE_PARAMS.items()
-    for role, prefix in (("positive", "pos"), ("negative", "neg"))
-    for group in ("head", "net")
-}
 
 
 def param_layout(mode, dim, hidden):
@@ -163,6 +125,13 @@ def param_layout(mode, dim, hidden):
     return [(f"{prefix}_{name}", tuple(size.get(n, n) for n in shape), ident)
             for group in ("head", "net") for prefix in ("pos", "neg")
             for name, shape, ident in MODE_PARAMS[mode] if name.startswith(group)]
+
+
+def role_arrays(arrays, role):
+    """One role's arrays of a dict keyed like params(), parameters or gradients, by field
+    name: those of beta, alpha, w1, b1, w_beta, b_beta, w_alpha, b_alpha the mode has."""
+    prefix = "pos_" if role == "positive" else "neg_"
+    return {key.split(".")[1]: a for key, a in arrays.items() if key.startswith(prefix)}
 
 
 def v1_layout(dim, hidden):
@@ -184,23 +153,6 @@ class ModelState:
     dim: int
     hidden: int
     arrays: dict  # key -> array, in param_layout order
-
-    def _group(self, role, group, cls):
-        fields = _GROUP_FIELDS[self.mode, role, group]
-        return cls(**{f: self.arrays[k] for f, k in fields}) if fields else None
-
-    def head(self, role):
-        """The role's static scale and shift; None in mlp."""
-        return self._group(role, "head", TransformHead)
-
-    def net(self, role):
-        """The role's meta-net; None in const_shift."""
-        return self._group(role, "net", MetaNet)
-
-    pos_head = property(lambda self: self.head("positive"))
-    neg_head = property(lambda self: self.head("negative"))
-    pos_net = property(lambda self: self.net("positive"))
-    neg_net = property(lambda self: self.net("negative"))
 
     def params(self):
         """Live views of the mode's parameter arrays, keyed by a stable path."""
@@ -250,17 +202,17 @@ def role_terms(state, role, v, c_rows=None):
     is the head's (1,) beta and z, h are None. Training and scoring both tune
     through this one definition.
     """
-    head, net = state.head(role), state.net(role)
-    if net is None:
-        return None, head.beta, None, None
-    z = (c_rows if state.mode == "mlp" else v) @ net.w1.T + net.b1
+    p = role_arrays(state.arrays, role)
+    if "w1" not in p:  # const_shift has no meta-net
+        return None, p["beta"], None, None
+    z = (c_rows if state.mode == "mlp" else v) @ p["w1"].T + p["b1"]
     h = np.maximum(z, 0.0)
-    b = h @ net.w_beta.T + net.b_beta
+    b = h @ p["w_beta"].T + p["b_beta"]
     a = None
-    if head is not None:
-        b = head.beta + b
-        if head.alpha is not None:
-            a = head.alpha + (h @ net.w_alpha.T + net.b_alpha)
+    if "beta" in p:
+        b = p["beta"] + b
+        if "alpha" in p:
+            a = p["alpha"] + (h @ p["w_alpha"].T + p["b_alpha"])
     return a, b, z, h
 
 

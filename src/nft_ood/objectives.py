@@ -40,7 +40,7 @@ from .errors import (
     NonPositiveTemperature,
     ZeroNorm,
 )
-from .model import IMAGE_INDEPENDENT_MODES, ROLES, TrainingSet, role_terms
+from .model import IMAGE_INDEPENDENT_MODES, ROLES, TrainingSet, role_arrays, role_terms
 from .numerics import EPS_NORM, as_f64
 
 KR_VARIANTS = ("feature", "logits", "prob")
@@ -172,15 +172,14 @@ def _forward(state, bank, imgs):
 
 def _backprop_role(state, r, imgs, g_s, g_d, grads):
     """Accumulate dL/dparams of one role from dL/ds (B, K) and dL/dd (B, 1)."""
-    prefix = "pos" if r.name == "positive" else "neg"
-    net = state.net(r.name)
+    p, dp = role_arrays(state.arrays, r.name), role_arrays(grads, r.name)
     g_a = None
     if state.mode in IMAGE_INDEPENDENT_MODES:
         # dL/dc' summed over the batch, then through the normalization once
         g = g_s.T @ imgs + np.sum(g_d) * r.c
         g_b = (g - np.sum(g * r.cp, axis=1, keepdims=True) * r.cp) / r.n[:, None]
-        if state.mode == "const_shift":
-            grads[f"{prefix}_head.beta"][0] += np.sum(g_b)
+        if "w1" not in p:  # const_shift
+            dp["beta"][0] += np.sum(g_b)
             return
         x = r.c  # the mlp's trunk reads the bank rows, not the images
     else:
@@ -192,22 +191,22 @@ def _backprop_role(state, r, imgs, g_s, g_d, grads):
         rho_c = rho @ r.c
         g_b = (imgs * np.sum(alpha, axis=1, keepdims=True) + gamma @ r.c
                - r.a * rho_c - r.b * np.sum(rho, axis=1, keepdims=True))
-        grads[f"{prefix}_head.beta"] += np.sum(g_b, axis=0)
-        if state.mode == "scale_shift":
+        dp["beta"] += np.sum(g_b, axis=0)
+        if "alpha" in p:
             g_a = (imgs * (alpha @ r.c) + gamma @ r.c2
                    - r.a * (rho @ r.c2) - r.b * rho_c)
-            grads[f"{prefix}_head.alpha"] += np.sum(g_a, axis=0)
+            dp["alpha"] += np.sum(g_a, axis=0)
         x = imgs
-    grads[f"{prefix}_net.w_beta"] += g_b.T @ r.h
-    grads[f"{prefix}_net.b_beta"] += np.sum(g_b, axis=0)
-    g_h = g_b @ net.w_beta
+    dp["w_beta"] += g_b.T @ r.h
+    dp["b_beta"] += np.sum(g_b, axis=0)
+    g_h = g_b @ p["w_beta"]
     if g_a is not None:
-        grads[f"{prefix}_net.w_alpha"] += g_a.T @ r.h
-        grads[f"{prefix}_net.b_alpha"] += np.sum(g_a, axis=0)
-        g_h += g_a @ net.w_alpha
+        dp["w_alpha"] += g_a.T @ r.h
+        dp["b_alpha"] += np.sum(g_a, axis=0)
+        g_h += g_a @ p["w_alpha"]
     g_z = g_h * (r.z > 0)
-    grads[f"{prefix}_net.w1"] += g_z.T @ x
-    grads[f"{prefix}_net.b1"] += np.sum(g_z, axis=0)
+    dp["w1"] += g_z.T @ x
+    dp["b1"] += np.sum(g_z, axis=0)
 
 
 def _loss(state, bank, batch, cfg, with_grads):
@@ -335,14 +334,14 @@ def fd_well_conditioned(state, bank, batch, grads,
         return False
     imgs = _images(batch)
     for role in ROLES:
-        net = state.net(role)
-        if net is None:  # const_shift has no meta-net
+        p = role_arrays(state.arrays, role)
+        if "w1" not in p:  # const_shift has no meta-net
             continue
-        z = imgs @ net.w1.T + net.b1
+        z = imgs @ p["w1"].T + p["b1"]
         if float(np.min(np.abs(z))) < min_relu_margin:
             return False
         if state.mode == "mlp":
-            z_rows = bank.rows() @ net.w1.T + net.b1
+            z_rows = bank.rows() @ p["w1"].T + p["b1"]
             if float(np.min(np.abs(z_rows))) < min_relu_margin:
                 return False
     return True

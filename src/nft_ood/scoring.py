@@ -61,7 +61,7 @@ def _chunk_rows(dim):
 
 def _check_neglabel(k, n_pos, tau_score, finite):
     """NegLabel's checks on a bank of k rows: tau, NaN/Inf, then its two parts."""
-    if tau_score <= 0:
+    if not tau_score > 0:  # also rejects NaN
         raise NonPositiveTemperature(f"tau_score must be > 0, got {tau_score}")
     if not finite:
         raise NonFiniteInput("input contains NaN or Inf")
@@ -130,7 +130,8 @@ def _tuned_cosines(state, bank, tau_score):
 
 
 def _logsumexp_rows(x):
-    """numerics.logsumexp of each row of x, bit for bit: max, exp, sum per row."""
+    """log(sum(exp(row))) of each row of x: its max m plus the log of the sum of
+    exp(row - m); a one-entry row is its own value, exactly."""
     m = np.max(x, axis=1)
     if x.shape[1] == 1:
         return m.tolist()
@@ -146,12 +147,12 @@ def _neglabel_block(cos, n_pos, tau_score):
 
 
 def _mcm_block(cos, tau):
-    """Max softmax probability per row, as numerics.stable_softmax gives it.
+    """Max softmax probability per row: e = exp(x - max(x)) with x = cos / tau.
 
-    max(e) / sum(e) equals the max of e / sum(e) bit for bit, because
-    rounded division by a positive number is monotone.
+    max(e) / sum(e) equals the max of the softmax e / sum(e) bit for bit,
+    because rounded division by a positive number is monotone.
     """
-    if tau <= 0:
+    if not tau > 0:  # also rejects NaN
         raise NonPositiveTemperature(f"tau must be > 0, got {tau}")
     x = as_f64(cos) / tau
     e = np.exp(x - np.max(x, axis=1)[:, None])

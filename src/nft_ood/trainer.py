@@ -4,7 +4,8 @@ seeded instances of the gradient check."""
 import csv
 import hashlib
 import io
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +32,9 @@ class TrainConfig:
     weight_decay: float = 1e-2
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise InvalidConfig(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.lr <= 0:
             raise InvalidConfig(f"lr must be > 0, got {self.lr}")
         if self.epochs < 1:

@@ -7,7 +7,8 @@ behind `transform_bank` and krnft `score_many` against it bit for bit.
 
 The transform's parameters come from this module's own per-image meta-net
 (`metanet_forward`, `affine_params`, `mlp_residual`, with `w @ v` products),
-not from `model.role_terms`, so the oracle stays independent of it.
+which fetches each array by its full key, not from `model.role_terms` or
+`model.role_arrays`, so the oracle stays independent of them.
 """
 
 import numpy as np
@@ -17,18 +18,26 @@ from nft_ood.numerics import as_f64
 from nft_ood.scoring import score_neglabel
 
 
-def metanet_forward(net, v):
-    """Image-conditional residuals (alpha_res, beta_res) for image feature v.
+def _param(state, role):
+    """p(name) is the role's array under its full key, e.g. p("net.w1") is
+    arrays["pos_net.w1"] for the positive role; None if the mode lacks it."""
+    prefix = "pos_" if role == "positive" else "neg_"
+    return lambda name: state.arrays.get(prefix + name)
+
+
+def metanet_forward(state, role, v):
+    """Image-conditional residuals (alpha_res, beta_res) of one role for image feature v.
 
     alpha_res is None for a net without the alpha head.
     """
+    p = _param(state, role)
     v = as_f64(v)
-    if v.shape != (net.w1.shape[1],):
-        raise DimMismatch(f"expected image feature of length {net.w1.shape[1]}")
-    z = net.w1 @ v + net.b1
+    if v.shape != (p("net.w1").shape[1],):
+        raise DimMismatch(f"expected image feature of length {p('net.w1').shape[1]}")
+    z = p("net.w1") @ v + p("net.b1")
     h = np.maximum(z, 0.0)
-    alpha_res = None if net.w_alpha is None else net.w_alpha @ h + net.b_alpha
-    return alpha_res, net.w_beta @ h + net.b_beta
+    alpha_res = None if p("net.w_alpha") is None else p("net.w_alpha") @ h + p("net.b_alpha")
+    return alpha_res, p("net.w_beta") @ h + p("net.b_beta")
 
 
 def affine_params(state, v, role):
@@ -36,23 +45,24 @@ def affine_params(state, v, role):
 
     Returns None for modes whose transform is not an affine map on c.
     """
-    head = state.head(role)
+    p = _param(state, role)
     if state.mode == "const_shift":
-        return np.ones(state.dim), np.full(state.dim, head.beta[0])
+        return np.ones(state.dim), np.full(state.dim, p("head.beta")[0])
     if state.mode == "vec_shift":
-        _, beta_res = metanet_forward(state.net(role), v)
-        return np.ones(state.dim), head.beta + beta_res
+        _, beta_res = metanet_forward(state, role, v)
+        return np.ones(state.dim), p("head.beta") + beta_res
     if state.mode == "scale_shift":
-        alpha_res, beta_res = metanet_forward(state.net(role), v)
-        return head.alpha + alpha_res, head.beta + beta_res
+        alpha_res, beta_res = metanet_forward(state, role, v)
+        return p("head.alpha") + alpha_res, p("head.beta") + beta_res
     return None
 
 
-def mlp_residual(net, c_rows):
-    """Residual of the two-layer MLP transform applied to each row of c_rows."""
-    z = c_rows @ net.w1.T + net.b1
+def mlp_residual(state, role, c_rows):
+    """Residual of one role's two-layer MLP transform applied to each row of c_rows."""
+    p = _param(state, role)
+    z = c_rows @ p("net.w1").T + p("net.b1")
     h = np.maximum(z, 0.0)
-    return h @ net.w_beta.T + net.b_beta
+    return h @ p("net.w_beta").T + p("net.b_beta")
 
 
 def _transform_rows(state, c_rows, v, role):
@@ -62,7 +72,7 @@ def _transform_rows(state, c_rows, v, role):
             f"bank dim {c_rows.shape[1]} does not match model dim {state.dim}"
         )
     if state.mode == "mlp":
-        u = c_rows + mlp_residual(state.net(role), c_rows)
+        u = c_rows + mlp_residual(state, role, c_rows)
     else:
         a, b = affine_params(state, v, role)
         u = a * c_rows + b

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nft_ood.errors import BadClassIndex, NoNegativeLabels, ZeroNorm
-from nft_ood.numerics import as_f64, logsumexp, stable_softmax
+from nft_ood.numerics import as_f64
 from nft_ood.objectives import (
     LossReport,
     _check_tau,
@@ -18,6 +18,7 @@ from nft_ood.objectives import (
     _validate_cfg,
     zero_gradients,
 )
+from numerics_reference import logsumexp, stable_softmax
 
 
 @dataclass
@@ -35,35 +36,40 @@ class _RoleCache:
     h_rows: np.ndarray = None
 
 
+def _param(state, role):
+    """p(name) is the role's array under its full key, e.g. p("net.w1") is
+    arrays["pos_net.w1"] for the positive role."""
+    prefix = "pos_" if role == "positive" else "neg_"
+    return lambda name: state.arrays[prefix + name]
+
+
 def _forward_image(state, bank, v):
     """Transform the whole bank for one image, keeping backprop caches."""
     caches = []
     for role, c in (("positive", bank.pos), ("negative", bank.neg)):
         if c.shape[0] == 0:
             continue
+        p = _param(state, role)
         if state.mode == "mlp":
-            net = state.net(role)
-            z_rows = c @ net.w1.T + net.b1
+            z_rows = c @ p("net.w1").T + p("net.b1")
             h_rows = np.maximum(z_rows, 0.0)
-            u = c + h_rows @ net.w_beta.T + net.b_beta
+            u = c + h_rows @ p("net.w_beta").T + p("net.b_beta")
             cache = _RoleCache(role=role, c=c, cp=None, norms=None,
                                z_rows=z_rows, h_rows=h_rows)
         else:
-            head = state.head(role)
             z = h = None
             if state.mode == "const_shift":
                 a = np.ones(state.dim)
-                b = np.full(state.dim, head.beta[0])
+                b = np.full(state.dim, p("head.beta")[0])
             else:
-                net = state.net(role)
-                z = net.w1 @ v + net.b1
+                z = p("net.w1") @ v + p("net.b1")
                 h = np.maximum(z, 0.0)
                 if state.mode == "vec_shift":
                     a = np.ones(state.dim)
-                    b = head.beta + (net.w_beta @ h + net.b_beta)
+                    b = p("head.beta") + (p("net.w_beta") @ h + p("net.b_beta"))
                 else:  # scale_shift
-                    a = head.alpha + (net.w_alpha @ h + net.b_alpha)
-                    b = head.beta + (net.w_beta @ h + net.b_beta)
+                    a = p("head.alpha") + (p("net.w_alpha") @ h + p("net.b_alpha"))
+                    b = p("head.beta") + (p("net.w_beta") @ h + p("net.b_beta"))
             u = a * c + b
             cache = _RoleCache(role=role, c=c, cp=None, norms=None, a=a, z=z, h=h)
         norms = np.sqrt(np.sum(u * u, axis=1))
@@ -87,11 +93,11 @@ def _backprop_transform(state, caches, grad_rows, v, grads):
         gu = (g - np.sum(g * cache.cp, axis=1, keepdims=True) * cache.cp)
         gu = gu / cache.norms[:, None]
         prefix = "pos" if cache.role == "positive" else "neg"
+        p = _param(state, cache.role)
         if state.mode == "mlp":
-            net = state.net(cache.role)
             grads[f"{prefix}_net.w_beta"] += gu.T @ cache.h_rows
             grads[f"{prefix}_net.b_beta"] += gu.sum(axis=0)
-            dz = (gu @ net.w_beta) * (cache.z_rows > 0)
+            dz = (gu @ p("net.w_beta")) * (cache.z_rows > 0)
             grads[f"{prefix}_net.w1"] += dz.T @ cache.c
             grads[f"{prefix}_net.b1"] += dz.sum(axis=0)
             continue
@@ -99,17 +105,16 @@ def _backprop_transform(state, caches, grad_rows, v, grads):
         if state.mode == "const_shift":
             grads[f"{prefix}_head.beta"][0] += float(db.sum())
             continue
-        net = state.net(cache.role)
         grads[f"{prefix}_head.beta"] += db
         grads[f"{prefix}_net.w_beta"] += np.outer(db, cache.h)
         grads[f"{prefix}_net.b_beta"] += db
-        dh = net.w_beta.T @ db
+        dh = p("net.w_beta").T @ db
         if state.mode == "scale_shift":
             da = np.sum(gu * cache.c, axis=0)
             grads[f"{prefix}_head.alpha"] += da
             grads[f"{prefix}_net.w_alpha"] += np.outer(da, cache.h)
             grads[f"{prefix}_net.b_alpha"] += da
-            dh = dh + net.w_alpha.T @ da
+            dh = dh + p("net.w_alpha").T @ da
         dz = dh * (cache.z > 0)
         grads[f"{prefix}_net.w1"] += np.outer(dz, v)
         grads[f"{prefix}_net.b1"] += dz

@@ -9,8 +9,9 @@ import numpy as np
 
 from nft_ood.errors import BadClassIndex, DimMismatch, NoNegativeLabels
 from nft_ood.model import transform_bank
-from nft_ood.numerics import as_f64, logsumexp, stable_softmax
+from nft_ood.numerics import as_f64
 from nft_ood.objectives import _check_tau
+from numerics_reference import logsumexp, stable_softmax
 
 
 def loss_positive(state, bank, v_p, y, tau):

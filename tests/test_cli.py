@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from nft_ood import scoring
+from nft_ood import cli, scoring
 from nft_ood.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -103,6 +103,21 @@ def test_synth_bad_config_exit_code(tmp_path):
     assert run("synth", "--out", str(tmp_path / "x"), "--dim", "0") == EXIT_USAGE
 
 
+@pytest.mark.parametrize("config, argv, needle", [
+    ({"background_fraction": 2.0}, [], "background_fraction"),  # once exit 4
+    ({"background_fraction": -1.0}, [], "background_fraction"),
+    ({}, ["--kappa", "nan"], "kappa"),  # once exit 2
+    ({}, ["--kappa", "inf"], "kappa"),
+], ids=["fraction-above-1", "fraction-below-0", "kappa-nan", "kappa-inf"])
+def test_synth_config_out_of_range_is_usage_error(tmp_path, capsys, config, argv, needle):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x"
+    assert run("synth", "--config", str(cfg), *argv, "--out", str(out)) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, needle)
+    assert not out.exists()
+
+
 # ---- mining commands ----
 
 
@@ -134,6 +149,17 @@ def test_mine_neg_bad_quantile_is_usage_error(tmp_path, capsys, extra):
                "--id-bank", str(tmp_path / "lex.fbnk"), "-m", "2", "--stat", "quantile",
                *extra, "--out", str(tmp_path / "mined.json")) == EXIT_USAGE
     assert_one_line(capsys.readouterr().err, "--quantile")
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])  # -1 once wrote 19 of 20 candidates
+def test_mine_neg_count_below_one_is_usage_error(tmp_path, capsys, m):
+    lex = np.random.default_rng(97).standard_normal((20, 8))
+    write_bank(tmp_path / "lex.fbnk", lex / np.linalg.norm(lex, axis=1, keepdims=True))
+    out = tmp_path / "mined.json"
+    assert run("mine-neg", "--lexicon", str(tmp_path / "lex.fbnk"),
+               "--id-bank", str(tmp_path / "lex.fbnk"), "-m", m, "--out", str(out)) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, f"m={m}")
+    assert not out.exists()
 
 
 def test_select_crops_cli(tmp_path):
@@ -204,6 +230,18 @@ def test_train_trace_header(synth_dir, tmp_path):
     ) == EXIT_OK
     first = (out / "trace.csv").read_text().splitlines()[0]
     assert first == "epoch,step,l_pos,l_neg,l_kr,total"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "nan"), ("--lr", "inf"), ("--tau-loss", "nan"), ("--lambda1", "nan"),
+    ("--lambda2", "nan"), ("--weight-decay", "nan"),  # each once an all-NaN checkpoint
+])
+def test_train_non_finite_value_is_usage_error(synth_dir, tmp_path, capsys, flag, value):
+    out = tmp_path / "run"
+    assert run("train", "--data", str(synth_dir), "--out", str(out), "--epochs", "1",
+               flag, value) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, flag[2:].replace("-", "_") + " must be finite")
+    assert not out.exists()
 
 
 def test_train_requires_data(tmp_path):
@@ -345,6 +383,43 @@ def test_select_crops_parent_must_be_a_string(tmp_path, capsys, parents):
     assert not (tmp_path / "training").exists()
 
 
+@pytest.mark.parametrize("q", ["0", "-1"])  # -1 once kept all but one crop per side
+def test_select_crops_count_below_one_is_usage_error(tmp_path, capsys, q):
+    argv = select_crops_argv(tmp_path)
+    argv[argv.index("-q") + 1] = q
+    assert run(*argv) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, f"q={q}")
+    assert not (tmp_path / "training").exists()
+
+
+def test_select_crops_parent_with_crops_of_two_classes(tmp_path):
+    # one parent holds 4 class-0 and 6 class-1 crops; each class's rows once
+    # came from the last crop set of that parent, class 1's
+    rng = np.random.default_rng(98)
+    crops = rng.standard_normal((10, 8))
+    labels = rng.standard_normal((2, 8))
+    write_bank(tmp_path / "crops.fbnk", crops / np.linalg.norm(crops, axis=1, keepdims=True))
+    write_bank(tmp_path / "labels.fbnk", labels / np.linalg.norm(labels, axis=1, keepdims=True))
+    classes = [0] * 4 + [1] * 6
+    write_manifest(tmp_path / "crops.jsonl", [
+        {"row": i, "id": f"crop_{i}", "role": "crop", "class": c, "parent": "img_0"}
+        for i, c in enumerate(classes)])
+    out = tmp_path / "training"
+    assert run("select-crops", "--crops", str(tmp_path / "crops.fbnk"),
+               "--crops-manifest", str(tmp_path / "crops.jsonl"),
+               "--labels", str(tmp_path / "labels.fbnk"), "-q", "1",
+               "--out", str(out)) == EXIT_OK
+    crops, labels = read_bank(tmp_path / "crops.fbnk"), read_bank(tmp_path / "labels.fbnk")
+    sims = np.array([crops[i] @ labels[c] for i, c in enumerate(classes)])
+    rows = {c: [i for i, k in enumerate(classes) if k == c] for c in (0, 1)}
+    top = [max(rows[c], key=lambda i: sims[i]) for c in (0, 1)]
+    bottom = [min(rows[c], key=lambda i: sims[i]) for c in (0, 1)]
+    written = read_bank(out / "train.fbnk")
+    assert [r["class"] for r in read_manifest(out / "manifest.jsonl")
+            if r["role"] == "train_pos"] == [0, 1]
+    assert np.array_equal(written, crops[top + bottom])
+
+
 @pytest.mark.parametrize("cls", (99, 2, -1))
 def test_select_crops_class_outside_labels_is_data_error(tmp_path, capsys, cls):
     def edit(rec):
@@ -398,6 +473,16 @@ def test_score_krnft_needs_checkpoint(tmp_path):
     write_bank(tmp_path / "imgs.fbnk", np.eye(4)[:2])
     assert run("score", "--bank", str(d), "--images", str(tmp_path / "imgs.fbnk"),
                "--method", "krnft", "--out", str(tmp_path / "s.csv")) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("method", ["neglabel", "mcm"])  # once exit 2 and exit 0
+def test_score_nan_tau_is_usage_error(tmp_path, capsys, method):
+    d = tiny_bank_dir(tmp_path, n_pos=2)
+    write_bank(tmp_path / "imgs.fbnk", np.eye(4)[:2])
+    assert run("score", "--bank", str(d), "--images", str(tmp_path / "imgs.fbnk"),
+               "--method", method, "--tau-score", "nan",
+               "--out", str(tmp_path / "s.csv")) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, "must be > 0, got nan")
 
 
 def test_score_missing_bank_is_data_error(tmp_path):
@@ -638,9 +723,20 @@ def test_gradcheck_replays_acceptance_instances(capsys):
     assert f"instance=1 max_rel_err={err:.3e} ok" in printed
 
 
-def test_gradcheck_corrupted_fails():
+def test_gradcheck_corrupted_fails(monkeypatch):
+    def corrupted(*args):
+        state, bank, batch, cfg, analytic = gradcheck_instance(*args)
+        return state, bank, batch, cfg, {k: 1.01 * g for k, g in analytic.items()}
+
+    monkeypatch.setattr(cli, "gradcheck_instance", corrupted)
     assert run("gradcheck", "--mode", "const_shift", "--kr-variant", "feature",
-               "--instances", "1", "--corrupt-gradients") == EXIT_NUMERIC
+               "--instances", "1") == EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])  # once checked nothing and exited 0
+def test_gradcheck_instances_below_one_is_usage_error(capsys, n):
+    assert run("gradcheck", "--mode", "const_shift", "--instances", n) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, "--instances")
 
 
 # ---- argument handling ----
@@ -656,6 +752,19 @@ def test_internal_error_exits_4_with_its_traceback(tmp_path, capsys, monkeypatch
     assert "Traceback" in err and "RuntimeError: boom" in err
 
 
-def test_unknown_arguments_exit_usage():
-    assert run("frobnicate") == EXIT_USAGE
-    assert run("synth", "--no-such-flag", "x") == EXIT_USAGE
+@pytest.mark.parametrize("argv, needle", [
+    (["frobnicate"], "frobnicate"),
+    (["synth", "--no-such-flag", "x", "--out", "o"], "--no-such-flag"),
+    (["train", "--lr", "x", "--out", "o"], "--lr"),
+    (["eval", "--pair", "0.5", "-inf", "--out", "o"], "--pair"),  # -inf reads as a flag
+    (["eval", "--pair", "0.5", "1"], "--out"),
+], ids=["command", "flag", "float", "pair", "missing-out"])
+def test_unknown_arguments_exit_usage(capsys, argv, needle):
+    # once the subcommand's whole usage block: 3 to 9 lines
+    assert run(*argv) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, needle)
+
+
+def test_help_exits_ok(capsys):
+    assert run("train", "--help") == EXIT_OK
+    assert "--lr" in capsys.readouterr().out

@@ -39,11 +39,6 @@ def test_bank_renormalizes_with_warning():
     assert np.allclose(bank.neg[0], [0.0, 1.0])
 
 
-def test_bank_duplicate_labels_rejected():
-    with pytest.raises(DimMismatch):
-        FeatureBank.from_rows([[1.0, 0.0]], [[0.0, 1.0]], labels=["a", "a"])
-
-
 def test_bank_rejects_negatives_of_another_width():
     rng = np.random.default_rng(0)
     with pytest.raises(DimMismatch):
@@ -101,11 +96,11 @@ def test_init_rejects_bad_dims():
 def test_init_trunk_within_uniform_bound():
     state = init_model(16, hidden=8, seed=0)
     bound = 1.0 / np.sqrt(16)
-    for net in (state.pos_net, state.neg_net):
-        assert np.all(np.abs(net.w1) <= bound)
-        assert np.all(np.abs(net.b1) <= bound)
-        assert not np.any(net.w_alpha)
-        assert not np.any(net.w_beta)
+    for net in ("pos_net", "neg_net"):
+        assert np.all(np.abs(state.arrays[f"{net}.w1"]) <= bound)
+        assert np.all(np.abs(state.arrays[f"{net}.b1"]) <= bound)
+        assert not np.any(state.arrays[f"{net}.w_alpha"])
+        assert not np.any(state.arrays[f"{net}.w_beta"])
 
 
 # ---- meta-net ----
@@ -147,7 +142,7 @@ def test_metanet_wrong_length_rejected():
 
 def test_uniform_scaling_removed_by_normalization():
     state = init_model(6, hidden=4, mode="scale_shift", seed=0)
-    state.pos_head.alpha[:] = 2.0
+    state.arrays["pos_head.alpha"][:] = 2.0
     rng = np.random.default_rng(7)
     c = unit_rows(rng, 1, 6)[0]
     v = unit_rows(rng, 1, 6)[0]
@@ -156,7 +151,7 @@ def test_uniform_scaling_removed_by_normalization():
 
 def test_shift_by_basis_vector_oracle():
     state = init_model(4, hidden=4, mode="scale_shift", seed=0)
-    state.pos_head.beta[0] = 1.0
+    state.arrays["pos_head.beta"][0] = 1.0
     c = np.array([0.0, 1.0, 0.0, 0.0])
     v = np.array([1.0, 0.0, 0.0, 0.0])
     out = transform(state, c, v, "positive")
@@ -173,7 +168,7 @@ def test_transform_rejects_unknown_role():
 
 def test_transform_degenerate_parameters_raise():
     state = init_model(4, hidden=4, mode="scale_shift", seed=0)
-    state.pos_head.alpha[:] = 0.0  # alpha*c + beta == 0
+    state.arrays["pos_head.alpha"][:] = 0.0  # alpha*c + beta == 0
     c = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ZeroNorm):
         transform(state, c, c, "positive")
@@ -217,15 +212,15 @@ def test_positive_negative_independence():
     bank = small_bank(rng)
     v = unit_rows(rng, 1, 8)[0]
     before = transform_bank(state, bank, v)
-    state.neg_head.beta += 0.5
-    state.neg_net.w_beta += rng.standard_normal(state.neg_net.w_beta.shape)
+    state.arrays["neg_head.beta"] += 0.5
+    state.arrays["neg_net.w_beta"] += rng.standard_normal(state.arrays["neg_net.w_beta"].shape)
     after = transform_bank(state, bank, v)
     assert np.array_equal(before[: bank.n_pos], after[: bank.n_pos])
     assert not np.array_equal(before[bank.n_pos :], after[bank.n_pos :])
 
     state2 = init_model(8, hidden=4, mode="scale_shift", seed=5)
     before2 = transform_bank(state2, bank, v)
-    state2.pos_head.beta += 0.5
+    state2.arrays["pos_head.beta"] += 0.5
     after2 = transform_bank(state2, bank, v)
     assert np.array_equal(before2[bank.n_pos :], after2[bank.n_pos :])
 
@@ -233,15 +228,15 @@ def test_positive_negative_independence():
 def test_joint_rescale_invariance():
     rng = np.random.default_rng(14)
     state = init_model(6, hidden=4, mode="scale_shift", seed=2)
-    state.pos_head.alpha[:] = rng.uniform(0.5, 1.5, 6)
-    state.pos_head.beta[:] = rng.standard_normal(6) * 0.3
+    state.arrays["pos_head.alpha"][:] = rng.uniform(0.5, 1.5, 6)
+    state.arrays["pos_head.beta"][:] = rng.standard_normal(6) * 0.3
     c = unit_rows(rng, 1, 6)[0]
     v = unit_rows(rng, 1, 6)[0]
     base = transform(state, c, v, "positive")
     for k in (2.0, 0.25, 17.0):
         scaled = state.copy()
-        scaled.pos_head.alpha[:] *= k
-        scaled.pos_head.beta[:] *= k
+        scaled.arrays["pos_head.alpha"][:] *= k
+        scaled.arrays["pos_head.beta"][:] *= k
         assert np.allclose(transform(scaled, c, v, "positive"), base, atol=1e-10)
 
 
@@ -339,7 +334,7 @@ def test_params_hold_only_live_arrays(mode, scalars):
 
 def test_const_shift_checkpoint_holds_two_values(tmp_path):
     state = init_model(16, hidden=8, mode="const_shift", seed=0)
-    state.pos_head.beta[0], state.neg_head.beta[0] = 0.25, -0.5
+    state.arrays["pos_head.beta"][0], state.arrays["neg_head.beta"][0] = 0.25, -0.5
     path = tmp_path / "c.nftc"
     save_checkpoint(Checkpoint(model=state), path)
     data = path.read_bytes()

@@ -491,7 +491,7 @@ def test_forward_near_zero_norm_guard():
     # shift the positive head so that image v0 tunes row k0 to ||u|| = 1e-6
     a, b = affine_params(state, v0, "positive")
     e = unit_rows(np.random.default_rng(43), 1, bank.dim)[0]
-    state.pos_head.beta += 1e-6 * e - (a * bank.pos[k0] + b)
+    state.arrays["pos_head.beta"] += 1e-6 * e - (a * bank.pos[k0] + b)
     a, b = affine_params(state, v0, "positive")
     assert np.linalg.norm(a * bank.pos[k0] + b) == pytest.approx(1e-6, rel=1e-3)
 

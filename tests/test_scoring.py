@@ -12,7 +12,7 @@ from nft_ood.errors import (
     NonPositiveInput,
 )
 from nft_ood.model import MODES, FeatureBank, init_model, transform_bank
-from nft_ood.numerics import as_f64, logsumexp, sigmoid, stable_softmax
+from nft_ood.numerics import as_f64, sigmoid
 from nft_ood.scoring import (
     _BLOCK_ELEMS,
     auroc,
@@ -25,6 +25,7 @@ from nft_ood.scoring import (
     score_mcm,
     score_neglabel,
 )
+from numerics_reference import logsumexp, stable_softmax
 
 
 def pairwise_auroc(id_scores, ood_scores):
@@ -162,7 +163,7 @@ def test_krnft_equals_neglabel_at_init():
 def test_krnft_differs_after_parameter_change():
     rng = np.random.default_rng(53)
     state = init_model(8, hidden=4, seed=0)
-    state.pos_head.beta += 0.3
+    state.arrays["pos_head.beta"] += 0.3
     bank = FeatureBank.from_rows(unit_rows(rng, 3, 8), unit_rows(rng, 5, 8))
     v = unit_rows(rng, 1, 8)[0]
     zs = score_neglabel(v, bank.rows(), bank.n_pos)

@@ -99,21 +99,21 @@ def test_adamw_three_steps_matches_hand_adam():
 
 def test_adamw_alpha_decays_toward_one():
     state = init_model(4, hidden=4, seed=0)
-    state.pos_head.alpha[:] = 2.0
-    state.pos_head.beta[:] = 2.0
+    state.arrays["pos_head.alpha"][:] = 2.0
+    state.arrays["pos_head.beta"][:] = 2.0
     params = state.params()
     opt = init_optimizer(state)
     cfg = TrainConfig(lr=0.1, weight_decay=0.5)
     zero = {k: np.zeros_like(p) for k, p in params.items()}
     adamw_step(params, zero, opt, cfg)
     # with zero gradients only the decoupled decay acts
-    assert np.all(state.pos_head.alpha < 2.0)
-    assert np.all(state.pos_head.alpha > 1.0)
-    assert np.all(state.pos_head.beta < 2.0)
+    assert np.all(state.arrays["pos_head.alpha"] < 2.0)
+    assert np.all(state.arrays["pos_head.alpha"] > 1.0)
+    assert np.all(state.arrays["pos_head.beta"] < 2.0)
     expected_alpha = 2.0 - cfg.lr * cfg.weight_decay * (2.0 - 1.0)
     expected_beta = 2.0 - cfg.lr * cfg.weight_decay * 2.0
-    assert np.allclose(state.pos_head.alpha, expected_alpha, atol=1e-15)
-    assert np.allclose(state.pos_head.beta, expected_beta, atol=1e-15)
+    assert np.allclose(state.arrays["pos_head.alpha"], expected_alpha, atol=1e-15)
+    assert np.allclose(state.arrays["pos_head.beta"], expected_beta, atol=1e-15)
 
 
 def test_adamw_shape_mismatch():

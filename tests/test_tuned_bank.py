@@ -156,21 +156,22 @@ def _outcome(fn):
 
 def _inf_rows(state, role):
     # a * c + b overflows to +Inf wherever c > ~0.06; the tuned row is then NaN
-    head = state.head(role)
-    head.alpha[:] = 1.7e308
-    head.beta[:] = 1.7e308
+    head = "pos_head" if role == "positive" else "neg_head"
+    state.arrays[f"{head}.alpha"][:] = 1.7e308
+    state.arrays[f"{head}.beta"][:] = 1.7e308
 
 
 def _zero_rows(state, role):
     # u stays finite but its squares underflow: the row norm is 0
-    head = state.head(role)
-    head.alpha[:] = 1e-200
-    head.beta[:] = 0.0
+    head = "pos_head" if role == "positive" else "neg_head"
+    state.arrays[f"{head}.alpha"][:] = 1e-200
+    state.arrays[f"{head}.beta"][:] = 0.0
 
 
 def _overflowed_squares(state, role):
     # u is finite but u * u overflows: norm Inf, and u / norm a finite row of zeros
-    state.head(role).beta[0] = 1e200
+    head = "pos_head" if role == "positive" else "neg_head"
+    state.arrays[f"{head}.beta"][0] = 1e200
 
 
 M = _BLOCK_ROWS + 3
