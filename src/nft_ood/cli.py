@@ -84,15 +84,9 @@ def _load_config_file(path, keys):
 
 
 def _merged(file_cfg, args, keys):
-    """The file's entries among keys, each overridden by its CLI flag if one was passed.
-
-    A key without a flag reads as None from args, so only the file sets it.
-    """
+    """The file's entries among keys, each overridden by its CLI flag if one was passed."""
     out = {k: file_cfg[k] for k in keys if k in file_cfg}
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
+    out.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
     return out
 
 
@@ -200,13 +194,10 @@ def cmd_select_crops(args):
     os.makedirs(args.out, exist_ok=True)
     train_rows = np.vstack([training.pos_features, training.neg_features])
     data_io.write_bank(os.path.join(args.out, "train.fbnk"), train_rows)
-    out_records = []
-    for i in range(training.n_pos):
-        out_records.append({"row": i, "id": f"train_pos_{i}", "role": "train_pos",
-                            "class": int(training.pos_labels[i])})
-    for i in range(training.n_neg):
-        out_records.append({"row": training.n_pos + i, "id": f"train_neg_{i}",
-                            "role": "train_neg"})
+    out_records = data_io.number_records([
+        ("train_pos", "train_pos", training.n_pos, training.pos_labels),
+        ("train_neg", "train_neg", training.n_neg, None),
+    ])
     data_io.write_manifest(os.path.join(args.out, "manifest.jsonl"), out_records)
     _echo_config(args.out, {"crops": args.crops, "labels": args.labels, "q": args.q})
     print(f"selected {training.n_pos} positive / {training.n_neg} negative crops")
@@ -302,8 +293,6 @@ def cmd_eval(args):
         out = report.to_dict()
         for key in ("auroc", "fpr95", "threshold"):
             out[key] = round(out[key], 4)
-        if args.gamma is not None:
-            out["gamma"] = args.gamma
     _write_json(args.out, out)
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
@@ -343,6 +332,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _add_field_flags(parser, cls):
+    """A --field-name flag for each field of cls, of the field's type and None unless passed."""
+    for f in fields(cls):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=f.type)
+
+
 def build_parser():
     p = _Parser(prog="nft-ood", description="Feature tuning for OOD detection")
     sub = p.add_subparsers(dest="command", required=True)
@@ -350,16 +345,7 @@ def build_parser():
     sp = sub.add_parser("synth", help="generate a synthetic embedding dataset")
     sp.add_argument("--config")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--n-classes", dest="n_classes", type=int)
-    sp.add_argument("--m-neg", dest="m_neg", type=int)
-    sp.add_argument("--shots", type=int)
-    sp.add_argument("--crops-per-sample", dest="crops_per_sample", type=int)
-    sp.add_argument("--select", type=int)
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--n-test-per-class", dest="n_test_per_class", type=int)
-    sp.add_argument("--n-test-ood", dest="n_test_ood", type=int)
+    _add_field_flags(sp, data_io.SynthConfig)
     sp.set_defaults(func=cmd_synth)
 
     mp = sub.add_parser("mine-neg", help="mine negative labels from a lexicon")
@@ -385,16 +371,7 @@ def build_parser():
     tp.add_argument("--out", required=True)
     tp.add_argument("--mode")
     tp.add_argument("--hidden", type=int)
-    tp.add_argument("--seed", type=int)
-    tp.add_argument("--lambda1", type=float)
-    tp.add_argument("--lambda2", type=float)
-    tp.add_argument("--lr", type=float)
-    tp.add_argument("--epochs", type=int)
-    tp.add_argument("--batch-size", dest="batch_size", type=int)
-    tp.add_argument("--tau-loss", dest="tau_loss", type=float)
-    tp.add_argument("--weight-decay", dest="weight_decay", type=float)
-    tp.add_argument("--kr-variant", dest="kr_variant", choices=KR_VARIANTS)
-    tp.add_argument("--kr-scope", dest="kr_scope", choices=("pos", "both"))
+    _add_field_flags(tp, TrainConfig)
     tp.set_defaults(func=cmd_train)
 
     scp = sub.add_parser("score", help="score image features")
@@ -412,7 +389,6 @@ def build_parser():
     ep.add_argument("--scores-id", dest="scores_id")
     ep.add_argument("--scores-ood", dest="scores_ood")
     ep.add_argument("--tpr", type=float, default=0.95)
-    ep.add_argument("--gamma", type=float)
     ep.add_argument("--pair", nargs=2, type=float, metavar=("FPR_A", "FPR_B"),
                     help="combine two FPR95 values with their harmonic mean")
     ep.add_argument("--out", required=True)

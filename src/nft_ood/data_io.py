@@ -94,6 +94,23 @@ def write_manifest(path, records):
         warnings.warn(f"dropped unknown manifest keys: {sorted(dropped)}")
 
 
+def number_records(parts):
+    """Manifest records for parts laid back to back, numbered from row 0.
+
+    Each part is (role, id prefix, row count, per-row classes or None); its
+    i-th row gets the id f"{prefix}_{i}" and, if classes are given, the
+    class classes[i].
+    """
+    records = []
+    for role, prefix, count, classes in parts:
+        for i in range(count):
+            rec = {"row": len(records), "id": f"{prefix}_{i}", "role": role}
+            if classes is not None:
+                rec["class"] = int(classes[i])
+            records.append(rec)
+    return records
+
+
 def _validate_record(rec, where):
     for key in ("row", "id", "role"):
         if key not in rec:
@@ -193,9 +210,9 @@ def _sphere(rng, n, dim):
     return normalize_rows(g)
 
 
-def _around(rng, proto, kappa, n, dim):
-    pts = proto + kappa * rng.standard_normal((n, dim))
-    return normalize_rows(pts)
+def _noisy(rng, protos, kappa):
+    """One unit row near each row of protos: protos + kappa N(0, 1), normalized."""
+    return normalize_rows(protos + kappa * rng.standard_normal(protos.shape))
 
 
 def synth_dataset(cfg):
@@ -218,9 +235,8 @@ def synth_dataset(cfg):
     n_fg = cfg.crops_per_sample - n_bg
     for c in range(n):
         for s in range(cfg.shots):
-            fg = _around(rng, pos_proto[c], cfg.kappa, n_fg, d)
-            bg_protos = neg_proto[rng.integers(0, m, size=n_bg)]
-            bg = normalize_rows(bg_protos + cfg.kappa * rng.standard_normal((n_bg, d)))
+            fg = _noisy(rng, pos_proto[np.full(n_fg, c)], cfg.kappa)
+            bg = _noisy(rng, neg_proto[rng.integers(0, m, size=n_bg)], cfg.kappa)
             feats = np.vstack([fg, bg])
             cs = CropSet(parent_id=f"train_{c}_{s}", label_index=c, features=feats)
             crop_sets.append(cs)
@@ -228,40 +244,18 @@ def synth_dataset(cfg):
     training = build_training_set(selections, crop_sets)
 
     test_id_classes = np.repeat(np.arange(n), cfg.n_test_per_class)
-    test_id = normalize_rows(
-        pos_proto[test_id_classes]
-        + cfg.kappa * rng.standard_normal((test_id_classes.size, d))
-    )
-    ood_protos = neg_proto[rng.integers(0, m, size=cfg.n_test_ood)]
-    test_ood = normalize_rows(
-        ood_protos + cfg.kappa * rng.standard_normal((cfg.n_test_ood, d))
-    )
+    test_id = _noisy(rng, pos_proto[test_id_classes], cfg.kappa)
+    test_ood = _noisy(rng, neg_proto[rng.integers(0, m, size=cfg.n_test_ood)], cfg.kappa)
 
     # manifest rows index the virtual concatenation [labels, train, test_id, test_ood]
-    records = []
-    row = 0
-    for i in range(n):
-        records.append({"row": row, "id": f"pos_{i}", "role": "pos_label", "class": i})
-        row += 1
-    for j in range(m):
-        records.append({"row": row, "id": f"neg_{j}", "role": "neg_label"})
-        row += 1
-    for i in range(training.n_pos):
-        records.append({
-            "row": row, "id": f"train_pos_{i}", "role": "train_pos",
-            "class": int(training.pos_labels[i]),
-        })
-        row += 1
-    for i in range(training.n_neg):
-        records.append({"row": row, "id": f"train_neg_{i}", "role": "train_neg"})
-        row += 1
-    for i, c in enumerate(test_id_classes):
-        records.append({"row": row, "id": f"test_id_{i}", "role": "test_id",
-                        "class": int(c)})
-        row += 1
-    for i in range(cfg.n_test_ood):
-        records.append({"row": row, "id": f"test_ood_{i}", "role": "test_ood"})
-        row += 1
+    records = number_records([
+        ("pos_label", "pos", n, range(n)),
+        ("neg_label", "neg", m, None),
+        ("train_pos", "train_pos", training.n_pos, training.pos_labels),
+        ("train_neg", "train_neg", training.n_neg, None),
+        ("test_id", "test_id", test_id_classes.size, test_id_classes),
+        ("test_ood", "test_ood", cfg.n_test_ood, None),
+    ])
 
     return SynthResult(
         bank=bank,

@@ -59,10 +59,17 @@ def _chunk_rows(dim):
     return max(1, _CHUNK_ELEMS // max(dim, 1))
 
 
+def _check_tau(name, tau):
+    """tau must be > 0 (NaN is not) and finite: at inf every label's logit is 0."""
+    if not tau > 0:
+        raise NonPositiveTemperature(f"{name} must be > 0, got {tau}")
+    if tau == math.inf:
+        raise NonPositiveTemperature(f"{name} must be finite, got {tau}")
+
+
 def _check_neglabel(k, n_pos, tau_score, finite):
     """NegLabel's checks on a bank of k rows: tau, NaN/Inf, then its two parts."""
-    if not tau_score > 0:  # also rejects NaN
-        raise NonPositiveTemperature(f"tau_score must be > 0, got {tau_score}")
+    _check_tau("tau_score", tau_score)
     if not finite:
         raise NonFiniteInput("input contains NaN or Inf")
     if n_pos < 1:
@@ -152,8 +159,7 @@ def _mcm_block(cos, tau):
     max(e) / sum(e) equals the max of the softmax e / sum(e) bit for bit,
     because rounded division by a positive number is monotone.
     """
-    if not tau > 0:  # also rejects NaN
-        raise NonPositiveTemperature(f"tau must be > 0, got {tau}")
+    _check_tau("tau", tau)
     x = as_f64(cos) / tau
     e = np.exp(x - np.max(x, axis=1)[:, None])
     return (np.max(e, axis=1) / np.sum(e, axis=1)).tolist()

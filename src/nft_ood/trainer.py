@@ -177,12 +177,17 @@ def train(state, bank, train_set, cfg):
     params = state.params()
     trace = LossTrace()
     step = 0
-    for epoch in range(cfg.epochs):
-        for batch in make_batches(train_set, cfg.batch_size, cfg.seed, epoch):
-            report, grads = backward(state, bank, batch, cfg)
-            adamw_step(params, grads, opt, cfg)
-            trace.append(epoch, step, report)
-            step += 1
+    # a diverging run overflows; the loss check below reports it instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            for batch in make_batches(train_set, cfg.batch_size, cfg.seed, epoch):
+                report, grads = backward(state, bank, batch, cfg)
+                if not math.isfinite(report.total):
+                    raise NumericError(f"training diverged: total loss {report.total} "
+                                       f"at epoch {epoch} step {step}")
+                adamw_step(params, grads, opt, cfg)
+                trace.append(epoch, step, report)
+                step += 1
     ckpt = Checkpoint(
         model=state,
         config=asdict(cfg),

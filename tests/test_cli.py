@@ -4,6 +4,8 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,11 +21,11 @@ from nft_ood.cli import (
     _training_from_dir,
     main,
 )
-from nft_ood.data_io import read_bank, read_manifest, write_bank, write_manifest
+from nft_ood.data_io import SynthConfig, read_bank, read_manifest, write_bank, write_manifest
 from nft_ood.model import Checkpoint, FeatureBank, init_model, save_checkpoint
 from nft_ood.objectives import finite_diff_grad, max_relative_error
 from nft_ood.scoring import score_many
-from nft_ood.trainer import gradcheck_instance
+from nft_ood.trainer import TrainConfig, gradcheck_instance
 
 
 def run(*argv):
@@ -189,6 +191,12 @@ def test_select_crops_cli(tmp_path):
     assert mat.shape == (8, 8)  # 2 parents x q=2 top + q=2 bottom
     assert sum(r["role"] == "train_pos" for r in back) == 4
     assert sum(r["role"] == "train_neg" for r in back) == 4
+    expected = (
+        [{"class": c, "id": f"train_pos_{i}", "role": "train_pos", "row": i}
+         for i, c in enumerate([0, 0, 1, 1])]
+        + [{"id": f"train_neg_{i}", "role": "train_neg", "row": 4 + i} for i in range(4)])
+    assert (out / "manifest.jsonl").read_text() == "".join(
+        json.dumps(r, sort_keys=True) + "\n" for r in expected)
 
 
 # ---- train ----
@@ -244,6 +252,51 @@ def test_train_non_finite_value_is_usage_error(synth_dir, tmp_path, capsys, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["const_shift", "vec_shift", "scale_shift", "mlp"])
+def test_train_divergence_is_numeric_error(synth_dir, tmp_path, capsys, mode):
+    # once exit 0 with an all-NaN checkpoint and 8 lines of overflow warnings
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("train", "--data", str(synth_dir), "--out", str(out), "--mode", mode,
+                   "--lr", "1e100", "--epochs", "1") == EXIT_NUMERIC
+    assert_one_line(capsys.readouterr().err, "diverged", "epoch 0 step")
+    assert not out.exists()
+
+
+def test_train_unknown_kr_scope_is_usage_error(synth_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run("train", "--data", str(synth_dir), "--out", str(out),
+               "--kr-scope", "neither") == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, "error: unknown kr_scope 'neither'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, cls", [("synth", SynthConfig), ("train", TrainConfig)])
+def test_every_config_field_has_its_flag(cmd, cls):
+    for f in fields(cls):
+        args = cli.build_parser().parse_args(
+            [cmd, "--out", "o", "--" + f.name.replace("_", "-"), str(f.default)])
+        assert getattr(args, f.name) == f.default
+
+
+@pytest.mark.parametrize("cmd, key, value", [
+    ("synth", "background_fraction", 0.25),
+    ("train", "beta1", 0.8),
+])
+def test_flag_echoes_the_config_file_value(synth_dir, tmp_path, cmd, key, value):
+    data = ["--data", str(synth_dir), "--epochs", "1"] if cmd == "train" else []
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    by_file, by_flag = tmp_path / "file", tmp_path / "flag"
+    assert run(cmd, *data, "--config", str(cfg_path), "--out", str(by_file)) == EXIT_OK
+    assert run(cmd, *data, "--" + key.replace("_", "-"), str(value),
+               "--out", str(by_flag)) == EXIT_OK
+    echoed = (by_flag / "config.json").read_text()
+    assert echoed == (by_file / "config.json").read_text()
+    assert json.loads(echoed)[key] == value
+
+
 def test_train_requires_data(tmp_path):
     assert run("train", "--out", str(tmp_path / "t")) == EXIT_USAGE
 
@@ -286,7 +339,7 @@ def test_train_replays_its_echoed_config(synth_dir, tmp_path):
     assert run("train", "--data", str(synth_dir), "--out", str(first), "--epochs", "1",
                "--mode", "vec_shift") == EXIT_OK
     echoed = json.loads((first / "config.json").read_text())
-    echoed.update(beta1=0.5, beta2=0.9, adam_eps=1e-6)  # keys with no flag of their own
+    echoed.update(beta1=0.5, beta2=0.9, adam_eps=1e-6)  # keys the first run left at default
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(echoed))
     again = tmp_path / "again"
@@ -483,6 +536,20 @@ def test_score_nan_tau_is_usage_error(tmp_path, capsys, method):
                "--method", method, "--tau-score", "nan",
                "--out", str(tmp_path / "s.csv")) == EXIT_USAGE
     assert_one_line(capsys.readouterr().err, "must be > 0, got nan")
+
+
+@pytest.mark.parametrize("method", ["neglabel", "mcm", "krnft"])
+def test_score_infinite_tau_is_usage_error(tmp_path, capsys, method):
+    # once exit 0 with every image scored alike
+    d = tiny_bank_dir(tmp_path, n_pos=2)
+    write_bank(tmp_path / "imgs.fbnk", np.eye(4)[:2])
+    save_checkpoint(Checkpoint(model=init_model(4, hidden=4, seed=0)), tmp_path / "c.nftc")
+    out = tmp_path / "s.csv"
+    assert run("score", "--bank", str(d), "--images", str(tmp_path / "imgs.fbnk"),
+               "--method", method, "--checkpoint", str(tmp_path / "c.nftc"),
+               "--tau-score", "inf", "--out", str(out)) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, "must be finite, got inf")
+    assert not out.exists()
 
 
 def test_score_missing_bank_is_data_error(tmp_path):
@@ -758,7 +825,10 @@ def test_internal_error_exits_4_with_its_traceback(tmp_path, capsys, monkeypatch
     (["train", "--lr", "x", "--out", "o"], "--lr"),
     (["eval", "--pair", "0.5", "-inf", "--out", "o"], "--pair"),  # -inf reads as a flag
     (["eval", "--pair", "0.5", "1"], "--out"),
-], ids=["command", "flag", "float", "pair", "missing-out"])
+    # once echoed unchecked into the metrics JSON, NaN included
+    (["eval", "--scores-id", "a.csv", "--scores-ood", "b.csv", "--gamma", "0.5",
+      "--out", "o"], "--gamma"),
+], ids=["command", "flag", "float", "pair", "missing-out", "eval-gamma"])
 def test_unknown_arguments_exit_usage(capsys, argv, needle):
     # once the subcommand's whole usage block: 3 to 9 lines
     assert run(*argv) == EXIT_USAGE
