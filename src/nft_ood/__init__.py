@@ -12,14 +12,12 @@ from .model import (
     init_model,
     load_checkpoint,
     save_checkpoint,
-    transform,
     transform_bank,
 )
 from .objectives import Batch, LossReport, backward, finite_diff_grad, total_loss
 from .scoring import (
     MetricReport,
     auroc,
-    decide,
     evaluate,
     fpr_at_tpr,
     hmean,
@@ -40,7 +38,6 @@ __all__ = [
     "TrainingSet",
     "auroc",
     "backward",
-    "decide",
     "evaluate",
     "finite_diff_grad",
     "fpr_at_tpr",
@@ -53,7 +50,6 @@ __all__ = [
     "score_neglabel",
     "total_loss",
     "train",
-    "transform",
     "transform_bank",
 ]
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, InvalidConfig, SchemaError, ZeroNorm
-from .mining import CropSet, build_training_set, select_outliers
+from .mining import CropSet, build_training_set
 from .model import FeatureBank, TrainingSet
 from .numerics import as_f64, normalize_rows
 
@@ -230,7 +230,6 @@ def synth_dataset(cfg):
     bank = FeatureBank.from_rows(pos_proto, neg_proto)
 
     crop_sets = []
-    selections = []
     n_bg = int(round(cfg.crops_per_sample * cfg.background_fraction))
     n_fg = cfg.crops_per_sample - n_bg
     for c in range(n):
@@ -238,10 +237,8 @@ def synth_dataset(cfg):
             fg = _noisy(rng, pos_proto[np.full(n_fg, c)], cfg.kappa)
             bg = _noisy(rng, neg_proto[rng.integers(0, m, size=n_bg)], cfg.kappa)
             feats = np.vstack([fg, bg])
-            cs = CropSet(parent_id=f"train_{c}_{s}", label_index=c, features=feats)
-            crop_sets.append(cs)
-            selections.append(select_outliers(cs, pos_proto[c], cfg.select))
-    training = build_training_set(selections, crop_sets)
+            crop_sets.append(CropSet(parent_id=f"train_{c}_{s}", label_index=c, features=feats))
+    training = build_training_set(crop_sets, pos_proto, cfg.select)
 
     test_id_classes = np.repeat(np.arange(n), cfg.n_test_per_class)
     test_id = _noisy(rng, pos_proto[test_id_classes], cfg.kappa)

@@ -36,11 +36,8 @@ class CropSet:
 
 @dataclass
 class SelectionResult:
-    parent_id: str
-    label_index: int
     top_indices: np.ndarray
     bottom_indices: np.ndarray
-    similarities: np.ndarray
 
 
 def mine_negative_labels(lexicon, id_bank_pos, m, stat="max", quantile=None):
@@ -93,30 +90,25 @@ def select_outliers(crops, label_feature, q):
     remaining = np.setdiff1d(np.arange(p), top)
     asc = remaining[np.argsort(sims[remaining], kind="mergesort")]
     bottom = np.sort(asc[:q])
-    return SelectionResult(
-        parent_id=crops.parent_id,
-        label_index=crops.label_index,
-        top_indices=top,
-        bottom_indices=bottom,
-        similarities=sims,
-    )
+    return SelectionResult(top_indices=top, bottom_indices=bottom)
 
 
-def build_training_set(selections, crop_sets):
-    """D_p (top crops with their class) and D_n (bottom crops) of each selection and its
-    crop set, selections[i] of crop_sets[i]: one parent may hold crops of several classes."""
-    pos_feats = []
-    pos_labels = []
-    neg_feats = []
-    for sel, cs in zip(selections, crop_sets, strict=True):
-        for i in sel.top_indices:
-            pos_feats.append(cs.features[i])
-            pos_labels.append(sel.label_index)
-        for i in sel.bottom_indices:
-            neg_feats.append(cs.features[i])
-    dim = crop_sets[0].features.shape[1] if crop_sets else 0
+def build_training_set(crop_sets, label_rows, q):
+    """The paper's D_p and D_n: of each crop set, the q crops most similar to
+    label_rows[label_index] (each with that class) and the q least similar.
+
+    Rows follow the crop-set order; one parent may hold crops of several
+    classes, one crop set per class. No crop sets give empty sets of width D.
+    """
+    dim = label_rows.shape[1]
+    pos, labels, neg = [np.empty((0, dim))], [np.empty(0, dtype=int)], [np.empty((0, dim))]
+    for cs in crop_sets:
+        sel = select_outliers(cs, label_rows[cs.label_index], q)
+        pos.append(cs.features[sel.top_indices])
+        labels.append(np.full(q, cs.label_index, dtype=int))
+        neg.append(cs.features[sel.bottom_indices])
     return TrainingSet(
-        pos_features=np.array(pos_feats).reshape(-1, dim),
-        pos_labels=np.array(pos_labels, dtype=int),
-        neg_features=np.array(neg_feats).reshape(-1, dim),
+        pos_features=np.concatenate(pos),
+        pos_labels=np.concatenate(labels),
+        neg_features=np.concatenate(neg),
     )

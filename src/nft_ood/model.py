@@ -250,19 +250,6 @@ def _tune_rows(c_rows, a, b, out, sq):
     return finite
 
 
-def transform(state, c, v, role):
-    """Tuned feature for one text feature c, conditioned on image feature v."""
-    if role not in ROLES:
-        raise DimMismatch(f"unknown role {role!r}")
-    c = as_f64(c)
-    v = as_f64(v)
-    if c.shape != (state.dim,) or v.shape != (state.dim,):
-        raise DimMismatch("c and v must both have the model dimension")
-    out = np.empty((1, state.dim))
-    _tune_rows(c[None, :], *role_terms(state, role, v, c[None, :])[:2], out, np.empty_like(out))
-    return out[0]
-
-
 def transform_bank(state, bank, v):
     """Tuned bank: positive rows with the positive head/net, negative with the negative.
 

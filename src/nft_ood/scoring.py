@@ -67,9 +67,8 @@ def _check_tau(name, tau):
         raise NonPositiveTemperature(f"{name} must be finite, got {tau}")
 
 
-def _check_neglabel(k, n_pos, tau_score, finite):
-    """NegLabel's checks on a bank of k rows: tau, NaN/Inf, then its two parts."""
-    _check_tau("tau_score", tau_score)
+def _check_neglabel(k, n_pos, finite):
+    """NegLabel's checks on a bank of k rows: NaN/Inf, then its two parts."""
     if not finite:
         raise NonFiniteInput("input contains NaN or Inf")
     if n_pos < 1:
@@ -78,10 +77,10 @@ def _check_neglabel(k, n_pos, tau_score, finite):
         raise NoNegativeLabels("NegLabel score requires negative label rows")
 
 
-def _neglabel_rows(bank_rows, n_pos, tau_score):
+def _neglabel_rows(bank_rows, n_pos):
     """The bank as float64, checked for NegLabel scoring."""
     bank_rows = np.asarray(bank_rows, dtype=np.float64)
-    _check_neglabel(bank_rows.shape[0], n_pos, tau_score, np.all(np.isfinite(bank_rows)))
+    _check_neglabel(bank_rows.shape[0], n_pos, np.all(np.isfinite(bank_rows)))
     return bank_rows
 
 
@@ -106,7 +105,7 @@ def _grid_cosines(rows):
     return cosines
 
 
-def _tuned_cosines(state, bank, tau_score):
+def _tuned_cosines(state, bank):
     """cosines(v, c) writing the cosines of v with its tuned bank into c.
 
     The tuned bank is never built: each chunk of the grid is tuned into one
@@ -131,7 +130,7 @@ def _tuned_cosines(state, bank, tau_score):
                 if lo < hi:
                     finite &= _tune_rows(rows[lo:hi], a, b, chunk[lo - r : hi - r], sq)
             np.dot(chunk[: e - r], v, out=c[r:e])
-        _check_neglabel(k, n, tau_score, finite)
+        _check_neglabel(k, n, finite)
 
     return cosines
 
@@ -159,7 +158,6 @@ def _mcm_block(cos, tau):
     max(e) / sum(e) equals the max of the softmax e / sum(e) bit for bit,
     because rounded division by a positive number is monotone.
     """
-    _check_tau("tau", tau)
     x = as_f64(cos) / tau
     e = np.exp(x - np.max(x, axis=1)[:, None])
     return (np.max(e, axis=1) / np.sum(e, axis=1)).tolist()
@@ -194,17 +192,20 @@ def score_neglabel(v, bank_rows, n_pos, tau_score=1.0):
     Algebraically identical to the ratio of exponentiated positive
     similarities to the total over positive plus negative labels.
     """
-    rows = _neglabel_rows(bank_rows, n_pos, tau_score)
+    _check_tau("tau_score", tau_score)
+    rows = _neglabel_rows(bank_rows, n_pos)
     return _score_one(v, rows, partial(_neglabel_block, n_pos=n_pos, tau_score=tau_score))
 
 
 def score_mcm(v, pos_rows, tau=1.0):
     """Maximum softmax probability over positive label similarities."""
+    _check_tau("tau", tau)
     return _score_one(v, _mcm_rows(pos_rows), partial(_mcm_block, tau=tau))
 
 
 def score_krnft(state, v, bank, tau_score=1.0):
     """NegLabel score on the image-conditionally tuned bank."""
+    _check_tau("tau_score", tau_score)
     rows = transform_bank(state, bank, v)
     return score_neglabel(v, rows, bank.n_pos, tau_score)
 
@@ -225,29 +226,25 @@ def score_many(images, method, bank, state=None, tau_score=1.0):
     images = as_f64(np.atleast_2d(images))
     if images.shape[1] != bank.dim:
         raise DimMismatch("image features do not match bank dimension")
+    if method not in ("mcm", "neglabel", "krnft"):
+        raise EmptyInput(f"unknown scoring method {method!r}")
+    if method == "krnft" and state is None:
+        raise EmptyInput("krnft scoring requires a model state")
+    # before any image, so an empty image set cannot hide a bad temperature
+    _check_tau("tau_score", tau_score)
     reduce = partial(_neglabel_block, n_pos=bank.n_pos, tau_score=tau_score)
     if method == "mcm":
         rows, reduce = _mcm_rows(bank.pos), partial(_mcm_block, tau=tau_score)
     elif method == "neglabel":
         rows = bank.rows()  # from_rows rejected NaN and Inf
-        _check_neglabel(rows.shape[0], bank.n_pos, tau_score, True)
-    elif method == "krnft":
-        if state is None:
-            raise EmptyInput("krnft scoring requires a model state")
-        if state.mode in IMAGE_INDEPENDENT_MODES and images.shape[0]:
-            rows = transform_bank(state, bank, images[0])  # any image: it is unused
-            rows = _neglabel_rows(rows, bank.n_pos, tau_score)
-        else:
-            k = bank.n_pos + bank.n_neg
-            return _blocked_scores(images, k, _tuned_cosines(state, bank, tau_score), reduce)
+        _check_neglabel(rows.shape[0], bank.n_pos, True)
+    elif state.mode in IMAGE_INDEPENDENT_MODES and images.shape[0]:
+        rows = transform_bank(state, bank, images[0])  # any image: it is unused
+        rows = _neglabel_rows(rows, bank.n_pos)
     else:
-        raise EmptyInput(f"unknown scoring method {method!r}")
+        k = bank.n_pos + bank.n_neg
+        return _blocked_scores(images, k, _tuned_cosines(state, bank), reduce)
     return _blocked_scores(images, rows.shape[0], _grid_cosines(rows), reduce)
-
-
-def decide(score, gamma):
-    """'ID' iff score >= gamma (threshold inclusive)."""
-    return "ID" if score >= gamma else "OOD"
 
 
 def _sorted_sides(id_scores, ood_scores, tpr=None):

@@ -65,7 +65,7 @@ def mlp_residual(state, role, c_rows):
     return h @ p("net.w_beta").T + p("net.b_beta")
 
 
-def _transform_rows(state, c_rows, v, role):
+def transform_rows(state, c_rows, v, role):
     c_rows = np.atleast_2d(c_rows)
     if c_rows.shape[1] != state.dim:
         raise DimMismatch(
@@ -87,9 +87,9 @@ def transform_bank(state, bank, v):
     v = as_f64(v)
     if bank.dim != state.dim or v.shape != (state.dim,):
         raise DimMismatch("bank, model and image feature dimensions must agree")
-    parts = [_transform_rows(state, bank.pos, v, "positive")]
+    parts = [transform_rows(state, bank.pos, v, "positive")]
     if bank.n_neg:
-        parts.append(_transform_rows(state, bank.neg, v, "negative"))
+        parts.append(transform_rows(state, bank.neg, v, "negative"))
     return np.vstack(parts)
 
 

@@ -22,7 +22,7 @@ from nft_ood.cli import (
     main,
 )
 from nft_ood.data_io import SynthConfig, read_bank, read_manifest, write_bank, write_manifest
-from nft_ood.model import Checkpoint, FeatureBank, init_model, save_checkpoint
+from nft_ood.model import MODES, Checkpoint, FeatureBank, init_model, save_checkpoint
 from nft_ood.objectives import finite_diff_grad, max_relative_error
 from nft_ood.scoring import score_many
 from nft_ood.trainer import TrainConfig, gradcheck_instance
@@ -484,6 +484,15 @@ def test_select_crops_class_outside_labels_is_data_error(tmp_path, capsys, cls):
     assert not (tmp_path / "training").exists()
 
 
+def test_select_crops_empty_manifest_is_data_error(tmp_path, capsys):
+    # once exit 4: the training-set copy could not reshape zero rows
+    argv = select_crops_argv(tmp_path)
+    (tmp_path / "crops.jsonl").write_text("")
+    assert run(*argv) == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, str(tmp_path / "crops.jsonl"), "no crop rows")
+    assert not (tmp_path / "training").exists()
+
+
 # ---- score ----
 
 
@@ -549,6 +558,23 @@ def test_score_infinite_tau_is_usage_error(tmp_path, capsys, method):
                "--method", method, "--checkpoint", str(tmp_path / "c.nftc"),
                "--tau-score", "inf", "--out", str(out)) == EXIT_USAGE
     assert_one_line(capsys.readouterr().err, "must be finite, got inf")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, mode", [("mcm", None), ("neglabel", None)]
+                         + [("krnft", mode) for mode in MODES])
+@pytest.mark.parametrize("tau", ["-1", "nan"])
+def test_score_bad_tau_without_images_is_usage_error(tmp_path, capsys, method, mode, tau):
+    # once exit 0 with a header-only CSV for every method but neglabel
+    d = tiny_bank_dir(tmp_path, n_pos=2)
+    write_bank(tmp_path / "imgs.fbnk", np.zeros((0, 4)))
+    state = init_model(4, hidden=4, mode=mode or "scale_shift", seed=0)
+    save_checkpoint(Checkpoint(model=state), tmp_path / "c.nftc")
+    out = tmp_path / "s.csv"
+    assert run("score", "--bank", str(d), "--images", str(tmp_path / "imgs.fbnk"),
+               "--method", method, "--checkpoint", str(tmp_path / "c.nftc"),
+               "--tau-score", tau, "--out", str(out)) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, "must be > 0, got")
     assert not out.exists()
 
 
@@ -776,6 +802,14 @@ def test_gradcheck_passes(capsys):
                "--instances", "2") == EXIT_OK
     out = capsys.readouterr().out
     assert "ok" in out and "FAIL" not in out
+    assert out.splitlines()[-1].endswith(" tolerance=1.0e-04")
+
+
+def test_gradcheck_tolerance_is_not_a_flag(capsys):
+    # a --tolerance flag once let a run pass a check that fails at 1e-4
+    assert run("gradcheck", "--mode", "const_shift", "--instances", "1",
+               "--tolerance", "1") == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, "--tolerance")
 
 
 def test_gradcheck_replays_acceptance_instances(capsys):

@@ -39,6 +39,23 @@ def oracle_select(features, label_feature, q):
     return np.array(top), np.array(bottom)
 
 
+def oracle_training_set(crop_sets, label_rows, q):
+    """D_p features, D_p labels and D_n features, each selected crop copied one row at a time."""
+    pos_feats = []
+    pos_labels = []
+    neg_feats = []
+    for cs in crop_sets:
+        sel = select_outliers(cs, label_rows[cs.label_index], q)
+        for i in sel.top_indices:
+            pos_feats.append(cs.features[i])
+            pos_labels.append(cs.label_index)
+        for i in sel.bottom_indices:
+            neg_feats.append(cs.features[i])
+    dim = label_rows.shape[1]
+    return (np.array(pos_feats).reshape(-1, dim), np.array(pos_labels, dtype=int),
+            np.array(neg_feats).reshape(-1, dim))
+
+
 # ---- mining ----
 
 
@@ -143,10 +160,9 @@ def test_select_invariants():
         feats = unit_rows(rng, 12, 6)
         label = unit_rows(rng, 1, 6)[0]
         sel = select_outliers(CropSet("s", 0, feats), label, 3)
+        sims = feats @ label
         assert not set(sel.top_indices) & set(sel.bottom_indices)
-        assert sel.similarities[sel.top_indices].min() >= (
-            sel.similarities[sel.bottom_indices].max() - 1e-12
-        )
+        assert sims[sel.top_indices].min() >= sims[sel.bottom_indices].max() - 1e-12
 
 
 def test_select_q_too_large():
@@ -161,9 +177,9 @@ def test_select_q_too_large():
 
 def test_build_training_set_minimal():
     feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-    cs = CropSet("only", 5, feats)
-    sel = select_outliers(cs, np.array([1.0, 0.0]), 1)
-    ts = build_training_set([sel], [cs])
+    label_rows = np.zeros((6, 2))
+    label_rows[5] = [1.0, 0.0]
+    ts = build_training_set([CropSet("only", 5, feats)], label_rows, 1)
     assert ts.n_pos == 1 and ts.n_neg == 1
     assert ts.pos_labels.tolist() == [5]
     assert np.array_equal(ts.pos_features[0], feats[0])
@@ -173,27 +189,48 @@ def test_build_training_set_minimal():
 def test_build_training_set_kq_arithmetic():
     # S=4 shots x N=2 classes -> K=8 samples; Q=2 -> 16 positives
     rng = np.random.default_rng(78)
-    crop_sets = []
-    selections = []
-    for c in range(2):
-        label = unit_rows(rng, 1, 8)[0]
-        for s in range(4):
-            cs = CropSet(f"img_{c}_{s}", c, unit_rows(rng, 6, 8))
-            crop_sets.append(cs)
-            selections.append(select_outliers(cs, label, 2))
-    ts = build_training_set(selections, crop_sets)
+    label_rows = unit_rows(rng, 2, 8)
+    crop_sets = [CropSet(f"img_{c}_{s}", c, unit_rows(rng, 6, 8))
+                 for c in range(2) for s in range(4)]
+    ts = build_training_set(crop_sets, label_rows, 2)
     assert ts.n_pos == 16
     assert ts.n_neg == 16
     assert sorted(set(ts.pos_labels.tolist())) == [0, 1]
+
+
+def _synth_shaped(rng):
+    # the default synth config: 8 classes x 4 shots of 16 crops, D=32, q=4
+    label_rows = unit_rows(rng, 8, 32)
+    return [CropSet(f"train_{c}_{s}", c, unit_rows(rng, 16, 32))
+            for c in range(8) for s in range(4)], label_rows, 4
+
+
+def _one_parent_two_classes(rng):
+    feats = unit_rows(rng, 10, 8)
+    crop_sets = [CropSet("img_0", 0, feats[:4]), CropSet("img_0", 1, feats[4:])]
+    return crop_sets, unit_rows(rng, 2, 8), 1
+
+
+def _no_crop_sets(rng):
+    return [], unit_rows(rng, 3, 8), 2
+
+
+@pytest.mark.parametrize("inputs", [_synth_shaped, _one_parent_two_classes, _no_crop_sets])
+def test_build_training_set_matches_row_loop(inputs):
+    crop_sets, label_rows, q = inputs(np.random.default_rng(80))
+    ts = build_training_set(crop_sets, label_rows, q)
+    pos, labels, neg = oracle_training_set(crop_sets, label_rows, q)
+    assert np.array_equal(ts.pos_features, pos)
+    assert np.array_equal(ts.pos_labels, labels)
+    assert np.array_equal(ts.neg_features, neg)
+    assert ts.pos_features.shape[1] == ts.neg_features.shape[1] == label_rows.shape[1]
 
 
 def test_training_set_manifest_round_trip(tmp_path):
     from nft_ood.data_io import read_bank, read_manifest, write_bank, write_manifest
 
     rng = np.random.default_rng(79)
-    cs = CropSet("p", 1, unit_rows(rng, 8, 8))
-    sel = select_outliers(cs, unit_rows(rng, 1, 8)[0], 2)
-    ts = build_training_set([sel], [cs])
+    ts = build_training_set([CropSet("p", 1, unit_rows(rng, 8, 8))], unit_rows(rng, 2, 8), 2)
 
     bank_path = tmp_path / "train.fbnk"
     man_path = tmp_path / "manifest.jsonl"

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import bank_reference
 from conftest import unit_rows
 from nft_ood.errors import DimMismatch, FormatError, InvalidDim, ZeroNorm
 from nft_ood.model import (
@@ -17,7 +18,6 @@ from nft_ood.model import (
     role_terms,
     save_checkpoint,
     states_equal,
-    transform,
     transform_bank,
 )
 from nft_ood.scoring import score_many
@@ -27,6 +27,11 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def small_bank(rng, n=3, m=4, d=8):
     return FeatureBank.from_rows(unit_rows(rng, n, d), unit_rows(rng, m, d))
+
+
+def tune_one(state, c, v):
+    """c tuned as the positive row of a one-row bank, conditioned on image feature v."""
+    return transform_bank(state, FeatureBank.from_rows(c, []), v)[0]
 
 
 # ---- FeatureBank ----
@@ -71,9 +76,6 @@ def test_identity_at_init(mode):
         v = unit_rows(rng, 1, 8)[0]
         out = transform_bank(state, bank, v)
         assert np.max(np.abs(out - bank.rows())) < 1e-12
-        c = unit_rows(rng, 1, 8)[0]
-        for role in ("positive", "negative"):
-            assert np.max(np.abs(transform(state, c, v, role) - c)) < 1e-12
 
 
 def test_init_deterministic():
@@ -134,7 +136,7 @@ def test_metanet_hand_oracle():
 def test_metanet_wrong_length_rejected():
     state = init_model(8, hidden=4, seed=1)
     with pytest.raises(DimMismatch):
-        transform(state, np.ones(8) / np.sqrt(8), np.ones(5), "positive")
+        tune_one(state, np.ones(8) / np.sqrt(8), np.ones(5))
 
 
 # ---- transform ----
@@ -146,7 +148,7 @@ def test_uniform_scaling_removed_by_normalization():
     rng = np.random.default_rng(7)
     c = unit_rows(rng, 1, 6)[0]
     v = unit_rows(rng, 1, 6)[0]
-    assert np.allclose(transform(state, c, v, "positive"), c, atol=1e-12)
+    assert np.allclose(tune_one(state, c, v), c, atol=1e-12)
 
 
 def test_shift_by_basis_vector_oracle():
@@ -154,16 +156,9 @@ def test_shift_by_basis_vector_oracle():
     state.arrays["pos_head.beta"][0] = 1.0
     c = np.array([0.0, 1.0, 0.0, 0.0])
     v = np.array([1.0, 0.0, 0.0, 0.0])
-    out = transform(state, c, v, "positive")
+    out = tune_one(state, c, v)
     root_half = np.sqrt(2.0) / 2.0
     assert np.allclose(out, [root_half, root_half, 0.0, 0.0], atol=1e-12)
-
-
-def test_transform_rejects_unknown_role():
-    state = init_model(4, seed=0)
-    c = np.array([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(DimMismatch):
-        transform(state, c, c, "sideways")
 
 
 def test_transform_degenerate_parameters_raise():
@@ -171,7 +166,7 @@ def test_transform_degenerate_parameters_raise():
     state.arrays["pos_head.alpha"][:] = 0.0  # alpha*c + beta == 0
     c = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ZeroNorm):
-        transform(state, c, c, "positive")
+        tune_one(state, c, c)
 
 
 # ---- transform_bank ----
@@ -188,10 +183,10 @@ def test_transform_bank_matches_row_by_row(mode):
     out = transform_bank(state, bank, v)
     # batched matmul may differ from row-at-a-time in the last float bit
     for i in range(2):
-        row = transform(state, bank.pos[i], v, "positive")
+        row = bank_reference.transform_rows(state, bank.pos[i], v, "positive")[0]
         assert np.max(np.abs(out[i] - row)) < 1e-12
     for j in range(3):
-        row = transform(state, bank.neg[j], v, "negative")
+        row = bank_reference.transform_rows(state, bank.neg[j], v, "negative")[0]
         assert np.max(np.abs(out[2 + j] - row)) < 1e-12
 
 
@@ -232,12 +227,12 @@ def test_joint_rescale_invariance():
     state.arrays["pos_head.beta"][:] = rng.standard_normal(6) * 0.3
     c = unit_rows(rng, 1, 6)[0]
     v = unit_rows(rng, 1, 6)[0]
-    base = transform(state, c, v, "positive")
+    base = tune_one(state, c, v)
     for k in (2.0, 0.25, 17.0):
         scaled = state.copy()
         scaled.arrays["pos_head.alpha"][:] *= k
         scaled.arrays["pos_head.beta"][:] *= k
-        assert np.allclose(transform(scaled, c, v, "positive"), base, atol=1e-10)
+        assert np.allclose(tune_one(scaled, c, v), base, atol=1e-10)
 
 
 def test_transform_bank_dim_mismatch():

@@ -16,7 +16,6 @@ from nft_ood.numerics import as_f64, sigmoid
 from nft_ood.scoring import (
     _BLOCK_ELEMS,
     auroc,
-    decide,
     evaluate,
     fpr_at_tpr,
     hmean,
@@ -270,12 +269,6 @@ def test_score_many_unknown_method():
     bank = FeatureBank.from_rows(unit_rows(rng, 2, 8), unit_rows(rng, 2, 8))
     with pytest.raises(EmptyInput):
         score_many(unit_rows(rng, 2, 8), "bogus", bank)
-
-
-def test_decide_boundary_inclusive():
-    assert decide(0.9, 0.5) == "ID"
-    assert decide(0.5, 0.5) == "ID"
-    assert decide(0.1, 0.5) == "OOD"
 
 
 # ---- metrics ----

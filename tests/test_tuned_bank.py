@@ -100,7 +100,7 @@ def test_score_many_on_the_chunk_grid_matches_per_image_paths(mode):
     for v in images if mode not in IMAGE_INDEPENDENT_MODES else ():
         # the fused path's cosines: a product over all K rows differs from the
         # grid's in the last bits of a few, too few to show in a score
-        _tuned_cosines(state, bank, 1.0)(v, cos)
+        _tuned_cosines(state, bank)(v, cos)
         rows = transform_bank(state, bank, v)
         assert np.array_equal(cos, np.concatenate([rows[r : r + step] @ v
                                                    for r in range(0, k, step)]))
