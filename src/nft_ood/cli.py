@@ -20,7 +20,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import data_io, mining, scoring
-from .errors import ConfigError, DataError, NftError, NumericError, SchemaError
+from .errors import ConfigError, DataError, NftError, NumericError, QTooLarge, SchemaError
 from .model import (
     MODES,
     FeatureBank,
@@ -190,7 +190,10 @@ def cmd_select_crops(args):
         groups.setdefault((rec["parent"], rec["class"]), []).append(rec["row"])
     crop_sets = [mining.CropSet(parent_id=parent, label_index=cls, features=crops[sorted(rows)])
                  for (parent, cls), rows in sorted(groups.items())]
-    training = mining.build_training_set(crop_sets, labels, args.q)
+    try:
+        training = mining.build_training_set(crop_sets, labels, args.q)
+    except QTooLarge as e:
+        raise QTooLarge(f"{args.crops_manifest}: {e}") from None
     os.makedirs(args.out, exist_ok=True)
     train_rows = np.vstack([training.pos_features, training.neg_features])
     data_io.write_bank(os.path.join(args.out, "train.fbnk"), train_rows)

@@ -82,14 +82,12 @@ def read_bank(path, unit_rows=False):
 
 
 def write_manifest(path, records):
-    """Write JSONL manifest records; unknown keys are dropped with a warning."""
-    dropped = set()
+    """Write a list of JSONL manifest records; unknown keys are dropped with a warning."""
+    encode = json.JSONEncoder(sort_keys=True).encode  # the text of json.dumps(r, sort_keys=True)
+    dropped = {k for rec in records for k in rec if k not in _KNOWN_KEYS}
     with open(path, "w") as f:
-        for rec in records:
-            extra = set(rec) - set(_KNOWN_KEYS)
-            dropped |= extra
-            out = {k: rec[k] for k in _KNOWN_KEYS if k in rec}
-            f.write(json.dumps(out, sort_keys=True) + "\n")
+        f.write("".join(encode({k: rec[k] for k in _KNOWN_KEYS if k in rec}) + "\n"
+                        for rec in records))
     if dropped:
         warnings.warn(f"dropped unknown manifest keys: {sorted(dropped)}")
 
@@ -205,11 +203,6 @@ class SynthResult:
     records: list = field(default_factory=list)
 
 
-def _sphere(rng, n, dim):
-    g = rng.standard_normal((n, dim))
-    return normalize_rows(g)
-
-
 def _noisy(rng, protos, kappa):
     """One unit row near each row of protos: protos + kappa N(0, 1), normalized."""
     return normalize_rows(protos + kappa * rng.standard_normal(protos.shape))
@@ -225,19 +218,26 @@ def synth_dataset(cfg):
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
     d, n, m = cfg.dim, cfg.n_classes, cfg.m_neg
-    pos_proto = _sphere(rng, n, d)
-    neg_proto = _sphere(rng, m, d)
+    pos_proto = normalize_rows(rng.standard_normal((n, d)))
+    neg_proto = normalize_rows(rng.standard_normal((m, d)))
     bank = FeatureBank.from_rows(pos_proto, neg_proto)
 
-    crop_sets = []
     n_bg = int(round(cfg.crops_per_sample * cfg.background_fraction))
     n_fg = cfg.crops_per_sample - n_bg
-    for c in range(n):
-        for s in range(cfg.shots):
-            fg = _noisy(rng, pos_proto[np.full(n_fg, c)], cfg.kappa)
-            bg = _noisy(rng, neg_proto[rng.integers(0, m, size=n_bg)], cfg.kappa)
-            feats = np.vstack([fg, bg])
-            crop_sets.append(CropSet(parent_id=f"train_{c}_{s}", label_index=c, features=feats))
+    classes = np.repeat(np.arange(n), cfg.shots)
+    # each crop set draws from the stream in turn; the arithmetic runs once, in place
+    crops = np.empty((classes.size, cfg.crops_per_sample, d))
+    bg_protos = np.empty((classes.size, n_bg), dtype=int)
+    for i in range(classes.size):
+        rng.standard_normal(out=crops[i, :n_fg])
+        bg_protos[i] = rng.integers(0, m, size=n_bg)
+        rng.standard_normal(out=crops[i, n_fg:])
+    crops *= cfg.kappa
+    crops[:, :n_fg] += pos_proto[classes, None]
+    crops[:, n_fg:] += neg_proto[bg_protos]
+    crops = normalize_rows(crops.reshape(-1, d)).reshape(crops.shape)
+    crop_sets = [CropSet(f"train_{c}_{i % cfg.shots}", c, f)
+                 for i, (c, f) in enumerate(zip(classes.tolist(), crops))]
     training = build_training_set(crop_sets, pos_proto, cfg.select)
 
     test_id_classes = np.repeat(np.arange(n), cfg.n_test_per_class)

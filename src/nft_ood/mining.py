@@ -10,9 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidConfig, QTooLarge, TooFewCandidates
+from .errors import DimMismatch, InvalidConfig, NonFiniteInput, QTooLarge, TooFewCandidates
 from .model import TrainingSet
 from .numerics import as_f64
+
+_BLOCK_ELEMS = 2**20  # cosines per candidate block of mine_negative_labels
 
 
 @dataclass
@@ -56,17 +58,47 @@ def mine_negative_labels(lexicon, id_bank_pos, m, stat="max", quantile=None):
         raise TooFewCandidates(
             f"requested {m} negatives from {feats.shape[0]} candidates"
         )
-    sims = feats @ id_rows.T  # rows are unit-norm, so dot == cosine
+    b = max(1, _BLOCK_ELEMS // max(id_rows.shape[0], 1))
+    blocks = (feats[i:i + b] @ id_rows.T for i in range(0, feats.shape[0], b))  # cosines
     if stat == "max":
-        statistic = np.max(sims, axis=1)
+        statistic = np.concatenate([np.max(sims, axis=1) for sims in blocks])
     elif stat == "quantile":
         if quantile is None or not 0 <= quantile <= 1:
             raise TooFewCandidates(f"quantile level must be in [0, 1], got {quantile}")
-        statistic = np.quantile(sims, quantile, axis=1)
+        statistic = np.concatenate([np.quantile(sims, quantile, axis=1) for sims in blocks])
     else:
         raise TooFewCandidates(f"unknown mining statistic {stat!r}")
     # stable sort keeps ascending-index order among ties
     return np.argsort(statistic, kind="mergesort")[:m]
+
+
+def _select(crop_sets, label_feats, q):
+    """The crop sets' features stacked, and the (sets, q) ascending row indices into
+    them of each set's q crops most and q least similar to its label_feats row. NaN,
+    which sorts last, pads the similarity rows and masks the top picks for the bottom
+    sort, so padding is never picked and stable sorts break ties by ascending row."""
+    if q < 1:
+        raise InvalidConfig(f"need q >= 1 crops per side, got q={q}")
+    label_feats = as_f64(label_feats)
+    dim = label_feats.shape[-1]
+    for cs in crop_sets:
+        if 2 * q > len(cs.features):
+            raise QTooLarge(f"crop set of parent {cs.parent_id!r}, class {cs.label_index}: need "
+                            f"2q <= P for disjoint selections, got q={q}, P={len(cs.features)}")
+        if np.shape(cs.features)[1:] != (dim,):
+            raise DimMismatch("crop features and label feature dimensions differ")
+    feats = as_f64(np.concatenate([cs.features for cs in crop_sets] or [np.empty((0, dim))]))
+    bounds = np.cumsum([0] + [len(cs.features) for cs in crop_sets])
+    sims = np.full((len(crop_sets), np.diff(bounds).max(initial=0)), np.nan)
+    for i, (a, b) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        sims[i, :b - a] = feats[a:b] @ label_feats[i]
+    # a NaN similarity (overflowing products) would sort among the masks and padding
+    if np.count_nonzero(np.isnan(sims)) != sims.size - bounds[-1]:
+        raise NonFiniteInput("crop similarities contain NaN")
+    top = np.sort(np.argsort(-sims, axis=1, kind="stable")[:, :q], axis=1)
+    np.put_along_axis(sims, top, np.nan, axis=1)
+    bottom = np.sort(np.argsort(sims, axis=1, kind="stable")[:, :q], axis=1)
+    return feats, top + bounds[:-1, None], bottom + bounds[:-1, None]
 
 
 def select_outliers(crops, label_feature, q):
@@ -75,22 +107,8 @@ def select_outliers(crops, label_feature, q):
     The index sets are always disjoint: the bottom set is drawn from the rows
     left after removing the top set, so massive ties cannot select a row twice.
     """
-    if q < 1:
-        raise InvalidConfig(f"need q >= 1 crops per side, got q={q}")
-    feats = as_f64(crops.features)
-    label_feature = as_f64(label_feature)
-    p = feats.shape[0]
-    if 2 * q > p:
-        raise QTooLarge(f"need 2q <= P for disjoint selections, got q={q}, P={p}")
-    if feats.shape[1] != label_feature.shape[0]:
-        raise DimMismatch("crop features and label feature dimensions differ")
-    sims = feats @ label_feature
-    desc = np.argsort(-sims, kind="mergesort")
-    top = np.sort(desc[:q])
-    remaining = np.setdiff1d(np.arange(p), top)
-    asc = remaining[np.argsort(sims[remaining], kind="mergesort")]
-    bottom = np.sort(asc[:q])
-    return SelectionResult(top_indices=top, bottom_indices=bottom)
+    _, top, bottom = _select([crops], np.asarray(label_feature)[None], q)
+    return SelectionResult(top_indices=top[0], bottom_indices=bottom[0])
 
 
 def build_training_set(crop_sets, label_rows, q):
@@ -100,15 +118,7 @@ def build_training_set(crop_sets, label_rows, q):
     Rows follow the crop-set order; one parent may hold crops of several
     classes, one crop set per class. No crop sets give empty sets of width D.
     """
-    dim = label_rows.shape[1]
-    pos, labels, neg = [np.empty((0, dim))], [np.empty(0, dtype=int)], [np.empty((0, dim))]
-    for cs in crop_sets:
-        sel = select_outliers(cs, label_rows[cs.label_index], q)
-        pos.append(cs.features[sel.top_indices])
-        labels.append(np.full(q, cs.label_index, dtype=int))
-        neg.append(cs.features[sel.bottom_indices])
-    return TrainingSet(
-        pos_features=np.concatenate(pos),
-        pos_labels=np.concatenate(labels),
-        neg_features=np.concatenate(neg),
-    )
+    classes = np.array([cs.label_index for cs in crop_sets], dtype=int)
+    feats, top, bottom = _select(crop_sets, label_rows[classes], q)
+    return TrainingSet(pos_features=feats[top.ravel()], pos_labels=np.repeat(classes, q),
+                       neg_features=feats[bottom.ravel()])

@@ -29,6 +29,12 @@ def test_benchmark_pipeline_fixture_traced_smoke():
     _smoke("pipeline_fixture", "--trace", "1")
 
 
+def test_benchmark_train_mid_smoke():
+    # on the default seed the run checks krnft's AUROC/FPR95 against their
+    # recorded values, which hold only if synth's mid-shape bytes do
+    _smoke("train_mid")
+
+
 def test_benchmark_eval_1m_smoke():
     # evaluate on 1M+1M scores, checked for exact equality with the
     # benchmark's independent AUROC and FPR95 references

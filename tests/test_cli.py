@@ -484,6 +484,25 @@ def test_select_crops_class_outside_labels_is_data_error(tmp_path, capsys, cls):
     assert not (tmp_path / "training").exists()
 
 
+def test_select_crops_group_below_2q_names_manifest_parent_and_class(tmp_path, capsys):
+    # parent a holds 4 crops and parent b 3, so b cannot give q=2 disjoint crops per side
+    rng = np.random.default_rng(99)
+    crops = rng.standard_normal((7, 8))
+    labels = rng.standard_normal((2, 8))
+    write_bank(tmp_path / "crops.fbnk", crops / np.linalg.norm(crops, axis=1, keepdims=True))
+    write_bank(tmp_path / "labels.fbnk", labels / np.linalg.norm(labels, axis=1, keepdims=True))
+    write_manifest(tmp_path / "crops.jsonl", [
+        {"row": i, "id": f"crop_{i}", "role": "crop", "class": 1, "parent": "a" if i < 4 else "b"}
+        for i in range(7)])
+    assert run("select-crops", "--crops", str(tmp_path / "crops.fbnk"),
+               "--crops-manifest", str(tmp_path / "crops.jsonl"),
+               "--labels", str(tmp_path / "labels.fbnk"), "-q", "2",
+               "--out", str(tmp_path / "training")) == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, str(tmp_path / "crops.jsonl"),
+                    "parent 'b', class 1", "q=2, P=3")
+    assert not (tmp_path / "training").exists()
+
+
 def test_select_crops_empty_manifest_is_data_error(tmp_path, capsys):
     # once exit 4: the training-set copy could not reshape zero rows
     argv = select_crops_argv(tmp_path)

@@ -18,6 +18,7 @@ from nft_ood.data_io import (
     write_bank,
     write_manifest,
 )
+from selection_reference import oracle_synth
 
 
 # ---- FBNK format ----
@@ -161,6 +162,20 @@ def test_manifest_unknown_keys(tmp_path):
     assert read_manifest(path)[0]["extra"] == 5
 
 
+def test_manifest_bytes_are_per_record_json_dumps(tmp_path):
+    # the synth manifest's records, with non-ASCII ids and unknown keys mixed in
+    records = synth_dataset(SynthConfig()).records
+    records[3] = dict(records[3], id="é\u2603", color="red")
+    records[7] = dict(records[7], parent="img_7", score=0.5)
+    path = tmp_path / "m.jsonl"
+    with pytest.warns(UserWarning, match=r"\['color', 'score'\]"):
+        write_manifest(path, records)
+    known = ("row", "id", "role", "class", "parent")
+    assert path.read_bytes() == "".join(
+        json.dumps({k: r[k] for k in known if k in r}, sort_keys=True) + "\n"
+        for r in records).encode()
+
+
 def test_manifest_row_bounds(tmp_path):
     path = tmp_path / "m.jsonl"
     write_manifest(path, [{"row": 9, "id": "a", "role": "neg_label"}])
@@ -236,3 +251,21 @@ def test_synth_rows_unit_norm():
     res = synth_dataset(SynthConfig())
     for mat in (res.bank.rows(), res.training.pos_features, res.test_id, res.test_ood):
         assert np.max(np.abs(np.linalg.norm(mat, axis=1) - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(),
+    SynthConfig(dim=128, n_classes=100, m_neg=1000),  # mid shape
+    SynthConfig(background_fraction=0.0),  # no background crops
+    SynthConfig(background_fraction=1.0),  # no foreground crops
+    SynthConfig(kappa=0.0),
+], ids=["default", "mid", "background_0", "background_1", "kappa_0"])
+def test_synth_matches_per_crop_set_loop(cfg):
+    got, want = synth_dataset(cfg), oracle_synth(cfg)
+    assert np.array_equal(got.bank.matrix, want.bank.matrix)
+    assert got.bank.n_pos == want.bank.n_pos
+    for name in ("pos_features", "pos_labels", "neg_features"):
+        assert np.array_equal(getattr(got.training, name), getattr(want.training, name)), name
+    for name in ("test_id", "test_ood", "test_id_classes"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.records == want.records

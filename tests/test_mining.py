@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import unit_rows
-from nft_ood.errors import DimMismatch, QTooLarge, TooFewCandidates
+from nft_ood import mining
+from nft_ood.errors import DimMismatch, NonFiniteInput, QTooLarge, TooFewCandidates
 from nft_ood.mining import (
     CandidateLexicon,
     CropSet,
@@ -10,6 +11,7 @@ from nft_ood.mining import (
     mine_negative_labels,
     select_outliers,
 )
+from selection_reference import oracle_select, oracle_training_set
 
 
 def lexicon_from(rows, names=None):
@@ -27,33 +29,6 @@ def oracle_mine(features, id_rows, m, stat="max", quantile=None):
         statistic = np.quantile(sims, quantile, axis=1)
     order = sorted(range(len(statistic)), key=lambda i: (statistic[i], i))
     return np.array(order[:m])
-
-
-def oracle_select(features, label_feature, q):
-    sims = features @ label_feature
-    by_desc = sorted(range(len(sims)), key=lambda i: (-sims[i], i))
-    top = sorted(by_desc[:q])
-    rest = [i for i in range(len(sims)) if i not in set(top)]
-    by_asc = sorted(rest, key=lambda i: (sims[i], i))
-    bottom = sorted(by_asc[:q])
-    return np.array(top), np.array(bottom)
-
-
-def oracle_training_set(crop_sets, label_rows, q):
-    """D_p features, D_p labels and D_n features, each selected crop copied one row at a time."""
-    pos_feats = []
-    pos_labels = []
-    neg_feats = []
-    for cs in crop_sets:
-        sel = select_outliers(cs, label_rows[cs.label_index], q)
-        for i in sel.top_indices:
-            pos_feats.append(cs.features[i])
-            pos_labels.append(cs.label_index)
-        for i in sel.bottom_indices:
-            neg_feats.append(cs.features[i])
-    dim = label_rows.shape[1]
-    return (np.array(pos_feats).reshape(-1, dim), np.array(pos_labels, dtype=int),
-            np.array(neg_feats).reshape(-1, dim))
 
 
 # ---- mining ----
@@ -103,6 +78,17 @@ def test_mine_permutation_invariant_name_set():
         lexicon_from(feats[perm], [names[i] for i in perm]), id_rows, 8
     )
     assert {[names[i] for i in perm][j] for j in shuffled} == base_names
+
+
+@pytest.mark.parametrize("stat, quantile", [("max", None), ("quantile", 0.75)])
+def test_mine_in_blocks_matches_full_matrix(monkeypatch, stat, quantile):
+    # 6 ID rows and 64 cosines per block: 10 candidates a block, the last one short
+    monkeypatch.setattr(mining, "_BLOCK_ELEMS", 64)
+    rng = np.random.default_rng(69)
+    feats = np.round(unit_rows(rng, 57, 4), 1)  # rounded, so statistics tie across blocks
+    id_rows = unit_rows(rng, 6, 4)
+    got = mine_negative_labels(lexicon_from(feats), id_rows, 20, stat, quantile)
+    assert np.array_equal(got, oracle_mine(feats, id_rows, 20, stat, quantile))
 
 
 def test_mine_validation():
@@ -168,8 +154,23 @@ def test_select_invariants():
 def test_select_q_too_large():
     rng = np.random.default_rng(77)
     feats = unit_rows(rng, 4, 6)
-    with pytest.raises(QTooLarge):
+    with pytest.raises(QTooLarge, match="parent 's', class 0: .* got q=3, P=4"):
         select_outliers(CropSet("s", 0, feats), unit_rows(rng, 1, 6)[0], 3)
+    # the error names the first crop set too small, here the second of two
+    crop_sets = [CropSet("a", 0, feats), CropSet("b", 1, unit_rows(rng, 3, 6))]
+    with pytest.raises(QTooLarge, match="parent 'b', class 1: .* got q=2, P=3"):
+        build_training_set(crop_sets, unit_rows(rng, 2, 6), 2)
+
+
+def test_select_nan_similarity_is_rejected():
+    # finite features whose products overflow: inf - inf makes a NaN similarity
+    feats = np.vstack([np.tile([1e200, -1e200], 2), np.eye(4)[:3]])
+    label = np.full(4, 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isnan(feats @ label).any():
+            pytest.skip("this BLAS sums the overflowing products to an infinity, not NaN")
+        with pytest.raises(NonFiniteInput):
+            select_outliers(CropSet("s", 0, feats), label, 1)
 
 
 # ---- training set assembly ----
@@ -215,7 +216,28 @@ def _no_crop_sets(rng):
     return [], unit_rows(rng, 3, 8), 2
 
 
-@pytest.mark.parametrize("inputs", [_synth_shaped, _one_parent_two_classes, _no_crop_sets])
+def _sets_of_different_sizes(rng):
+    # the shorter sets' similarity rows are padded; padding is never selected
+    crop_sets = [CropSet(f"img_{i}", i % 3, unit_rows(rng, p, 8))
+                 for i, p in enumerate([4, 9, 5, 16, 4, 7])]
+    return crop_sets, unit_rows(rng, 3, 8), 2
+
+
+def _every_crop_ties(rng):
+    label_rows = unit_rows(rng, 2, 8)
+    crop_sets = [CropSet(f"img_{c}", c, np.tile(unit_rows(rng, 1, 8), (p, 1)))
+                 for c, p in ((0, 6), (1, 9), (0, 8))]
+    return crop_sets, label_rows, 3
+
+
+def _q_half_of_p(rng):
+    return [CropSet(f"img_{i}", i % 2, unit_rows(rng, 10, 8)) for i in range(5)], \
+        unit_rows(rng, 2, 8), 5
+
+
+@pytest.mark.parametrize("inputs", [_synth_shaped, _one_parent_two_classes, _no_crop_sets,
+                                    _sets_of_different_sizes, _every_crop_ties,
+                                    _q_half_of_p])
 def test_build_training_set_matches_row_loop(inputs):
     crop_sets, label_rows, q = inputs(np.random.default_rng(80))
     ts = build_training_set(crop_sets, label_rows, q)
@@ -224,6 +246,28 @@ def test_build_training_set_matches_row_loop(inputs):
     assert np.array_equal(ts.pos_labels, labels)
     assert np.array_equal(ts.neg_features, neg)
     assert ts.pos_features.shape[1] == ts.neg_features.shape[1] == label_rows.shape[1]
+
+
+def test_selection_matches_oracle_on_tied_random_draws():
+    rng = np.random.default_rng(81)
+    for _ in range(60):
+        q, dim, n_labels = int(rng.integers(1, 5)), int(rng.integers(2, 5)), 3
+        # features rounded to whole numbers: few distinct rows, so similarities tie
+        label_rows = np.round(2 * rng.standard_normal((n_labels, dim)))
+        crop_sets = [CropSet(f"img_{i}", int(rng.integers(n_labels)),
+                             np.round(rng.standard_normal((int(rng.integers(2 * q, 2 * q + 9)),
+                                                           dim))))
+                     for i in range(int(rng.integers(1, 7)))]
+        ts = build_training_set(crop_sets, label_rows, q)
+        pos, labels, neg = oracle_training_set(crop_sets, label_rows, q)
+        assert np.array_equal(ts.pos_features, pos)
+        assert np.array_equal(ts.pos_labels, labels)
+        assert np.array_equal(ts.neg_features, neg)
+        for cs in crop_sets:
+            sel = select_outliers(cs, label_rows[cs.label_index], q)
+            top, bottom = oracle_select(cs.features, label_rows[cs.label_index], q)
+            assert np.array_equal(sel.top_indices, top)
+            assert np.array_equal(sel.bottom_indices, bottom)
 
 
 def test_training_set_manifest_round_trip(tmp_path):
