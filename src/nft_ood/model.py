@@ -12,6 +12,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,13 @@ class FeatureBank:
     def rows(self):
         """The (N + M, D) bank itself, not a copy."""
         return self.matrix
+
+    @cached_property
+    def squares(self):
+        """Read-only c * c of every row, built on first use: by affine-mode training only."""
+        sq = self.matrix * self.matrix
+        sq.flags.writeable = False
+        return sq
 
 
 @dataclass
@@ -145,6 +153,25 @@ def live_from_v1(mode, dim, hidden, v1_arrays):
             for key, shape, _ in param_layout(mode, dim, hidden)}
 
 
+def flat_arrays(arrays):
+    """Copies of the arrays of a dict, in its order, as consecutive views of one flat
+    float64 buffer, which AdamW updates in one pass."""
+    flat = np.concatenate([np.ravel(a) for a in arrays.values()]).astype(np.float64, copy=False)
+    ends = np.cumsum([np.size(a) for a in arrays.values()])
+    return {k: flat[e - np.size(a) : e].reshape(np.shape(a))
+            for (k, a), e in zip(arrays.items(), ends)}
+
+
+def flat_buffer(arrays, keys):
+    """The arrays of keys as one flat array: the flat_arrays buffer they view, or a copy."""
+    parts = [arrays[k] for k in keys]
+    base = parts[0].base
+    if base is not None and all(a.base is base for a in parts) and base.shape == (
+            sum(a.size for a in parts),):
+        return base
+    return np.concatenate([a.ravel() for a in parts])
+
+
 @dataclass
 class ModelState:
     """The live parameter arrays of one transform mode (see MODE_PARAMS)."""
@@ -152,14 +179,14 @@ class ModelState:
     mode: str
     dim: int
     hidden: int
-    arrays: dict  # key -> array, in param_layout order
+    arrays: dict  # key -> array, in param_layout order, views of one flat buffer
 
     def params(self):
         """Live views of the mode's parameter arrays, keyed by a stable path."""
         return dict(self.arrays)
 
     def copy(self):
-        return replace(self, arrays={k: a.copy() for k, a in self.arrays.items()})
+        return replace(self, arrays=flat_arrays(self.arrays))
 
 
 @dataclass
@@ -185,9 +212,9 @@ def init_model(dim, hidden=None, mode="scale_shift", seed=0):
         raise InvalidDim(f"unknown transform mode {mode!r}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     bound = 1.0 / np.sqrt(dim)
-    arrays = {key: rng.uniform(-bound, bound, size=shape) if ident is None
-              else np.full(shape, ident)
-              for key, shape, ident in param_layout(mode, dim, hidden)}
+    arrays = flat_arrays({key: rng.uniform(-bound, bound, size=shape) if ident is None
+                          else np.full(shape, ident)
+                          for key, shape, ident in param_layout(mode, dim, hidden)})
     return ModelState(mode=mode, dim=int(dim), hidden=int(hidden), arrays=arrays)
 
 
@@ -326,14 +353,13 @@ def load_checkpoint(path):
         raise FormatError(f"checkpoint metadata is not valid JSON: {e}") from None
     if not isinstance(blob, dict) or not {"config", "meta"} <= blob.keys():
         raise FormatError("checkpoint metadata lacks its 'config' and 'meta' entries")
-    arrays = {key: np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
-              .reshape(shape).astype(np.float64)
+    arrays = {key: np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
               for key, shape, _ in layout}
     if off != len(data):
         raise FormatError("trailing bytes after checkpoint payload")
     if version == 1:
         arrays = live_from_v1(mode, dim, hidden, arrays)
-    state = ModelState(mode=mode, dim=dim, hidden=hidden, arrays=arrays)
+    state = ModelState(mode=mode, dim=dim, hidden=hidden, arrays=flat_arrays(arrays))
     return Checkpoint(model=state, config=blob["config"], meta=blob["meta"])
 
 

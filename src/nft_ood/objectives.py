@@ -6,22 +6,27 @@ labels (log of the ID probability mass), and a knowledge-regularization term
 keeping tuned features close to the pre-trained ones (feature, logit, or
 probability variant).
 
-`total_loss` and `backward` share one batched forward over the B images of a
-batch. In the affine modes (`vec_shift`, `scale_shift`) image v has its own
-scale a and shift b, and each bank row c is tuned to c' = u / ||u|| with
-u = a * c + b. The losses need only dot products of u, which expand into
-GEMMs of the batch against the bank C and its elementwise square C * C:
+`total_loss` and `backward` share one batched forward of the B images of a
+batch against all K = N + M bank rows, both roles at once; the loss, dL/ds
+and the backward's coefficients are each one pass over (B, K). In the affine
+modes (`vec_shift`, `scale_shift`) image v has its own scale a and shift b,
+and each bank row c is tuned to c' = u / ||u|| with u = a * c + b. The losses
+need only dot products of u, which expand into GEMMs of the batch against the
+bank C and its elementwise square C * C (`FeatureBank.squares`):
 
     v . u   = (a * v) . c + b . v
     c . u   = a . (c * c) + b . c
     ||u||^2 = (a * a) . (c * c) + 2 (a * b) . c + ||b||^2
 
-The gradients with respect to a and b are the transposed GEMMs, so training
-never builds a (B, K, D) tensor. Entries where u nearly cancels, and the
-expansion of ||u||^2 with it, are recomputed from u directly. In `const_shift`
-and `mlp` the tuned bank does not depend on the image: it is computed once
-per call, and the backward passes through the normalization and the transform
-once.
+Each role takes them in two stacked GEMMs on its columns of whole-bank
+buffers, [a * v; a * b; b] @ C.T and [a * a; a] @ (C * C).T, and its gradient
+sums in two more, [alpha; rho; gamma] @ C and [rho; gamma] @ (C * C), where
+dL/du = alpha v + gamma c - rho u. The b, a and gamma rows cover only the
+images the feature regularizer does. No (B, K, D) tensor is built. Entries
+where u nearly cancels, and the expansion of ||u||^2 with it, are recomputed
+from u directly. In `const_shift` and `mlp` the tuned bank does not depend on
+the image: both roles are tuned into one (K, D) bank once per call, and the
+backward passes through the normalization and the transform once.
 
 Gradients are derived by hand, including through the L2 normalization
 (projection Jacobian) and the relu (subgradient 0 at 0); a central-difference
@@ -40,7 +45,8 @@ from .errors import (
     NonPositiveTemperature,
     ZeroNorm,
 )
-from .model import IMAGE_INDEPENDENT_MODES, ROLES, TrainingSet, role_arrays, role_terms
+from .model import (IMAGE_INDEPENDENT_MODES, ROLES, TrainingSet, flat_arrays, role_arrays,
+                    role_terms)
 from .numerics import EPS_NORM, as_f64
 
 KR_VARIANTS = ("feature", "logits", "prob")
@@ -62,7 +68,8 @@ class LossReport:
 
 
 def zero_gradients(state):
-    return {k: np.zeros_like(v) for k, v in state.params().items()}
+    """Zeroed gradients shaped like the live parameters, views of one flat buffer."""
+    return flat_arrays({k: np.zeros(a.shape) for k, a in state.params().items()})
 
 
 def _check_tau(tau):
@@ -80,27 +87,25 @@ def _validate_cfg(cfg):
 def _validate_batch(bank, batch):
     if batch.n_pos == 0 and batch.n_neg == 0:
         raise EmptyBatch("batch has neither positive nor negative samples")
-    if batch.n_pos and (
-        np.min(batch.pos_labels) < 0 or np.max(batch.pos_labels) >= bank.n_pos
-    ):
+    if batch.n_pos and (np.min(batch.pos_labels) < 0 or np.max(batch.pos_labels) >= bank.n_pos):
         raise BadClassIndex("batch contains a class index outside the bank")
     if batch.n_neg and bank.n_neg == 0:
         raise NoNegativeLabels("negative samples require negative labels in the bank")
 
 
-def _lse_rows(x):
+def _softmax_rows(x):
+    """(log-sum-exp, softmax) of each row of x, from one pass of exponentials."""
     m = x.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))).ravel()
+    e = np.subtract(x, m)
+    np.exp(e, out=e)
+    t = e.sum(axis=1, keepdims=True)
+    e /= t
+    return (m + np.log(t)).ravel(), e
 
 
 def _images(batch):
     """The batch's images as one (B, D) array, positives first."""
-    parts = []
-    if batch.n_pos:
-        parts.append(as_f64(batch.pos_features))
-    if batch.n_neg:
-        parts.append(as_f64(batch.neg_features))
-    return np.vstack(parts)
+    return np.vstack([as_f64(batch.pos_features), as_f64(batch.neg_features)])
 
 
 # Where ||u||^2 falls below this share of ||a*c||^2 + ||b||^2, its GEMM
@@ -111,102 +116,117 @@ _CANCELLATION = 1e-2
 
 
 @dataclass
-class _Role:
-    """Forward cache of one role's bank rows against a batch of B images."""
+class _Pass:
+    """Forward cache of a batch of B images against all K bank rows, both roles."""
 
-    name: str
-    c: np.ndarray  # (K, D) pre-trained rows
-    c2: np.ndarray = None  # (K, D) c * c, affine modes
-    s: np.ndarray = None  # (B, K) tuned cosines v . c'
-    d: np.ndarray = None  # (B, K) regularizer dots c . c'
-    n: np.ndarray = None  # ||u||: (B, K) in the affine modes, (K,) otherwise
-    z: np.ndarray = None  # meta-net trunk pre-activation: (B, H), in mlp (K, H)
-    h: np.ndarray = None  # relu(z)
-    a: np.ndarray = None  # (B, D) per-image scale, affine modes
-    b: np.ndarray = None  # (B, D) per-image shift, affine modes
+    s: np.ndarray  # (B, K) tuned cosines v . c'
+    d: np.ndarray  # (n_dots, K) regularizer dots c . c' of the first n_dots images
+    n: np.ndarray  # ||u||: (B, K) in the affine modes, (K,) otherwise
+    roles: list  # (name, column slice, a, b, z, h) of each role with rows; see role_terms
     cp: np.ndarray = None  # (K, D) tuned rows, image-independent modes
 
 
 def _checked_norms(n2):
     if (n2 <= EPS_NORM * EPS_NORM).any():
         raise ZeroNorm("transform produced a zero vector")
-    return np.sqrt(n2)
+    return np.sqrt(n2, out=n2)
 
 
-def _forward(state, bank, imgs):
-    """Tuned cosines and c . c' of every image against every bank row, per role."""
-    roles = []
-    for name, c in (("positive", bank.pos), ("negative", bank.neg)):
-        if c.shape[0] == 0:
-            continue
-        r = _Role(name=name, c=c)
-        a, b, r.z, r.h = role_terms(state, name, imgs, c)
-        if state.mode in IMAGE_INDEPENDENT_MODES:
-            u = c + b
-            r.n = _checked_norms((u * u).sum(axis=1))
-            r.cp = u / r.n[:, None]
-            r.s = imgs @ r.cp.T
-            r.d = np.broadcast_to((c * r.cp).sum(axis=1), r.s.shape)
-        else:
-            r.a, r.b = (np.ones_like(b) if a is None else a), b
-            r.c2 = c * c
-            bc = r.b @ c.T
-            ac2 = (r.a * r.a) @ r.c2.T
-            bb = (r.b * r.b).sum(axis=1, keepdims=True)
-            vu = (r.a * imgs) @ c.T + (r.b * imgs).sum(axis=1, keepdims=True)
-            cu = r.a @ r.c2.T + bc
-            n2 = ac2 + 2.0 * ((r.a * r.b) @ c.T) + bb
-            cancelled = n2 <= _CANCELLATION * (ac2 + bb)
-            if cancelled.any():
-                i, k = cancelled.nonzero()
-                u = r.a[i] * c[k] + r.b[i]
-                n2[i, k] = (u * u).sum(axis=1)
-                vu[i, k] = (imgs[i] * u).sum(axis=1)
-                cu[i, k] = (c[k] * u).sum(axis=1)
-            r.n = _checked_norms(n2)
-            r.s = vu / r.n
-            r.d = cu / r.n
-        roles.append(r)
-    return roles
+def _forward(state, bank, imgs, n_dots):
+    """A _Pass: the tuned cosines of every image against every bank row, and c . c'
+    of the first n_dots images."""
+    c, n_img = bank.matrix, imgs.shape[0]
+    roles = [(name, cols, *role_terms(state, name, imgs, c[cols]))
+             for name, cols in (("positive", slice(0, bank.n_pos)),
+                                ("negative", slice(bank.n_pos, c.shape[0])))
+             if cols.stop > cols.start]
+    if state.mode in IMAGE_INDEPENDENT_MODES:
+        cp = np.empty_like(c)
+        for _, cols, _, b, _, _ in roles:
+            np.add(c[cols], b, out=cp[cols])
+        n = _checked_norms(np.einsum("ij,ij->i", cp, cp))
+        cp /= n[:, None]
+        d = np.broadcast_to(np.einsum("ij,ij->i", c, cp), (n_dots, c.shape[0]))
+        return _Pass(s=imgs @ cp.T, d=d, n=n, roles=roles, cp=cp)
+    p1 = np.empty((2 * n_img + n_dots, c.shape[0]))
+    p2 = np.empty((n_img + n_dots, c.shape[0]))
+    for i, (name, cols, a, b, z, h) in enumerate(roles):
+        if a is None:
+            a = np.ones_like(b)
+            roles[i] = (name, cols, a, b, z, h)
+        np.matmul(np.vstack([a * imgs, a * b, b[:n_dots]]), c[cols].T, out=p1[:, cols])
+        np.matmul(np.vstack([a * a, a[:n_dots]]), bank.squares[cols].T, out=p2[:, cols])
+        p1[:n_img, cols] += (b * imgs).sum(axis=1, keepdims=True)
+        p2[:n_img, cols] += (b * b).sum(axis=1, keepdims=True)
+    vu, n2, cu, q = p1[:n_img], p1[n_img : 2 * n_img], p2[n_img:], p2[:n_img]
+    n2 *= 2.0
+    n2 += q  # q = ||a*c||^2 + ||b||^2
+    cu += p1[2 * n_img :]
+    q *= _CANCELLATION
+    cancelled = n2 <= q
+    if cancelled.any():
+        i, j = cancelled.nonzero()
+        r = i + n_img * (j >= bank.n_pos)  # the row of (a, b) in the roles' stacks
+        u = np.vstack([t[2] for t in roles])[r] * c[j] + np.vstack([t[3] for t in roles])[r]
+        n2[i, j] = (u * u).sum(axis=1)
+        vu[i, j] = (imgs[i] * u).sum(axis=1)
+        dots = i < n_dots
+        cu[i[dots], j[dots]] = (c[j[dots]] * u[dots]).sum(axis=1)
+    n = _checked_norms(n2)
+    vu /= n
+    cu /= n[:n_dots]
+    return _Pass(s=vu, d=cu, n=n, roles=roles)
 
 
-def _backprop_role(state, r, imgs, g_s, g_d, grads):
-    """Accumulate dL/dparams of one role from dL/ds (B, K) and dL/dd (B, 1)."""
-    p, dp = role_arrays(state.arrays, r.name), role_arrays(grads, r.name)
-    g_a = None
+def _backprop(state, bank, f, imgs, g_s, g_d, grads):
+    """Accumulate dL/dparams from dL/ds (B, K) and g_d = dL/dd, one scalar for every
+    entry of f.d."""
+    c, n_g = bank.matrix, f.d.shape[0]
     if state.mode in IMAGE_INDEPENDENT_MODES:
         # dL/dc' summed over the batch, then through the normalization once
-        g = g_s.T @ imgs + np.sum(g_d) * r.c
-        g_b = (g - np.sum(g * r.cp, axis=1, keepdims=True) * r.cp) / r.n[:, None]
-        if "w1" not in p:  # const_shift
-            dp["beta"][0] += np.sum(g_b)
-            return
-        x = r.c  # the mlp's trunk reads the bank rows, not the images
+        g_u = g_s.T @ imgs + (n_g * g_d) * c
+        g_u -= np.einsum("ij,ij->i", g_u, f.cp)[:, None] * f.cp
+        g_u /= f.n[:, None]
     else:
-        # dL/du = alpha v + gamma c - rho u per image and row; summing it over
-        # rows against c (for a) and 1 (for b) expands into GEMMs with c, c*c.
-        alpha = g_s / r.n
-        gamma = g_d / r.n
-        rho = (alpha * r.s + gamma * r.d) / r.n
-        rho_c = rho @ r.c
-        g_b = (imgs * np.sum(alpha, axis=1, keepdims=True) + gamma @ r.c
-               - r.a * rho_c - r.b * np.sum(rho, axis=1, keepdims=True))
-        dp["beta"] += np.sum(g_b, axis=0)
-        if "alpha" in p:
-            g_a = (imgs * (alpha @ r.c) + gamma @ r.c2
-                   - r.a * (rho @ r.c2) - r.b * rho_c)
-            dp["alpha"] += np.sum(g_a, axis=0)
-        x = imgs
-    dp["w_beta"] += g_b.T @ r.h
-    dp["b_beta"] += np.sum(g_b, axis=0)
-    g_h = g_b @ p["w_beta"]
-    if g_a is not None:
-        dp["w_alpha"] += g_a.T @ r.h
-        dp["b_alpha"] += np.sum(g_a, axis=0)
-        g_h += g_a @ p["w_alpha"]
-    g_z = g_h * (r.z > 0)
-    dp["w1"] += g_z.T @ x
-    dp["b1"] += np.sum(g_z, axis=0)
+        n_img = imgs.shape[0]
+        coef = np.empty((2 * n_img + n_g, c.shape[0]))
+        alpha, rho, gamma = coef[:n_img], coef[n_img : 2 * n_img], coef[2 * n_img :]
+        np.divide(g_s, f.n, out=alpha)
+        np.multiply(alpha, f.s, out=rho)
+        np.divide(g_d, f.n[:n_g], out=gamma)
+        rho[:n_g] += gamma * f.d
+        rho /= f.n
+    for name, cols, a, b, z, h in f.roles:
+        p, dp = role_arrays(state.arrays, name), role_arrays(grads, name)
+        g_a = None
+        if state.mode in IMAGE_INDEPENDENT_MODES:
+            g_b = g_u[cols]
+            if "w1" not in p:  # const_shift
+                dp["beta"][0] += np.sum(g_b)
+                continue
+            x = c[cols]  # the mlp's trunk reads the bank rows, not the images
+        else:
+            cc = coef[:, cols] @ c[cols]  # alpha @ c, rho @ c, gamma @ c
+            sums = coef[: 2 * n_img, cols].sum(axis=1, keepdims=True)
+            g_b = imgs * sums[:n_img] - a * cc[n_img : 2 * n_img] - b * sums[n_img:]
+            g_b[:n_g] += cc[2 * n_img :]
+            dp["beta"] += np.sum(g_b, axis=0)
+            if "alpha" in p:
+                cc2 = coef[n_img:, cols] @ bank.squares[cols]  # rho, gamma @ c*c
+                g_a = imgs * cc[:n_img] - a * cc2[:n_img] - b * cc[n_img : 2 * n_img]
+                g_a[:n_g] += cc2[n_img:]
+                dp["alpha"] += np.sum(g_a, axis=0)
+            x = imgs
+        dp["w_beta"] += g_b.T @ h
+        dp["b_beta"] += np.sum(g_b, axis=0)
+        g_h = g_b @ p["w_beta"]
+        if g_a is not None:
+            dp["w_alpha"] += g_a.T @ h
+            dp["b_alpha"] += np.sum(g_a, axis=0)
+            g_h += g_a @ p["w_alpha"]
+        g_z = g_h * (z > 0)
+        dp["w1"] += g_z.T @ x
+        dp["b1"] += np.sum(g_z, axis=0)
 
 
 def _loss(state, bank, batch, cfg, with_grads):
@@ -214,69 +234,50 @@ def _loss(state, bank, batch, cfg, with_grads):
     _validate_cfg(cfg)
     _validate_batch(bank, batch)
     _check_tau(cfg.tau_loss)
-    tau, n, n_p = cfg.tau_loss, bank.n_pos, batch.n_pos
+    tau, n, n_p, n_n = cfg.tau_loss, bank.n_pos, batch.n_pos, batch.n_neg
+    n_kr = n_p + (n_n if cfg.kr_scope == "both" else 0)  # positives come first in imgs
+    feature = cfg.kr_variant == "feature"
     imgs = _images(batch)
-    roles = _forward(state, bank, imgs)
-    s = np.hstack([r.s for r in roles])
-    k = s.shape[1]
-    logits = s / tau
-    lse_all = _lse_rows(logits)
-    # dL/ds, and dL/d(c . c') which is the same for every row of the bank
-    g_s = np.zeros_like(s)
-    g_d = np.zeros((s.shape[0], 1))
+    f = _forward(state, bank, imgs, n_kr if feature else 0)
+    k = f.s.shape[1]
+    logits = f.s / tau
+    lse_all, g_s = _softmax_rows(logits)  # the softmax, made dL/ds in place
+    g_d = 0.0  # dL/d(c . c'), the same for every regularized image and bank row
     l_pos = l_neg = l_kr = 0.0
     if n_p:
         idx, y = np.arange(n_p), batch.pos_labels.astype(int)
         l_pos = float((lse_all[:n_p] - logits[idx, y]).mean())
-        if with_grads:
-            dl = np.exp(logits[:n_p] - lse_all[:n_p, None])
-            dl[idx, y] -= 1.0
-            g_s[:n_p] = dl / (n_p * tau)
-    if batch.n_neg:
-        neg = logits[n_p:]
-        lse_id = _lse_rows(neg[:, :n])
+        g_s[idx, y] -= 1.0
+        g_s[:n_p] /= n_p * tau
+    if n_n:
+        lse_id, p_id = _softmax_rows(logits[n_p:, :n])
         l_neg = float((lse_id - lse_all[n_p:]).mean())
-        if with_grads:
-            dl = -np.exp(neg - lse_all[n_p:, None])
-            dl[:, :n] += np.exp(neg[:, :n] - lse_id[:, None])
-            g_s[n_p:] = dl * (cfg.lambda1 / (batch.n_neg * tau))
-
-    n_kr = n_p + (batch.n_neg if cfg.kr_scope == "both" else 0)
+        g_s[n_p:, :n] -= p_id
+        g_s[n_p:] *= -cfg.lambda1 / (n_n * tau)
     if n_kr:
         w_kr = cfg.lambda2 / n_kr
-        scope = slice(0, n_kr)  # positives come first in imgs
-        if cfg.kr_variant == "feature":
-            kr_per_img = 1.0 - np.hstack([r.d[scope] for r in roles]).mean(axis=1)
-            g_d[scope] = -w_kr / k
+        if feature:
+            kr_per_img = 1.0 - f.d.mean(axis=1)
+            g_d = -w_kr / k
         else:
-            t0 = imgs[scope] @ bank.rows().T
+            s, t0 = f.s[:n_kr], imgs[:n_kr] @ bank.matrix.T
             if cfg.kr_variant == "logits":
-                gap = s[scope] - t0
+                gap = s - t0
                 kr_per_img = (gap * gap).mean(axis=1)
-                g_s[scope] += (2.0 * w_kr / k) * gap
+                g_s[:n_kr] += (2.0 * w_kr / k) * gap
             else:  # prob
-                p0 = np.exp(t0 - _lse_rows(t0)[:, None])
-                log_q = s[scope] - _lse_rows(s[scope])[:, None]
-                kr_per_img = -(p0 * log_q).sum(axis=1)
-                g_s[scope] += w_kr * (np.exp(log_q) - p0)
+                p0 = _softmax_rows(t0)[1]
+                lse_q, q = _softmax_rows(s)
+                kr_per_img = -(p0 * (s - lse_q[:, None])).sum(axis=1)
+                g_s[:n_kr] += w_kr * (q - p0)
         l_kr = float(kr_per_img.mean())
 
-    report = LossReport(
-        l_pos=l_pos,
-        l_neg=l_neg,
-        l_kr=l_kr,
-        total=float(l_pos + cfg.lambda1 * l_neg + cfg.lambda2 * l_kr),
-        n_pos=n_p,
-        n_neg=batch.n_neg,
-    )
+    total = float(l_pos + cfg.lambda1 * l_neg + cfg.lambda2 * l_kr)
+    report = LossReport(l_pos=l_pos, l_neg=l_neg, l_kr=l_kr, total=total, n_pos=n_p, n_neg=n_n)
     if not with_grads:
         return report, None
     grads = zero_gradients(state)
-    offset = 0
-    for r in roles:
-        k_r = r.c.shape[0]
-        _backprop_role(state, r, imgs, g_s[:, offset : offset + k_r], g_d, grads)
-        offset += k_r
+    _backprop(state, bank, f, imgs, g_s, g_d, grads)
     return report, grads
 
 
@@ -303,10 +304,8 @@ def finite_diff_grad(state, bank, batch, cfg, eps=1e-5):
     if eps <= 0:
         raise InvalidConfig(f"eps must be > 0, got {eps}")
     grads = zero_gradients(state)
-    params = state.params()
-    for key, arr in params.items():
-        flat = arr.reshape(-1)
-        out = grads[key].reshape(-1)
+    for key, arr in state.params().items():
+        flat, out = arr.reshape(-1), grads[key].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
@@ -349,11 +348,6 @@ def fd_well_conditioned(state, bank, batch, grads,
 
 def max_relative_error(analytic, numeric):
     """max over parameters of |a - n| / max(1e-8, |a| + |n|)."""
-    worst = 0.0
-    for key in analytic:
-        a = analytic[key].reshape(-1)
-        b = numeric[key].reshape(-1)
-        denom = np.maximum(1e-8, np.abs(a) + np.abs(b))
-        err = float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
-        worst = max(worst, err)
-    return worst
+    a = np.concatenate([analytic[k].ravel() for k in analytic])
+    b = np.concatenate([numeric[k].ravel() for k in analytic])
+    return float(np.max(np.abs(a - b) / np.maximum(1e-8, np.abs(a) + np.abs(b)), initial=0.0))

@@ -10,8 +10,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import EmptyTrainingSet, InvalidConfig, NumericError, ShapeMismatch
-from .model import (Checkpoint, FeatureBank, init_model, live_from_v1, param_layout,
-                    v1_layout)
+from .model import (Checkpoint, FeatureBank, flat_arrays, flat_buffer, init_model,
+                    live_from_v1, param_layout, v1_layout)
 from .objectives import KR_SCOPES, KR_VARIANTS, Batch, backward, fd_well_conditioned
 
 
@@ -62,10 +62,10 @@ class OptimizerState:
 
 def init_optimizer(state):
     """Zero moments per live array; decay targets are the arrays' identity values."""
-    params = state.params()
+    zeros = {k: np.zeros(a.shape) for k, a in state.params().items()}
     return OptimizerState(
-        m={k: np.zeros_like(a) for k, a in params.items()},
-        v={k: np.zeros_like(a) for k, a in params.items()},
+        m=flat_arrays(zeros),
+        v=flat_arrays(zeros),
         step=0,
         rest={k: ident for k, _, ident in param_layout(state.mode, state.dim, state.hidden)
               if ident},
@@ -73,32 +73,33 @@ def init_optimizer(state):
 
 
 def adamw_step(params, grads, opt, cfg):
-    """One AdamW update with bias correction and decoupled weight decay."""
+    """One AdamW update with bias correction and decoupled weight decay: one pass over
+    flat buffers of all the arrays, with the bits of an update array by array."""
     opt.step += 1
     t = opt.step
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
     for key, p in params.items():
-        g = grads[key]
-        if g.shape != p.shape:
+        if grads[key].shape != p.shape:
             raise ShapeMismatch(f"gradient shape mismatch for {key}")
-        m = opt.m[key]
-        v = opt.v[key]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        rest = opt.rest.get(key, 0.0)
-        p -= cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-                       + cfg.weight_decay * (p - rest))
+    p, m, v, g = (flat_buffer(arrays, params) for arrays in (params, opt.m, opt.v, grads))
+    sizes = [a.size for a in params.values()]
+    rest = np.repeat([opt.rest.get(k, 0.0) for k in params], sizes)
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * g * g
+    m_hat = m / bc1
+    v_hat = v / bc2
+    p -= cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * (p - rest))
+    for arrays, flat in ((params, p), (opt.m, m), (opt.v, v)):
+        if flat is not arrays[next(iter(params))].base:  # a copy: write it back
+            for k, part in zip(params, np.split(flat, np.cumsum(sizes)[:-1])):
+                arrays[k][...] = part.reshape(arrays[k].shape)
 
 
 def _epoch_rng(seed, epoch):
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, epoch], dtype=np.uint64))
-    )
+    return np.random.Generator(np.random.Philox(key=np.array([seed, epoch], dtype=np.uint64)))
 
 
 def make_batches(train, batch_size, seed, epoch=0):
@@ -110,33 +111,17 @@ def make_batches(train, batch_size, seed, epoch=0):
     """
     if train.n_pos == 0 and train.n_neg == 0:
         raise EmptyTrainingSet("training set is empty")
-    if train.n_pos and train.n_neg and batch_size < 2:
+    both = train.n_pos > 0 and train.n_neg > 0
+    if both and batch_size < 2:
         raise InvalidConfig("batch_size must be >= 2 with both sample kinds present")
     rng = _epoch_rng(seed, epoch)
-    pos_order = rng.permutation(train.n_pos) if train.n_pos else np.array([], dtype=int)
-    neg_order = rng.permutation(train.n_neg) if train.n_neg else np.array([], dtype=int)
-    if train.n_pos and train.n_neg:
-        pos_per = (batch_size + 1) // 2
-        neg_per = batch_size // 2
-    else:
-        pos_per = batch_size
-        neg_per = batch_size
-    n_batches = max(
-        -(-train.n_pos // pos_per) if train.n_pos else 0,
-        -(-train.n_neg // neg_per) if train.n_neg else 0,
-    )
-    batches = []
-    for b in range(n_batches):
-        pi = pos_order[b * pos_per : (b + 1) * pos_per]
-        ni = neg_order[b * neg_per : (b + 1) * neg_per]
-        batches.append(
-            Batch(
-                pos_features=train.pos_features[pi],
-                pos_labels=train.pos_labels[pi],
-                neg_features=train.neg_features[ni],
-            )
-        )
-    return batches
+    pos_order, neg_order = rng.permutation(train.n_pos), rng.permutation(train.n_neg)
+    pos_per, neg_per = ((batch_size + 1) // 2, batch_size // 2) if both else (batch_size,) * 2
+    n_batches = max(-(-train.n_pos // pos_per), -(-train.n_neg // neg_per))
+    pos = [pos_order[b * pos_per : (b + 1) * pos_per] for b in range(n_batches)]
+    neg = [neg_order[b * neg_per : (b + 1) * neg_per] for b in range(n_batches)]
+    return [Batch(pos_features=train.pos_features[pi], pos_labels=train.pos_labels[pi],
+                  neg_features=train.neg_features[ni]) for pi, ni in zip(pos, neg)]
 
 
 @dataclass
@@ -169,6 +154,10 @@ class LossTrace:
         return {e: float(np.mean(vs)) for e, vs in sorted(by_epoch.items())}
 
 
+# the L2 norm of all live parameters past which a run has run away (README, Training step)
+_RUNAWAY_NORM = 1e6
+
+
 def train(state, bank, train_set, cfg):
     """Run the full training loop in place; returns (Checkpoint, LossTrace)."""
     if train_set.n_pos and train_set.pos_features.shape[1] != bank.dim:
@@ -177,15 +166,16 @@ def train(state, bank, train_set, cfg):
     params = state.params()
     trace = LossTrace()
     step = 0
-    # a diverging run overflows; the loss check below reports it instead
+    # a diverging run overflows; the checks below report it instead
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             for batch in make_batches(train_set, cfg.batch_size, cfg.seed, epoch):
                 report, grads = backward(state, bank, batch, cfg)
-                if not math.isfinite(report.total):
-                    raise NumericError(f"training diverged: total loss {report.total} "
-                                       f"at epoch {epoch} step {step}")
                 adamw_step(params, grads, opt, cfg)
+                norm = np.linalg.norm(flat_buffer(params, params))
+                if not (math.isfinite(report.total) and norm <= _RUNAWAY_NORM):
+                    raise NumericError(f"training diverged at epoch {epoch} step {step}: total "
+                                       f"loss {report.total}, parameter norm {norm:.3g}")
                 trace.append(epoch, step, report)
                 step += 1
     ckpt = Checkpoint(

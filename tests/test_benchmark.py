@@ -35,6 +35,12 @@ def test_benchmark_train_mid_smoke():
     _smoke("train_mid")
 
 
+def test_benchmark_train_mid_traced_smoke():
+    # the traced run replays train's loop through backward and adamw_step, which
+    # must reproduce its trace digest and parameters
+    _smoke("train_mid", "--trace", "1")
+
+
 def test_benchmark_eval_1m_smoke():
     # evaluate on 1M+1M scores, checked for exact equality with the
     # benchmark's independent AUROC and FPR95 references

@@ -264,6 +264,19 @@ def test_train_divergence_is_numeric_error(synth_dir, tmp_path, capsys, mode):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("--lr", "1e300", "--epochs", "1", "--batch-size", "1000"),  # one step
+    ("--lr", "1e3", "--epochs", "3"),  # a finite loss at every step
+])
+def test_train_runaway_parameters_are_numeric_error(synth_dir, tmp_path, capsys, argv):
+    # both once exited 0, with a largest parameter of 1e300 and 9.5e24, when only
+    # the loss was checked, before each update
+    out = tmp_path / "run"
+    assert run("train", "--data", str(synth_dir), "--out", str(out), *argv) == EXIT_NUMERIC
+    assert_one_line(capsys.readouterr().err, "diverged at epoch 0 step", "parameter norm")
+    assert not out.exists()
+
+
 def test_train_unknown_kr_scope_is_usage_error(synth_dir, tmp_path, capsys):
     out = tmp_path / "run"
     assert run("train", "--data", str(synth_dir), "--out", str(out),

@@ -22,7 +22,9 @@ from nft_ood.errors import (
     ZeroNorm,
 )
 from nft_ood.model import MODES, FeatureBank, TrainingSet, init_model, transform_bank
+from nft_ood.scoring import score_many
 from nft_ood.objectives import (
+    _CANCELLATION,
     KR_SCOPES,
     KR_VARIANTS,
     Batch,
@@ -464,13 +466,82 @@ def test_backward_matches_loop_reference(mode, variant, scope):
             assert err <= LOOP_RTOL * np.max(np.abs(want)), key
 
 
+def assert_matches_loop_reference(state, bank, batch, cfg):
+    report, grads = backward(state, bank, batch, cfg)
+    want_report, want_grads = loop_backward(state, bank, batch, cfg)
+    for name in ("l_pos", "l_neg", "l_kr", "total"):
+        got, want = getattr(report, name), getattr(want_report, name)
+        assert abs(got - want) <= LOOP_RTOL * abs(want), name
+    assert grads.keys() == want_grads.keys()
+    for key, want in want_grads.items():
+        err = np.max(np.abs(grads[key] - want))
+        assert err <= LOOP_RTOL * np.max(np.abs(want)), key
+
+
 def batch_images(batch):
     return np.vstack([batch.pos_features, batch.neg_features])
 
 
+def cancelled_entries(state, bank, imgs):
+    """(B, K) mask of the entries with ||u||^2 <= _CANCELLATION (||a*c||^2 + ||b||^2),
+    from the reference's per-image (a, b) and u itself."""
+    mask = np.zeros((imgs.shape[0], bank.rows().shape[0]), dtype=bool)
+    for i, v in enumerate(imgs):
+        for role, rows in (("positive", slice(0, bank.n_pos)),
+                           ("negative", slice(bank.n_pos, None))):
+            a, b = affine_params(state, v, role)
+            c = bank.rows()[rows]
+            u = a * c + b
+            mask[i, rows] = (np.sum(u * u, axis=1)
+                             <= _CANCELLATION * (np.sum((a * c) ** 2, axis=1) + b @ b))
+    return mask
+
+
+@pytest.mark.parametrize("role, i0, k0, scope", [
+    ("positive", 1, 2, "both"),  # a positive image, with its c . c' dots
+    ("negative", 5, 3, "pos"),  # a negative image, which takes no dots
+])
+def test_backward_cancellation_recompute_matches_loop_reference(role, i0, k0, scope):
+    state, bank, batch, cfg, _ = gradcheck_instance("scale_shift", "feature", 42)
+    cfg = dataclasses.replace(cfg, kr_scope=scope)
+    imgs = batch_images(batch)
+    # shift the role's head so that image i0 tunes row k0 to ||u|| = 1e-4, where the
+    # GEMM expansion of ||u||^2 keeps only about 1e-8 of its terms' size
+    prefix, rows = ("pos", bank.pos) if role == "positive" else ("neg", bank.neg)
+    a, b = affine_params(state, imgs[i0], role)
+    e = unit_rows(np.random.default_rng(45), 1, bank.dim)[0]
+    state.arrays[f"{prefix}_head.beta"] += 1e-4 * e - (a * rows[k0] + b)
+    mask = cancelled_entries(state, bank, imgs)
+    assert mask[i0, k0 + (bank.n_pos if role == "negative" else 0)] and mask.sum() == 1
+    assert_matches_loop_reference(state, bank, batch, cfg)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_backward_without_negative_labels_matches_loop_reference(mode):
+    state, bank, batch, cfg, _ = gradcheck_instance(mode, "logits", 46)
+    bank = FeatureBank.from_rows(bank.pos, np.zeros((0, bank.dim)))
+    pos_only = Batch(batch.pos_features, batch.pos_labels, np.zeros((0, bank.dim)))
+    assert_matches_loop_reference(state, bank, pos_only, cfg)
+
+
+def test_bank_squares_are_read_only_and_built_by_training_only():
+    state, bank, batch, cfg, _ = gradcheck_instance("scale_shift", "feature", 47)
+    bank = FeatureBank.from_rows(bank.pos, bank.neg)  # the instance's backward built its own
+    imgs = batch_images(batch)
+    for method in ("mcm", "neglabel", "krnft"):
+        score_many(imgs, method, bank, state=state)
+    assert "squares" not in vars(bank)
+    backward(state, bank, batch, cfg)
+    assert "squares" in vars(bank)
+    assert np.array_equal(bank.squares, bank.matrix * bank.matrix)
+    assert not bank.squares.flags.writeable
+    with pytest.raises(ValueError):
+        bank.squares[0, 0] = 0.0
+
+
 def forward_cosines_and_dots(state, bank, imgs):
-    roles = _forward(state, bank, imgs)
-    return np.hstack([r.s for r in roles]), np.hstack([r.d for r in roles])
+    f = _forward(state, bank, imgs, imgs.shape[0])
+    return f.s, f.d
 
 
 @pytest.mark.parametrize("mode", MODES)

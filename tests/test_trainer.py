@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adamw_reference import adamw_step as reference_adamw_step
 from conftest import unit_rows
 from nft_ood.errors import EmptyTrainingSet, InvalidConfig, ShapeMismatch
 from nft_ood.model import (
@@ -11,6 +12,7 @@ from nft_ood.model import (
     init_model,
     save_checkpoint,
 )
+from nft_ood.objectives import zero_gradients
 from nft_ood.trainer import (
     LossTrace,
     OptimizerState,
@@ -120,6 +122,36 @@ def test_adamw_shape_mismatch():
     params, opt, cfg = scalar_setup()
     with pytest.raises(ShapeMismatch):
         adamw_step(params, {"w": np.zeros(2)}, opt, cfg)
+
+
+@pytest.mark.parametrize("flat", [True, False])
+@pytest.mark.parametrize("mode", MODES)
+def test_adamw_matches_per_array_reference(mode, flat):
+    # flat: the library's arrays, views of one buffer each; otherwise separate copies
+    rng = np.random.default_rng(49)
+    state = init_model(8, hidden=4, mode=mode, seed=3)
+    for arr in state.params().values():
+        arr += 0.5 * rng.standard_normal(arr.shape)  # alpha off 1, which decay pulls it to
+    cfg = TrainConfig(lr=0.05, weight_decay=0.5)
+    params, opt = state.params(), init_optimizer(state)
+    if not flat:
+        params = {k: a.copy() for k, a in params.items()}
+        opt = OptimizerState(m={k: a.copy() for k, a in opt.m.items()},
+                             v={k: a.copy() for k, a in opt.v.items()}, rest=opt.rest)
+    want = {k: a.copy() for k, a in params.items()}
+    want_opt = init_optimizer(state)
+    for _ in range(6):
+        grads = zero_gradients(state) if flat else {k: np.zeros_like(a)
+                                                    for k, a in params.items()}
+        for g in grads.values():
+            g += rng.standard_normal(g.shape)
+        adamw_step(params, grads, opt, cfg)
+        reference_adamw_step(want, grads, want_opt, cfg)
+    assert opt.step == want_opt.step == 6
+    for key in want:
+        assert np.array_equal(params[key], want[key]), key
+        assert np.array_equal(opt.m[key], want_opt.m[key]), key
+        assert np.array_equal(opt.v[key], want_opt.v[key]), key
 
 
 def test_optimizer_shapes_mirror_state():
