@@ -125,8 +125,12 @@ def _training_from_dir(data_dir, records, n_labels):
     feats = data_io.read_bank(path, unit_rows=True)
     recs = _records_in(records, ("train_pos", "train_neg"), n_labels,
                        n_labels + feats.shape[0], path)
-    pos = sorted((r["row"] - n_labels, r["class"])
-                 for r in recs if r["role"] == "train_pos")
+    n_pos = sum(r["role"] == "pos_label" for r in records)
+    for r in recs:
+        if r["role"] == "train_pos" and not 0 <= r["class"] < n_pos:
+            raise SchemaError(f"manifest row {r['row']} (id {r['id']!r}) has class {r['class']}, "
+                              f"outside the {n_pos} pos_label rows")
+    pos = sorted((r["row"] - n_labels, r["class"]) for r in recs if r["role"] == "train_pos")
     neg = sorted(r["row"] - n_labels for r in recs if r["role"] == "train_neg")
     return TrainingSet(
         pos_features=feats[[i for i, _ in pos]],
@@ -147,7 +151,7 @@ def cmd_synth(args):
     data_io.write_bank(os.path.join(args.out, "test_id.fbnk"), result.test_id)
     data_io.write_bank(os.path.join(args.out, "test_ood.fbnk"), result.test_ood)
     data_io.write_manifest(os.path.join(args.out, "manifest.jsonl"), result.records)
-    _echo_config(args.out, cfg.to_dict())
+    _echo_config(args.out, asdict(cfg))
     print(f"wrote synthetic dataset to {args.out}")
     return EXIT_OK
 
@@ -304,6 +308,8 @@ def cmd_eval(args):
 def cmd_gradcheck(args):
     if args.instances < 1:
         raise ConfigError(f"--instances must be >= 1, got {args.instances}")
+    if args.seed < 0:  # a negative base seed would reach default_rng
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     modes = [args.mode] if args.mode else list(MODES)
     variants = [args.kr_variant] if args.kr_variant else list(KR_VARIANTS)
     worst = 0.0

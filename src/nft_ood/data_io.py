@@ -16,7 +16,7 @@ import numpy as np
 from .errors import FormatError, InvalidConfig, SchemaError, ZeroNorm
 from .mining import CropSet, build_training_set
 from .model import FeatureBank, TrainingSet
-from .numerics import as_f64, normalize_rows
+from .numerics import as_f64, normalize_rows, philox
 
 BANK_MAGIC = b"FBNK"
 BANK_VERSION = 1
@@ -189,9 +189,6 @@ class SynthConfig:
         if 2 * self.select > self.crops_per_sample:
             raise InvalidConfig("need 2*select <= crops_per_sample")
 
-    def to_dict(self):
-        return dict(self.__dict__)
-
 
 @dataclass
 class SynthResult:
@@ -216,7 +213,7 @@ def synth_dataset(cfg):
     of negative prototypes, and crops mix class-prototype copies with planted
     background crops near negative prototypes.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
+    rng = philox(cfg.seed)
     d, n, m = cfg.dim, cfg.n_classes, cfg.m_neg
     pos_proto = normalize_rows(rng.standard_normal((n, d)))
     neg_proto = normalize_rows(rng.standard_normal((m, d)))

@@ -30,7 +30,11 @@ class EmptyInput(DataError):
     pass
 
 
-class NonPositiveTemperature(ConfigError):
+class InvalidConfig(ConfigError):
+    pass
+
+
+class NonPositiveTemperature(InvalidConfig):
     pass
 
 
@@ -74,10 +78,6 @@ class ShapeMismatch(DataError):
 
 
 class EmptyTrainingSet(DataError):
-    pass
-
-
-class InvalidConfig(ConfigError):
     pass
 
 

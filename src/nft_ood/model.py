@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimMismatch, FormatError, InvalidDim, ZeroNorm
-from .numerics import EPS_NORM, as_f64
+from .numerics import EPS_NORM, as_f64, philox
 
 MODES = ("const_shift", "vec_shift", "scale_shift", "mlp")
 # modes whose tuned bank does not depend on the image feature
@@ -210,7 +210,7 @@ def init_model(dim, hidden=None, mode="scale_shift", seed=0):
         raise InvalidDim(f"hidden must be >= 1, got {hidden}")
     if mode not in MODES:
         raise InvalidDim(f"unknown transform mode {mode!r}")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = philox(seed)
     bound = 1.0 / np.sqrt(dim)
     arrays = flat_arrays({key: rng.uniform(-bound, bound, size=shape) if ident is None
                           else np.full(shape, ident)
@@ -269,7 +269,7 @@ def _tune_rows(c_rows, a, b, out, sq):
             np.add(o, shift, out=o)
         # array methods: the np.* wrappers cost a few percent at 256-row blocks
         norms = np.sqrt(np.multiply(o, o, out=sq[: o.shape[0]]).sum(axis=1))
-        if (norms <= 1e-12).any():
+        if (norms <= EPS_NORM).any():
             raise ZeroNorm("transform produced a zero vector; parameters are degenerate")
         np.divide(o, norms[:, None], out=o)
         if not np.isfinite(norms).all():

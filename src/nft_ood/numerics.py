@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import NonFiniteInput, ZeroNorm
+from .errors import InvalidConfig, NonFiniteInput, NonPositiveTemperature, ZeroNorm
 
 EPS_NORM = 1e-12
 
@@ -21,11 +21,11 @@ def as_f64(x):
     return a
 
 
-def normalize_rows(m, eps_norm=EPS_NORM):
+def normalize_rows(m):
     """Scale each row of a 2-d matrix to unit Euclidean norm; ZeroNorm for a near-zero row."""
     m = as_f64(m)
     norms = np.sqrt(np.sum(m * m, axis=1))
-    if np.any(norms <= eps_norm):
+    if np.any(norms <= EPS_NORM):
         raise ZeroNorm("matrix contains a row with near-zero norm")
     return m / norms[:, None]
 
@@ -36,3 +36,20 @@ def sigmoid(x):
         return 1.0 / (1.0 + math.exp(-x))
     z = math.exp(x)
     return z / (1.0 + z)
+
+
+def philox(seed, stream=0):
+    """Every seeded draw's generator: Philox keyed on [seed, stream], both integers (not
+    bool) in [0, 2**64). Key [s, 0] draws exactly what the scalar key s does."""
+    for name, k in (("seed", seed), ("stream", stream)):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < 2**64:
+            raise InvalidConfig(f"{name} must be an integer in [0, 2**64), got {k!r}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
+def check_tau(name, tau):
+    """tau must be > 0 (NaN is not) and finite: at inf every label's logit is 0."""
+    if not tau > 0:
+        raise NonPositiveTemperature(f"{name} must be > 0, got {tau}")
+    if tau == math.inf:
+        raise NonPositiveTemperature(f"{name} must be finite, got {tau}")

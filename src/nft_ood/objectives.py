@@ -42,15 +42,16 @@ from .errors import (
     EmptyBatch,
     InvalidConfig,
     NoNegativeLabels,
-    NonPositiveTemperature,
     ZeroNorm,
 )
 from .model import (IMAGE_INDEPENDENT_MODES, ROLES, TrainingSet, flat_arrays, role_arrays,
                     role_terms)
-from .numerics import EPS_NORM, as_f64
+from .numerics import EPS_NORM, as_f64, check_tau
 
 KR_VARIANTS = ("feature", "logits", "prob")
 KR_SCOPES = ("pos", "both")
+# the smallest |gradient| and |relu pre-activation| that fd_well_conditioned accepts
+_FD_MIN_GRAD, _FD_MIN_RELU_MARGIN = 2e-6, 1e-4
 
 
 # a batch is a slice of the training set: the same positive and negative samples
@@ -72,12 +73,9 @@ def zero_gradients(state):
     return flat_arrays({k: np.zeros(a.shape) for k, a in state.params().items()})
 
 
-def _check_tau(tau):
-    if tau <= 0:
-        raise NonPositiveTemperature(f"tau must be > 0, got {tau}")
-
-
 def _validate_cfg(cfg):
+    """The loss fields of a TrainConfig: checked when it is built and at every loss call."""
+    check_tau("tau_loss", cfg.tau_loss)
     if cfg.kr_variant not in KR_VARIANTS:
         raise InvalidConfig(f"unknown kr_variant {cfg.kr_variant!r}")
     if cfg.kr_scope not in KR_SCOPES:
@@ -233,7 +231,6 @@ def _loss(state, bank, batch, cfg, with_grads):
     """Loss report and, if with_grads, the gradients, from one batched forward."""
     _validate_cfg(cfg)
     _validate_batch(bank, batch)
-    _check_tau(cfg.tau_loss)
     tau, n, n_p, n_n = cfg.tau_loss, bank.n_pos, batch.n_pos, batch.n_neg
     n_kr = n_p + (n_n if cfg.kr_scope == "both" else 0)  # positives come first in imgs
     feature = cfg.kr_variant == "feature"
@@ -317,8 +314,7 @@ def finite_diff_grad(state, bank, batch, cfg, eps=1e-5):
     return grads
 
 
-def fd_well_conditioned(state, bank, batch, grads,
-                        min_grad=2e-6, min_relu_margin=1e-4):
+def fd_well_conditioned(state, bank, batch, grads):
     """Whether a random instance is resolvable by the float64 fd oracle.
 
     Central differences at eps=1e-5 carry an absolute rounding-noise floor of
@@ -329,7 +325,7 @@ def fd_well_conditioned(state, bank, batch, grads,
     """
     vals = np.concatenate([g.ravel() for g in grads.values()])
     nz = np.abs(vals[vals != 0.0])
-    if nz.size and float(nz.min()) < min_grad:
+    if nz.size and float(nz.min()) < _FD_MIN_GRAD:
         return False
     imgs = _images(batch)
     for role in ROLES:
@@ -337,11 +333,11 @@ def fd_well_conditioned(state, bank, batch, grads,
         if "w1" not in p:  # const_shift has no meta-net
             continue
         z = imgs @ p["w1"].T + p["b1"]
-        if float(np.min(np.abs(z))) < min_relu_margin:
+        if float(np.min(np.abs(z))) < _FD_MIN_RELU_MARGIN:
             return False
         if state.mode == "mlp":
             z_rows = bank.rows() @ p["w1"].T + p["b1"]
-            if float(np.min(np.abs(z_rows))) < min_relu_margin:
+            if float(np.min(np.abs(z_rows))) < _FD_MIN_RELU_MARGIN:
                 return False
     return True
 

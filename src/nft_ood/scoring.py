@@ -13,7 +13,6 @@ from .errors import (
     NoNegativeLabels,
     NonFiniteInput,
     NonPositiveInput,
-    NonPositiveTemperature,
 )
 from .model import (
     _BLOCK_ROWS,
@@ -23,7 +22,7 @@ from .model import (
     role_terms,
     transform_bank,
 )
-from .numerics import as_f64, sigmoid
+from .numerics import as_f64, check_tau, sigmoid
 
 
 @dataclass
@@ -57,14 +56,6 @@ _CHUNK_ELEMS = 2**19
 
 def _chunk_rows(dim):
     return max(1, _CHUNK_ELEMS // max(dim, 1))
-
-
-def _check_tau(name, tau):
-    """tau must be > 0 (NaN is not) and finite: at inf every label's logit is 0."""
-    if not tau > 0:
-        raise NonPositiveTemperature(f"{name} must be > 0, got {tau}")
-    if tau == math.inf:
-        raise NonPositiveTemperature(f"{name} must be finite, got {tau}")
 
 
 def _check_neglabel(k, n_pos, finite):
@@ -137,10 +128,8 @@ def _tuned_cosines(state, bank):
 
 def _logsumexp_rows(x):
     """log(sum(exp(row))) of each row of x: its max m plus the log of the sum of
-    exp(row - m); a one-entry row is its own value, exactly."""
+    exp(row - m); a one-entry row is its own value, exactly, since log(exp(0)) is 0."""
     m = np.max(x, axis=1)
-    if x.shape[1] == 1:
-        return m.tolist()
     s = np.sum(np.exp(x - m[:, None]), axis=1)
     return [a + math.log(b) for a, b in zip(m.tolist(), s.tolist())]
 
@@ -192,20 +181,20 @@ def score_neglabel(v, bank_rows, n_pos, tau_score=1.0):
     Algebraically identical to the ratio of exponentiated positive
     similarities to the total over positive plus negative labels.
     """
-    _check_tau("tau_score", tau_score)
+    check_tau("tau_score", tau_score)
     rows = _neglabel_rows(bank_rows, n_pos)
     return _score_one(v, rows, partial(_neglabel_block, n_pos=n_pos, tau_score=tau_score))
 
 
 def score_mcm(v, pos_rows, tau=1.0):
     """Maximum softmax probability over positive label similarities."""
-    _check_tau("tau", tau)
+    check_tau("tau", tau)
     return _score_one(v, _mcm_rows(pos_rows), partial(_mcm_block, tau=tau))
 
 
 def score_krnft(state, v, bank, tau_score=1.0):
     """NegLabel score on the image-conditionally tuned bank."""
-    _check_tau("tau_score", tau_score)
+    check_tau("tau_score", tau_score)
     rows = transform_bank(state, bank, v)
     return score_neglabel(v, rows, bank.n_pos, tau_score)
 
@@ -231,7 +220,7 @@ def score_many(images, method, bank, state=None, tau_score=1.0):
     if method == "krnft" and state is None:
         raise EmptyInput("krnft scoring requires a model state")
     # before any image, so an empty image set cannot hide a bad temperature
-    _check_tau("tau_score", tau_score)
+    check_tau("tau_score", tau_score)
     reduce = partial(_neglabel_block, n_pos=bank.n_pos, tau_score=tau_score)
     if method == "mcm":
         rows, reduce = _mcm_rows(bank.pos), partial(_mcm_block, tau=tau_score)

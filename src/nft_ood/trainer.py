@@ -12,7 +12,8 @@ import numpy as np
 from .errors import EmptyTrainingSet, InvalidConfig, NumericError, ShapeMismatch
 from .model import (Checkpoint, FeatureBank, flat_arrays, flat_buffer, init_model,
                     live_from_v1, param_layout, v1_layout)
-from .objectives import KR_SCOPES, KR_VARIANTS, Batch, backward, fd_well_conditioned
+from .numerics import philox
+from .objectives import Batch, _validate_cfg, backward, fd_well_conditioned
 
 
 @dataclass
@@ -35,20 +36,18 @@ class TrainConfig:
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise InvalidConfig(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.lr <= 0:
-            raise InvalidConfig(f"lr must be > 0, got {self.lr}")
-        if self.epochs < 1:
-            raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
+        # AdamW's bias correction divides by 0 at beta 1, and a zero gradient by 0 at adam_eps 0
+        for name, ok, rule in (("lr", self.lr > 0, "> 0"), ("epochs", self.epochs >= 1, ">= 1"),
+                               ("batch_size", self.batch_size >= 1, ">= 1"),
+                               ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                               ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                               ("adam_eps", self.adam_eps > 0, "> 0"),
+                               ("weight_decay", self.weight_decay >= 0, ">= 0")):
+            if not ok:
+                raise InvalidConfig(f"{name} must be {rule}, got {getattr(self, name)}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise InvalidConfig("lambda weights must be >= 0")
-        if self.tau_loss <= 0:
-            raise InvalidConfig(f"tau_loss must be > 0, got {self.tau_loss}")
-        if self.kr_variant not in KR_VARIANTS:
-            raise InvalidConfig(f"unknown kr_variant {self.kr_variant!r}")
-        if self.kr_scope not in KR_SCOPES:
-            raise InvalidConfig(f"unknown kr_scope {self.kr_scope!r}")
+        _validate_cfg(self)
 
 
 @dataclass
@@ -98,10 +97,6 @@ def adamw_step(params, grads, opt, cfg):
                 arrays[k][...] = part.reshape(arrays[k].shape)
 
 
-def _epoch_rng(seed, epoch):
-    return np.random.Generator(np.random.Philox(key=np.array([seed, epoch], dtype=np.uint64)))
-
-
 def make_batches(train, batch_size, seed, epoch=0):
     """Shuffled batches of ceil(bs/2) positives and floor(bs/2) negatives.
 
@@ -114,7 +109,7 @@ def make_batches(train, batch_size, seed, epoch=0):
     both = train.n_pos > 0 and train.n_neg > 0
     if both and batch_size < 2:
         raise InvalidConfig("batch_size must be >= 2 with both sample kinds present")
-    rng = _epoch_rng(seed, epoch)
+    rng = philox(seed, epoch)
     pos_order, neg_order = rng.permutation(train.n_pos), rng.permutation(train.n_neg)
     pos_per, neg_per = ((batch_size + 1) // 2, batch_size // 2) if both else (batch_size,) * 2
     n_batches = max(-(-train.n_pos // pos_per), -(-train.n_neg // neg_per))

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from nft_ood.errors import BadClassIndex, NoNegativeLabels, ZeroNorm
-from nft_ood.numerics import as_f64
+from nft_ood.numerics import as_f64, check_tau
 from nft_ood.objectives import (
     LossReport,
-    _check_tau,
     _validate_batch,
     _validate_cfg,
     zero_gradients,
@@ -125,7 +124,7 @@ def backward(state, bank, batch, cfg):
     _validate_cfg(cfg)
     _validate_batch(bank, batch)
     tau = cfg.tau_loss
-    _check_tau(tau)
+    check_tau("tau_loss", tau)
     n = bank.n_pos
     rows0 = bank.rows()
     k = rows0.shape[0]

@@ -9,14 +9,13 @@ import numpy as np
 
 from nft_ood.errors import BadClassIndex, DimMismatch, NoNegativeLabels
 from nft_ood.model import transform_bank
-from nft_ood.numerics import as_f64
-from nft_ood.objectives import _check_tau
+from nft_ood.numerics import as_f64, check_tau
 from numerics_reference import logsumexp, stable_softmax
 
 
 def loss_positive(state, bank, v_p, y, tau):
     """Cross-entropy of class y over all N+M tuned-feature similarities."""
-    _check_tau(tau)
+    check_tau("tau", tau)
     if not 0 <= y < bank.n_pos:
         raise BadClassIndex(f"class index {y} outside [0, {bank.n_pos})")
     v_p = as_f64(v_p)
@@ -26,7 +25,7 @@ def loss_positive(state, bank, v_p, y, tau):
 
 def loss_negative(state, bank, v_n, tau):
     """log of the ID probability mass for a negative sample; always <= 0."""
-    _check_tau(tau)
+    check_tau("tau", tau)
     if bank.n_neg == 0:
         raise NoNegativeLabels("negative loss requires at least one negative label")
     v_n = as_f64(v_n)

@@ -41,6 +41,12 @@ def test_benchmark_train_mid_traced_smoke():
     _smoke("train_mid", "--trace", "1")
 
 
+def test_benchmark_score_paper_smoke():
+    # the one workload the other smokes leave out: paper-shaped krnft and
+    # neglabel scoring, checked against their per-image references
+    _smoke("score_paper")
+
+
 def test_benchmark_eval_1m_smoke():
     # evaluate on 1M+1M scores, checked for exact equality with the
     # benchmark's independent AUROC and FPR95 references

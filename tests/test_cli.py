@@ -285,6 +285,61 @@ def test_train_unknown_kr_scope_is_usage_error(synth_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, needle", [
+    # each once exited 0 and trained with a wrong optimizer
+    ("--beta1", "2", "beta1 must be in [0, 1), got 2.0"),
+    ("--beta1", "-0.5", "beta1 must be in [0, 1), got -0.5"),
+    ("--beta2", "1.5", "beta2 must be in [0, 1), got 1.5"),
+    ("--adam-eps", "-1", "adam_eps must be > 0, got -1.0"),
+    ("--weight-decay", "-1", "weight_decay must be >= 0, got -1.0"),
+    # each once exited 3, "training diverged at epoch 0 step 0": a zero bias
+    # correction or 0/0, not divergence
+    ("--beta1", "1", "beta1 must be in [0, 1), got 1.0"),
+    ("--beta2", "1", "beta2 must be in [0, 1), got 1.0"),
+    ("--adam-eps", "0", "adam_eps must be > 0, got 0.0"),
+])
+def test_train_optimizer_field_outside_its_range_is_usage_error(synth_dir, tmp_path, capsys,
+                                                                 flag, value, needle):
+    out = tmp_path / "run"
+    assert run("train", "--data", str(synth_dir), "--out", str(out), "--epochs", "1",
+               flag, value) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, needle)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("how", ["synth", "train-flag", "train-config", "gradcheck"])
+def test_seed_outside_uint64_is_usage_error(synth_dir, tmp_path, capsys, how, seed):
+    # once exit 4 with an OverflowError or ValueError traceback
+    out = tmp_path / "out"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"data_dir": str(synth_dir), "seed": seed}))
+    argv = {"synth": ["synth", "--out", str(out), "--seed", str(seed)],
+            "train-flag": ["train", "--data", str(synth_dir), "--out", str(out),
+                           "--seed", str(seed)],
+            "train-config": ["train", "--config", str(config), "--out", str(out)],
+            "gradcheck": ["gradcheck", "--mode", "const_shift", "--kr-variant", "feature",
+                          "--instances", "1", "--seed", str(seed)]}[how]
+    assert run(*argv) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, "seed must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cls", [8, -1, 2**64])
+def test_train_pos_class_outside_the_positive_labels_is_data_error(synth_dir, tmp_path,
+                                                                   capsys, cls):
+    # 2**64 once overflowed into exit 4; the others failed on the first batch
+    d = tmp_path / "bad"
+    records = copy_dataset(synth_dir, d)
+    victim = next(r for r in records if r["role"] == "train_pos")
+    victim["class"] = cls
+    write_manifest(d / "manifest.jsonl", records)
+    assert run("train", "--data", str(d), "--out", str(tmp_path / "t"),
+               "--epochs", "1") == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, f"row {victim['row']} ", repr(victim["id"]),
+                    f"class {cls}, outside the 8 pos_label rows")
+
+
 @pytest.mark.parametrize("cmd, cls", [("synth", SynthConfig), ("train", TrainConfig)])
 def test_every_config_field_has_its_flag(cmd, cls):
     for f in fields(cls):

@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from nft_ood.data_io import SynthConfig, synth_dataset
 from nft_ood.errors import (
+    ConfigError,
     EmptyInput,
+    InvalidConfig,
     NonFiniteInput,
     NonPositiveTemperature,
     ZeroNorm,
 )
-from nft_ood.numerics import normalize_rows, sigmoid
+from nft_ood.model import TrainingSet, init_model
+from nft_ood.numerics import check_tau, normalize_rows, philox, sigmoid
+from nft_ood.trainer import make_batches
 from numerics_reference import cosine, l2_normalize, logsumexp, stable_softmax
 
 
@@ -141,3 +146,54 @@ def test_sigmoid_stable_at_extremes():
     assert sigmoid(1000.0) == pytest.approx(1.0)
     assert sigmoid(-1000.0) == pytest.approx(0.0)
     assert sigmoid(2.0) == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-15)
+
+
+# ---- seeded generators and temperatures ----
+
+
+def _draws(gen):
+    return gen.integers(0, 2**63, size=8)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_philox_keys_match_the_scalar_and_pair_keys(seed):
+    # synth and init_model once keyed Philox on np.uint64(seed), make_batches on
+    # [seed, epoch]: philox must draw the same numbers
+    old = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    assert np.array_equal(_draws(philox(seed)), _draws(old))
+    for stream in (0, 3, 2**64 - 1):
+        old = np.random.Generator(
+            np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+        assert np.array_equal(_draws(philox(seed, stream)), _draws(old))
+    assert np.array_equal(_draws(philox(np.uint64(seed))), _draws(philox(seed)))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "7", None])
+def test_philox_rejects_keys_outside_uint64(seed):
+    # np.uint64(1.5) once made seed 1.5 into seed 1; -1 raised an OverflowError
+    for args in ((seed,), (0, seed)):
+        with pytest.raises(InvalidConfig, match="must be an integer in"):
+            philox(*args)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_every_seeded_generator_rejects_seeds_outside_uint64(seed):
+    rng = np.random.default_rng(9)
+    ts = TrainingSet(rng.standard_normal((4, 8)), np.zeros(4, dtype=int),
+                     rng.standard_normal((4, 8)))
+    with pytest.raises(InvalidConfig):
+        init_model(8, hidden=4, seed=seed)
+    with pytest.raises(InvalidConfig):
+        synth_dataset(SynthConfig(seed=seed))
+    with pytest.raises(InvalidConfig):
+        make_batches(ts, 4, seed=seed)
+
+
+@pytest.mark.parametrize("tau, needle", [
+    (0.0, "> 0"), (-1.0, "> 0"), (math.nan, "> 0"), (math.inf, "finite")])
+def test_check_tau_rejects_non_positive_nan_and_infinite(tau, needle):
+    with pytest.raises(NonPositiveTemperature, match=f"^tau_x must be {needle}"):
+        check_tau("tau_x", tau)
+    assert issubclass(NonPositiveTemperature, InvalidConfig)
+    assert issubclass(NonPositiveTemperature, ConfigError)
+    check_tau("tau_x", 1e-300)

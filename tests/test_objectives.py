@@ -36,7 +36,7 @@ from nft_ood.objectives import (
     total_loss,
     zero_gradients,
 )
-from nft_ood.trainer import TrainConfig, gradcheck_instance
+from nft_ood.trainer import TrainConfig, gradcheck_instance, train
 
 
 def perturbed_state(rng, d=8, hidden=4, mode="scale_shift", scale=0.15):
@@ -429,6 +429,34 @@ def test_backward_rejects_invalid_variant():
     cfg.kr_variant = "bogus"  # bypass the constructor check
     with pytest.raises(InvalidConfig):
         backward(state, bank, batch, cfg)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau_loss", 0.0), ("tau_loss", -1.0), ("tau_loss", math.nan), ("tau_loss", math.inf),
+    ("kr_variant", "bogus"), ("kr_scope", "neither"),
+])
+def test_loss_config_edited_after_construction_is_rejected_by_every_caller(field, value):
+    # NaN once gave backward a NaN loss, and inf a flat run that exited 0
+    rng = np.random.default_rng(38)
+    bank = FeatureBank.from_rows(unit_rows(rng, 3, 8), unit_rows(rng, 4, 8))
+    state = init_model(8, hidden=4, seed=0)
+    batch = make_batch(rng, 2, 2, 3, 8)
+    cfg = TrainConfig(epochs=1)
+    setattr(cfg, field, value)
+    calls = {"TrainConfig": lambda: TrainConfig(**dataclasses.asdict(cfg)),
+             "backward": lambda: backward(state, bank, batch, cfg),
+             "total_loss": lambda: total_loss(state, bank, batch, cfg),
+             "train": lambda: train(state, bank, batch, cfg)}
+    raised = {}
+    for name, call in calls.items():
+        with pytest.raises(InvalidConfig, match=field) as e:
+            call()
+        raised[name] = e.value
+    # the loss calls share one check; the constructor's finiteness check answers
+    # first for NaN and inf, with an InvalidConfig of its own
+    assert len({(type(e), str(e)) for k, e in raised.items() if k != "TrainConfig"}) == 1
+    if not (field == "tau_loss" and not math.isfinite(value)):
+        assert type(raised["TrainConfig"]) is type(raised["backward"])
 
 
 # ---- batched closed form against the per-sample loop and the tuned bank ----

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -246,11 +247,14 @@ def test_score_many_matches_reference_on_many_images():
     rng = np.random.default_rng(67)
     bank = FeatureBank.from_rows(unit_rows(rng, 3, 8), unit_rows(rng, 6, 8))
     images = unit_rows(rng, 20000, 8)
-    for tau in (1.0, 0.07):
-        want = [neglabel_reference(v, bank.rows(), 3, tau) for v in images]
-        assert np.array_equal(score_many(images, "neglabel", bank, tau_score=tau), want)
-        want = [mcm_reference(v, bank.pos, tau) for v in images]
-        assert np.array_equal(score_many(images, "mcm", bank, tau_score=tau), want)
+    # N = M = 1: every log-sum-exp is of one entry, which the reference returns as is
+    single = FeatureBank.from_rows(unit_rows(rng, 1, 8), unit_rows(rng, 1, 8))
+    for (bank, imgs), tau in itertools.product(((bank, images), (single, images[:2000])),
+                                               (1.0, 0.07)):
+        want = [neglabel_reference(v, bank.rows(), bank.n_pos, tau) for v in imgs]
+        assert np.array_equal(score_many(imgs, "neglabel", bank, tau_score=tau), want)
+        want = [mcm_reference(v, bank.pos, tau) for v in imgs]
+        assert np.array_equal(score_many(imgs, "mcm", bank, tau_score=tau), want)
 
 
 def test_neglabel_overflowing_temperature_is_non_finite():

@@ -59,6 +59,12 @@ def test_config_validation():
         TrainConfig(kr_scope="neither")
 
 
+def test_config_accepts_optimizer_fields_at_their_bounds():
+    # the rejected side of each bound is a cli.main test
+    TrainConfig(beta1=0.0, beta2=0.0, weight_decay=0.0, adam_eps=1e-300)
+    TrainConfig(beta1=1 - 2**-53, beta2=1 - 2**-53)
+
+
 # ---- AdamW ----
 
 
