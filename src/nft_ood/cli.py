@@ -252,8 +252,8 @@ def cmd_score(args):
     with open(args.out, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["id", "score", "truth"])
-        for i, s in enumerate(scores):
-            w.writerow([f"img_{i}", repr(float(s)), args.truth or ""])
+        truth = args.truth or ""
+        w.writerows([f"img_{i}", repr(s), truth] for i, s in enumerate(scores.tolist()))
     _write_json(args.out + ".config.json", {
         "bank": args.bank, "images": args.images, "method": args.method,
         "tau_score": args.tau_score, "checkpoint": args.checkpoint,
@@ -312,6 +312,12 @@ def cmd_gradcheck(args):
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     modes = [args.mode] if args.mode else list(MODES)
     variants = [args.kr_variant] if args.kr_variant else list(KR_VARIANTS)
+    # an instance draws from seed base_seed * 1000 + attempt (attempt < 50), below 2**64
+    limit = ((2**64 - 50) // 1000 - 10000 * max(map(MODES.index, modes))
+             - 100 * max(map(KR_VARIANTS.index, variants)) - args.instances + 1)
+    if args.seed > limit:
+        raise ConfigError(f"--seed must be <= {limit} for these modes, variants and "
+                          f"--instances, got {args.seed}")
     worst = 0.0
     failures = []
     for mode in modes:

@@ -85,9 +85,10 @@ def write_manifest(path, records):
     """Write a list of JSONL manifest records; unknown keys are dropped with a warning."""
     encode = json.JSONEncoder(sort_keys=True).encode  # the text of json.dumps(r, sort_keys=True)
     dropped = {k for rec in records for k in rec if k not in _KNOWN_KEYS}
+    if dropped:  # sort_keys makes a record's text independent of its key order
+        records = [{k: rec[k] for k in _KNOWN_KEYS if k in rec} for rec in records]
     with open(path, "w") as f:
-        f.write("".join(encode({k: rec[k] for k in _KNOWN_KEYS if k in rec}) + "\n"
-                        for rec in records))
+        f.write("".join(encode(rec) + "\n" for rec in records))
     if dropped:
         warnings.warn(f"dropped unknown manifest keys: {sorted(dropped)}")
 
@@ -109,24 +110,31 @@ def number_records(parts):
     return records
 
 
-def _validate_record(rec, where):
+def _record_error(rec, seen_rows, n_rows):
+    """What is wrong with a decoded manifest line: the first rule it breaks, or None."""
+    if not isinstance(rec, dict):
+        return "not a JSON object"
     for key in ("row", "id", "role"):
         if key not in rec:
-            raise SchemaError(f"{where}: missing key {key!r}")
+            return f"missing key {key!r}"
     if type(rec["row"]) is not int:
-        raise SchemaError(f"{where}: row {rec['row']!r} is not an integer")
+        return f"row {rec['row']!r} is not an integer"
     if rec["role"] not in MANIFEST_ROLES:
-        raise SchemaError(f"{where}: unknown role {rec['role']!r}")
+        return f"unknown role {rec['role']!r}"
     if rec["role"] in _CLASS_REQUIRED and "class" not in rec:
-        raise SchemaError(f"{where}: role {rec['role']!r} requires a class index")
+        return f"role {rec['role']!r} requires a class index"
     if rec["role"] in _CLASS_FORBIDDEN and "class" in rec:
-        raise SchemaError(f"{where}: role {rec['role']!r} must not carry a class")
+        return f"role {rec['role']!r} must not carry a class"
     if "class" in rec and type(rec["class"]) is not int:
-        raise SchemaError(f"{where}: class {rec['class']!r} is not an integer")
+        return f"class {rec['class']!r} is not an integer"
     if rec["role"] == "crop" and "parent" not in rec:
-        raise SchemaError(f"{where}: role 'crop' requires a parent")
+        return "role 'crop' requires a parent"
     if "parent" in rec and type(rec["parent"]) is not str:
-        raise SchemaError(f"{where}: parent {rec['parent']!r} is not a string")
+        return f"parent {rec['parent']!r} is not a string"
+    if rec["row"] in seen_rows:
+        return f"duplicate row {rec['row']}"
+    if n_rows is not None and not 0 <= rec["row"] < n_rows:
+        return f"row {rec['row']} outside bank bounds"
 
 
 def read_manifest(path, n_rows=None):
@@ -135,26 +143,26 @@ def read_manifest(path, n_rows=None):
     A line that is not UTF-8 JSON, not a JSON object or not a valid record
     raises SchemaError naming the file and line.
     """
-    records = []
-    seen_rows = set()
+    records, seen_rows = [], set()
+    raw_decode = json.JSONDecoder().raw_decode
     try:
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                where = f"{path} line {lineno}"
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise SchemaError(f"{where}: not valid JSON: {e}") from None
-                if not isinstance(rec, dict):
-                    raise SchemaError(f"{where}: not a JSON object")
-                _validate_record(rec, where)
-                if rec["row"] in seen_rows:
-                    raise SchemaError(f"{where}: duplicate row {rec['row']}")
-                if n_rows is not None and not 0 <= rec["row"] < n_rows:
-                    raise SchemaError(f"{where}: row {rec['row']} outside bank bounds")
+                try:  # one decode; json.loads where it fails or stops short, for json's message
+                    rec, end = raw_decode(line)
+                except json.JSONDecodeError:
+                    end = None
+                if end != len(line):
+                    try:
+                        rec = json.loads(line)
+                    except json.JSONDecodeError as e:
+                        raise SchemaError(f"{path} line {lineno}: not valid JSON: {e}") from None
+                error = _record_error(rec, seen_rows, n_rows)
+                if error is not None:
+                    raise SchemaError(f"{path} line {lineno}: {error}")
                 seen_rows.add(rec["row"])
                 records.append(rec)
     except UnicodeDecodeError:

@@ -135,11 +135,16 @@ def param_layout(mode, dim, hidden):
             for name, shape, ident in MODE_PARAMS[mode] if name.startswith(group)]
 
 
-def role_arrays(arrays, role):
-    """One role's arrays of a dict keyed like params(), parameters or gradients, by field
-    name: those of beta, alpha, w1, b1, w_beta, b_beta, w_alpha, b_alpha the mode has."""
-    prefix = "pos_" if role == "positive" else "neg_"
-    return {key.split(".")[1]: a for key, a in arrays.items() if key.startswith(prefix)}
+# each mode's (field, key) pairs per role, such as ("beta", "pos_head.beta")
+_ROLE_KEYS = {(mode, role): [(name.split(".")[1], f"{prefix}_{name}") for name, _, _ in params]
+              for mode, params in MODE_PARAMS.items()
+              for role, prefix in zip(ROLES, ("pos", "neg"))}
+
+
+def role_arrays(arrays, mode, role):
+    """One role's arrays of a mode's dict keyed like params(), parameters or gradients, by
+    field name: those of beta, alpha, w1, b1, w_beta, b_beta, w_alpha, b_alpha the mode has."""
+    return {name: arrays[key] for name, key in _ROLE_KEYS[mode, role]}
 
 
 def v1_layout(dim, hidden):
@@ -153,13 +158,13 @@ def live_from_v1(mode, dim, hidden, v1_arrays):
             for key, shape, _ in param_layout(mode, dim, hidden)}
 
 
-def flat_arrays(arrays):
-    """Copies of the arrays of a dict, in its order, as consecutive views of one flat
-    float64 buffer, which AdamW updates in one pass."""
-    flat = np.concatenate([np.ravel(a) for a in arrays.values()]).astype(np.float64, copy=False)
-    ends = np.cumsum([np.size(a) for a in arrays.values()])
-    return {k: flat[e - np.size(a) : e].reshape(np.shape(a))
-            for (k, a), e in zip(arrays.items(), ends)}
+def flat_arrays(arrays, flat=None):
+    """Consecutive views, shaped like the arrays of a dict in its order, of flat if given,
+    else of one new float64 buffer of their copies, which AdamW updates in one pass."""
+    if flat is None:
+        flat = np.concatenate([a.ravel() for a in arrays.values()]).astype(np.float64, copy=False)
+    ends = np.cumsum([a.size for a in arrays.values()])
+    return {k: flat[e - a.size : e].reshape(a.shape) for (k, a), e in zip(arrays.items(), ends)}
 
 
 def flat_buffer(arrays, keys):
@@ -229,7 +234,7 @@ def role_terms(state, role, v, c_rows=None):
     is the head's (1,) beta and z, h are None. Training and scoring both tune
     through this one definition.
     """
-    p = role_arrays(state.arrays, role)
+    p = role_arrays(state.arrays, state.mode, role)
     if "w1" not in p:  # const_shift has no meta-net
         return None, p["beta"], None, None
     z = (c_rows if state.mode == "mlp" else v) @ p["w1"].T + p["b1"]

@@ -70,7 +70,7 @@ class LossReport:
 
 def zero_gradients(state):
     """Zeroed gradients shaped like the live parameters, views of one flat buffer."""
-    return flat_arrays({k: np.zeros(a.shape) for k, a in state.params().items()})
+    return flat_arrays(state.arrays, np.zeros(sum(a.size for a in state.arrays.values())))
 
 
 def _validate_cfg(cfg):
@@ -85,7 +85,7 @@ def _validate_cfg(cfg):
 def _validate_batch(bank, batch):
     if batch.n_pos == 0 and batch.n_neg == 0:
         raise EmptyBatch("batch has neither positive nor negative samples")
-    if batch.n_pos and (np.min(batch.pos_labels) < 0 or np.max(batch.pos_labels) >= bank.n_pos):
+    if batch.n_pos and (batch.pos_labels.min() < 0 or batch.pos_labels.max() >= bank.n_pos):
         raise BadClassIndex("batch contains a class index outside the bank")
     if batch.n_neg and bank.n_neg == 0:
         raise NoNegativeLabels("negative samples require negative labels in the bank")
@@ -103,7 +103,7 @@ def _softmax_rows(x):
 
 def _images(batch):
     """The batch's images as one (B, D) array, positives first."""
-    return np.vstack([as_f64(batch.pos_features), as_f64(batch.neg_features)])
+    return as_f64(np.concatenate([batch.pos_features, batch.neg_features]))
 
 
 # Where ||u||^2 falls below this share of ||a*c||^2 + ||b||^2, its GEMM
@@ -152,8 +152,8 @@ def _forward(state, bank, imgs, n_dots):
         if a is None:
             a = np.ones_like(b)
             roles[i] = (name, cols, a, b, z, h)
-        np.matmul(np.vstack([a * imgs, a * b, b[:n_dots]]), c[cols].T, out=p1[:, cols])
-        np.matmul(np.vstack([a * a, a[:n_dots]]), bank.squares[cols].T, out=p2[:, cols])
+        np.matmul(np.concatenate([a * imgs, a * b, b[:n_dots]]), c[cols].T, out=p1[:, cols])
+        np.matmul(np.concatenate([a * a, a[:n_dots]]), bank.squares[cols].T, out=p2[:, cols])
         p1[:n_img, cols] += (b * imgs).sum(axis=1, keepdims=True)
         p2[:n_img, cols] += (b * b).sum(axis=1, keepdims=True)
     vu, n2, cu, q = p1[:n_img], p1[n_img : 2 * n_img], p2[n_img:], p2[:n_img]
@@ -195,12 +195,12 @@ def _backprop(state, bank, f, imgs, g_s, g_d, grads):
         rho[:n_g] += gamma * f.d
         rho /= f.n
     for name, cols, a, b, z, h in f.roles:
-        p, dp = role_arrays(state.arrays, name), role_arrays(grads, name)
+        p, dp = (role_arrays(arrays, state.mode, name) for arrays in (state.arrays, grads))
         g_a = None
         if state.mode in IMAGE_INDEPENDENT_MODES:
             g_b = g_u[cols]
             if "w1" not in p:  # const_shift
-                dp["beta"][0] += np.sum(g_b)
+                dp["beta"][0] += g_b.sum()
                 continue
             x = c[cols]  # the mlp's trunk reads the bank rows, not the images
         else:
@@ -208,23 +208,23 @@ def _backprop(state, bank, f, imgs, g_s, g_d, grads):
             sums = coef[: 2 * n_img, cols].sum(axis=1, keepdims=True)
             g_b = imgs * sums[:n_img] - a * cc[n_img : 2 * n_img] - b * sums[n_img:]
             g_b[:n_g] += cc[2 * n_img :]
-            dp["beta"] += np.sum(g_b, axis=0)
+            dp["beta"] += g_b.sum(axis=0)
             if "alpha" in p:
                 cc2 = coef[n_img:, cols] @ bank.squares[cols]  # rho, gamma @ c*c
                 g_a = imgs * cc[:n_img] - a * cc2[:n_img] - b * cc[n_img : 2 * n_img]
                 g_a[:n_g] += cc2[n_img:]
-                dp["alpha"] += np.sum(g_a, axis=0)
+                dp["alpha"] += g_a.sum(axis=0)
             x = imgs
         dp["w_beta"] += g_b.T @ h
-        dp["b_beta"] += np.sum(g_b, axis=0)
+        dp["b_beta"] += g_b.sum(axis=0)
         g_h = g_b @ p["w_beta"]
         if g_a is not None:
             dp["w_alpha"] += g_a.T @ h
-            dp["b_alpha"] += np.sum(g_a, axis=0)
+            dp["b_alpha"] += g_a.sum(axis=0)
             g_h += g_a @ p["w_alpha"]
         g_z = g_h * (z > 0)
         dp["w1"] += g_z.T @ x
-        dp["b1"] += np.sum(g_z, axis=0)
+        dp["b1"] += g_z.sum(axis=0)
 
 
 def _loss(state, bank, batch, cfg, with_grads):
@@ -243,31 +243,32 @@ def _loss(state, bank, batch, cfg, with_grads):
     l_pos = l_neg = l_kr = 0.0
     if n_p:
         idx, y = np.arange(n_p), batch.pos_labels.astype(int)
-        l_pos = float((lse_all[:n_p] - logits[idx, y]).mean())
+        # x.sum() / n: the bits of x.mean(), without its Python wrapper
+        l_pos = float((lse_all[:n_p] - logits[idx, y]).sum() / n_p)
         g_s[idx, y] -= 1.0
         g_s[:n_p] /= n_p * tau
     if n_n:
         lse_id, p_id = _softmax_rows(logits[n_p:, :n])
-        l_neg = float((lse_id - lse_all[n_p:]).mean())
+        l_neg = float((lse_id - lse_all[n_p:]).sum() / n_n)
         g_s[n_p:, :n] -= p_id
         g_s[n_p:] *= -cfg.lambda1 / (n_n * tau)
     if n_kr:
         w_kr = cfg.lambda2 / n_kr
         if feature:
-            kr_per_img = 1.0 - f.d.mean(axis=1)
+            kr_per_img = 1.0 - f.d.sum(axis=1) / k
             g_d = -w_kr / k
         else:
             s, t0 = f.s[:n_kr], imgs[:n_kr] @ bank.matrix.T
             if cfg.kr_variant == "logits":
                 gap = s - t0
-                kr_per_img = (gap * gap).mean(axis=1)
+                kr_per_img = (gap * gap).sum(axis=1) / k
                 g_s[:n_kr] += (2.0 * w_kr / k) * gap
             else:  # prob
                 p0 = _softmax_rows(t0)[1]
                 lse_q, q = _softmax_rows(s)
                 kr_per_img = -(p0 * (s - lse_q[:, None])).sum(axis=1)
                 g_s[:n_kr] += w_kr * (q - p0)
-        l_kr = float(kr_per_img.mean())
+        l_kr = float(kr_per_img.sum() / n_kr)
 
     total = float(l_pos + cfg.lambda1 * l_neg + cfg.lambda2 * l_kr)
     report = LossReport(l_pos=l_pos, l_neg=l_neg, l_kr=l_kr, total=total, n_pos=n_p, n_neg=n_n)
@@ -329,7 +330,7 @@ def fd_well_conditioned(state, bank, batch, grads):
         return False
     imgs = _images(batch)
     for role in ROLES:
-        p = role_arrays(state.arrays, role)
+        p = role_arrays(state.arrays, state.mode, role)
         if "w1" not in p:  # const_shift has no meta-net
             continue
         z = imgs @ p["w1"].T + p["b1"]

@@ -13,7 +13,7 @@ from .errors import EmptyTrainingSet, InvalidConfig, NumericError, ShapeMismatch
 from .model import (Checkpoint, FeatureBank, flat_arrays, flat_buffer, init_model,
                     live_from_v1, param_layout, v1_layout)
 from .numerics import philox
-from .objectives import Batch, _validate_cfg, backward, fd_well_conditioned
+from .objectives import Batch, _validate_cfg, backward, fd_well_conditioned, zero_gradients
 
 
 @dataclass
@@ -60,11 +60,11 @@ class OptimizerState:
 
 
 def init_optimizer(state):
-    """Zero moments per live array; decay targets are the arrays' identity values."""
-    zeros = {k: np.zeros(a.shape) for k, a in state.params().items()}
+    """Zero moments per live array, laid out like the gradients; decay targets are the
+    arrays' identity values."""
     return OptimizerState(
-        m=flat_arrays(zeros),
-        v=flat_arrays(zeros),
+        m=zero_gradients(state),
+        v=zero_gradients(state),
         step=0,
         rest={k: ident for k, _, ident in param_layout(state.mode, state.dim, state.hidden)
               if ident},
@@ -82,8 +82,7 @@ def adamw_step(params, grads, opt, cfg):
         if grads[key].shape != p.shape:
             raise ShapeMismatch(f"gradient shape mismatch for {key}")
     p, m, v, g = (flat_buffer(arrays, params) for arrays in (params, opt.m, opt.v, grads))
-    sizes = [a.size for a in params.values()]
-    rest = np.repeat([opt.rest.get(k, 0.0) for k in params], sizes)
+    rest = np.repeat([opt.rest.get(k, 0.0) for k in params], [a.size for a in params.values()])
     m *= cfg.beta1
     m += (1.0 - cfg.beta1) * g
     v *= cfg.beta2
@@ -93,8 +92,8 @@ def adamw_step(params, grads, opt, cfg):
     p -= cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * (p - rest))
     for arrays, flat in ((params, p), (opt.m, m), (opt.v, v)):
         if flat is not arrays[next(iter(params))].base:  # a copy: write it back
-            for k, part in zip(params, np.split(flat, np.cumsum(sizes)[:-1])):
-                arrays[k][...] = part.reshape(arrays[k].shape)
+            for k, part in flat_arrays(params, flat).items():
+                arrays[k][...] = part
 
 
 def make_batches(train, batch_size, seed, epoch=0):

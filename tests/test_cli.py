@@ -552,6 +552,33 @@ def test_select_crops_class_outside_labels_is_data_error(tmp_path, capsys, cls):
     assert not (tmp_path / "training").exists()
 
 
+def test_select_crops_accepts_a_negative_label_class_that_train_rejects(tmp_path, capsys):
+    # --labels is a bare .fbnk: it cannot tell its N positive rows from its M negative ones
+    argv = select_crops_argv(tmp_path, lambda rec: rec.update({"class": 3}))
+    rng = np.random.default_rng(97)
+    labels = rng.standard_normal((4, 8))  # N = 2 positive rows, then M = 2 negative
+    data = tmp_path / "data"
+    data.mkdir()
+    write_bank(data / "labels.fbnk", labels / np.linalg.norm(labels, axis=1, keepdims=True))
+    argv[argv.index("--labels") + 1] = str(data / "labels.fbnk")
+    assert run(*argv) == EXIT_OK
+    (data / "train.fbnk").write_bytes((tmp_path / "training" / "train.fbnk").read_bytes())
+    selected = read_manifest(tmp_path / "training" / "manifest.jsonl")
+    assert [r["class"] for r in selected if r["role"] == "train_pos"] == [3, 3, 1, 1]
+    write_manifest(data / "manifest.jsonl", [
+        {"row": 0, "id": "pos_0", "role": "pos_label", "class": 0},
+        {"row": 1, "id": "pos_1", "role": "pos_label", "class": 1},
+        {"row": 2, "id": "neg_0", "role": "neg_label"},
+        {"row": 3, "id": "neg_1", "role": "neg_label"},
+    ] + [dict(r, row=r["row"] + 4) for r in selected])
+    capsys.readouterr()
+    assert run("train", "--data", str(data), "--out", str(tmp_path / "run"),
+               "--epochs", "1") == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, "manifest row 4 (id 'train_pos_0') has class 3",
+                    "outside the 2 pos_label rows")
+    assert not (tmp_path / "run").exists()
+
+
 def test_select_crops_group_below_2q_names_manifest_parent_and_class(tmp_path, capsys):
     # parent a holds 4 crops and parent b 3, so b cannot give q=2 disjoint crops per side
     rng = np.random.default_rng(99)
@@ -919,6 +946,23 @@ def test_gradcheck_corrupted_fails(monkeypatch):
     monkeypatch.setattr(cli, "gradcheck_instance", corrupted)
     assert run("gradcheck", "--mode", "const_shift", "--kr-variant", "feature",
                "--instances", "1") == EXIT_NUMERIC
+
+
+def test_gradcheck_seed_bound_is_checked_before_any_instance(capsys):
+    # instance seeds are base_seed * 1000 + attempt (attempt < 50), base_seed 10000 i +
+    # 100 j + seed + instance; a too large --seed once failed inside the first instance,
+    # naming the derived seed
+    one = ["gradcheck", "--mode", "const_shift", "--kr-variant", "feature", "--instances", "1"]
+    limit = (2**64 - 1 - 49) // 1000
+    assert run(*one, "--seed", str(limit)) == EXIT_OK
+    capsys.readouterr()
+    assert run(*one, "--seed", str(limit + 1)) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, f"--seed must be <= {limit} ", str(limit + 1))
+    # every mode and variant, 3 instances: the largest base seed is 30202 + seed
+    assert run("gradcheck", "--instances", "3", "--seed", str(limit - 30201)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_line(captured.err, f"--seed must be <= {limit - 30202} ")
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])  # once checked nothing and exited 0

@@ -190,6 +190,44 @@ def test_manifest_missing_key(tmp_path):
         read_manifest(path)
 
 
+_OK_LINE = '{"id": "a", "role": "neg_label", "row": 0}\n'
+
+
+# each manifest's SchemaError text after the path, as the json.loads-per-line reader gave it
+_MANIFEST_ERRORS = [
+    (_OK_LINE + '{"id": "b", "role": "neg_label", "row": 1\n',
+     "line 2: not valid JSON: Expecting ',' delimiter: line 1 column 42 (char 41)"),
+    (_OK_LINE + '{"id": "b", "role": "neg_label", "row": 1} {"x": 1}\n',
+     "line 2: not valid JSON: Extra data: line 1 column 44 (char 43)"),
+    (_OK_LINE.replace("}", "}\x00"),
+     "line 1: not valid JSON: Extra data: line 1 column 43 (char 42)"),
+    ("\ufeff" + _OK_LINE, "line 1: not valid JSON: Unexpected UTF-8 BOM (decode using "
+     "utf-8-sig): line 1 column 1 (char 0)"),
+    (_OK_LINE + "[1, 2]\n", "line 2: not a JSON object"),
+    (_OK_LINE + '{"id": "b", "role": "neg_label"}\n', "line 2: missing key 'row'"),
+    ('{"id": "b", "role": "neg_label", "row": "1"}\n', "line 1: row '1' is not an integer"),
+    ('{"id": "b", "role": "neg_label", "row": NaN}\n', "line 1: row nan is not an integer"),
+    ('{"class": "a", "id": "b", "role": "train_pos", "row": 1}\n',
+     "line 1: class 'a' is not an integer"),
+    ('{"class": 1, "id": "b", "role": "crop", "parent": 3, "row": 1}\n',
+     "line 1: parent 3 is not a string"),
+    ("\n  \n" + _OK_LINE + _OK_LINE.replace('"a"', '"b"'), "line 4: duplicate row 0"),
+    (_OK_LINE.replace("\n", "\r") + _OK_LINE, "line 2: duplicate row 0"),  # so does a CR
+    (_OK_LINE + _OK_LINE.replace("0", "5"), "line 2: row 5 outside bank bounds"),
+    (_OK_LINE + "\udcff\n", ": not valid UTF-8"),  # written as the byte 0xff
+]
+
+
+@pytest.mark.parametrize("content, message", _MANIFEST_ERRORS,
+                         ids=[m.split(":")[1].strip() or "utf8" for _, m in _MANIFEST_ERRORS])
+def test_manifest_error_messages(tmp_path, content, message):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(content.encode("utf-8", errors="surrogateescape"))
+    with pytest.raises(SchemaError) as e:
+        read_manifest(path, n_rows=3)
+    assert str(e.value) == f"{path}" + ("" if message.startswith(":") else " ") + message
+
+
 @pytest.mark.parametrize("row", ["3", 1.0, True, None])
 def test_manifest_row_must_be_an_integer(tmp_path, row):
     path = tmp_path / "m.jsonl"

@@ -4,9 +4,9 @@ Every case must end in a documented exit code (0 success, 1 usage, 2 data,
 3 numeric) with at most one line on stderr and no traceback. The inputs are
 byte mutations of valid files, JSON value substitutions in manifest records
 and edge values of numeric flags. Size flags (`--dim`, `--n-classes`,
-`--hidden`, `--epochs`, `--batch-size`, `-m`) are never fuzzed upward: large
-values allocate or run for a long time. The cases are fixed by their seeds,
-so a failure replays.
+`--hidden`, `--epochs`, `--batch-size`, `-m`, `-q`) are never fuzzed upward:
+large values allocate or run for a long time. The cases are fixed by their
+seeds, so a failure replays.
 """
 
 import json
@@ -29,10 +29,14 @@ TRAIN = ("--epochs", "1", "--batch-size", "64", "--mode", "const_shift")
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A synth dataset, a v2 checkpoint trained on it and its test_id scores."""
+    """A synth dataset, a v2 checkpoint trained on it, its test_id scores and a crops
+    manifest over its 12 test_id rows: 3 images of 4 crops, one per class."""
     root = tmp_path_factory.mktemp("fuzz")
     data, run = root / "data", root / "run"
     assert main(["synth", "--out", str(data), *SYNTH]) == EXIT_OK
+    (data / "crops.jsonl").write_text("".join(
+        json.dumps({"row": i, "id": f"crop_{i}", "role": "crop", "class": i // 4,
+                    "parent": f"img_{i // 4}"}) + "\n" for i in range(12)))
     assert main(["train", "--data", str(data), "--out", str(run), "--epochs", "1",
                  "--mode", "scale_shift", "--hidden", "4"]) == EXIT_OK
     for side in ("id", "ood"):
@@ -98,6 +102,21 @@ def test_fuzz_file_mutations(inputs, tmp_path, capsys):
             bad.append(_outcome(["score", "--bank", data, "--images", data / "test_id.fbnk",
                                  "--method", "krnft", "--checkpoint", ckpt, "--out", out],
                                 capsys))
+    # select-crops reads the crops and labels .fbnk and the crops manifest, mine-neg
+    # its lexicon and ID .fbnk
+    select = {"--crops": data / "test_id.fbnk", "--crops-manifest": data / "crops.jsonl",
+              "--labels": data / "labels.fbnk"}
+    mine = {"--lexicon": data / "labels.fbnk", "--id-bank": data / "test_id.fbnk"}
+    for command, files, extra in (("select-crops", select, ["-q", "1"]),
+                                  ("mine-neg", mine, ["-m", "2"])):
+        for flag, path in files.items():
+            for i in range(20):
+                mutated = tmp_path / f"{command}{flag}_{i}"
+                mutated.write_bytes(_mutated(rng, path.read_bytes()))
+                argv = [command, *extra, "--out", tmp_path / f"{command}_out"]
+                for f, p in files.items():
+                    argv += [f, mutated if f == flag else p]
+                bad.append(_outcome(argv, capsys))
     raw = (inputs / "id.csv").read_bytes()
     for i in range(60):
         scores = tmp_path / f"scores_{i}.csv"
@@ -140,6 +159,8 @@ def test_fuzz_manifest_values(inputs, tmp_path, capsys):
 # NaN, non-numbers
 FLAG_VALUES = ("-1", "0", "-0", "0.5", "1", "1.5", "2", "-0.5", str(2**64 - 1), str(2**64),
                "1e308", "1e400", "1e-400", "nan", "inf", "-inf", "", "x")
+# the values of a size flag: none large
+COUNT_VALUES = ("-1", "0", "-0", "0.5", "1", "2", "3", "1e3", "", "x")
 
 
 def test_fuzz_flag_values(inputs, tmp_path, capsys):
@@ -158,5 +179,15 @@ def test_fuzz_flag_values(inputs, tmp_path, capsys):
                                      "--beta1", "--beta2", "--adam-eps", "--weight-decay")]
     bad = [_outcome(commands[cmd] + [flag, value], capsys)
            for cmd, flag in flags for value in FLAG_VALUES]
+    select = ["select-crops", "--crops", data / "test_id.fbnk", "--crops-manifest",
+              data / "crops.jsonl", "--labels", data / "labels.fbnk", "--out", tmp_path / "sel"]
+    mine = ["mine-neg", "--lexicon", data / "labels.fbnk", "--id-bank", data / "test_id.fbnk",
+            "--out", tmp_path / "neg.json"]
+    bad += [_outcome(select + ["-q", value], capsys) for value in COUNT_VALUES]
+    bad += [_outcome(mine + ["-m", value], capsys) for value in COUNT_VALUES]
+    bad += [_outcome(mine + ["-m", "2", "--stat", "quantile", "--quantile", value], capsys)
+            for value in FLAG_VALUES]
+    bad += [_outcome(mine + ["-m", "2", "--stat", value, "--quantile", "0.5"], capsys)
+            for value in ("max", "quantile", "MAX", "min", "", "x")]
     bad = [b for b in bad if b]
     assert not bad, f"{len(bad)} undocumented outcomes, e.g. {bad[:3]}"

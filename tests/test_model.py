@@ -15,6 +15,7 @@ from nft_ood.model import (
     ModelState,
     init_model,
     load_checkpoint,
+    role_arrays,
     role_terms,
     save_checkpoint,
     states_equal,
@@ -374,3 +375,36 @@ def test_v1_checkpoint_resaves_as_v2(tmp_path, mode):
     assert states_equal(reloaded.model, ckpt.model)
     save_checkpoint(reloaded, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+def _states_of_every_origin(mode, tmp_path):
+    """A mode's state as init_model, load_checkpoint of a v2 and of a v1 file, and copy
+    give it."""
+    state = init_model(8, hidden=4, mode=mode, seed=5)
+    for arr in state.arrays.values():
+        arr += 0.25
+    save_checkpoint(Checkpoint(model=state), tmp_path / "v2.nftc")
+    return {"init": state, "v2": load_checkpoint(tmp_path / "v2.nftc").model,
+            "v1": load_checkpoint(os.path.join(FIXTURES, f"v1_{mode}.nftc")).model,
+            "copy": state.copy()}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_role_arrays_are_the_live_arrays(mode, tmp_path):
+    for origin, state in _states_of_every_origin(mode, tmp_path).items():
+        for role, prefix in (("positive", "pos_"), ("negative", "neg_")):
+            got = role_arrays(state.arrays, mode, role)
+            assert set(got) == {k.split(".")[1] for k in LIVE_KEYS[mode]}, origin
+            # the oracle: the arrays whose key has the role's prefix, named after the dot
+            assert all(got[k.split(".")[1]] is a for k, a in state.arrays.items()
+                       if k.startswith(prefix)), origin
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_role_arrays_see_in_place_edits(mode, tmp_path):
+    for origin, state in _states_of_every_origin(mode, tmp_path).items():
+        for i, arr in enumerate(state.arrays.values()):
+            arr.reshape(-1)[0] = 10.0 + i  # as finite_diff_grad probes a parameter
+        got = [a for role in ("positive", "negative")
+               for a in role_arrays(state.arrays, mode, role).values()]
+        assert sorted(a.flat[0] for a in got) == [10.0 + i for i in range(len(got))], origin

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from nft_ood.errors import (
     NoNegativeLabels,
     ZeroNorm,
 )
-from nft_ood.model import MODES, FeatureBank, TrainingSet, init_model, transform_bank
+from nft_ood.model import MODES, FeatureBank, TrainingSet, flat_buffer, init_model, transform_bank
 from nft_ood.scoring import score_many
 from nft_ood.objectives import (
     _CANCELLATION,
@@ -399,6 +400,49 @@ def test_finite_diff_rejects_zero_eps():
     batch = make_batch(rng, 2, 2, 3, 8)
     with pytest.raises(InvalidConfig):
         finite_diff_grad(state, bank, batch, TrainConfig(), eps=0.0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_zero_gradients_are_views_of_one_zeroed_buffer(mode):
+    state = init_model(8, hidden=4, mode=mode, seed=0)
+    grads = zero_gradients(state)
+    flat = flat_buffer(grads, grads)
+    assert flat.shape == (sum(a.size for a in state.arrays.values()),)
+    assert not flat.any()
+    for key, arr in state.arrays.items():
+        assert grads[key].base is flat and grads[key].shape == arr.shape
+        assert not np.shares_memory(grads[key], arr)
+
+
+# sha256 of backward's loss report and gradients on gradcheck_instance(mode, variant,
+# 10000 i + 100 j), recorded before the loss lost its numpy wrappers: the same bits
+BACKWARD_SHA256 = {
+    "const_shift/feature": "3d04c2974e9c8477811dfe33a5e5697cf0bb798cc6f653f33c0fc461786007ed",
+    "const_shift/logits": "b3a4c3aefbff52c2f5d8b2946e1844b2f2cf678f662758c25e00759d56446616",
+    "const_shift/prob": "9f0aa5b7de144b779c066ef51077699695be2bb3bae4addb263ee2795d372b97",
+    "vec_shift/feature": "a44a64c50c27384d247b5cc4a6732604e5b487075a101f500c7a952e12ee82de",
+    "vec_shift/logits": "abea327fc35af94fd805833f8cc53a30c4703e8be4dcd1bca7e1b2cd7e01720e",
+    "vec_shift/prob": "111fcc75f7c0af2d429f8041ef725124e39e9501496df9089bab3be07c2954ee",
+    "scale_shift/feature": "72a4909b2dd9d034ad4c4cf86fb6f8d2b98f1a2df605804a6df35a1e5093ac60",
+    "scale_shift/logits": "5f997a9f574e4eb51843f72890483a3e7a2461d7854f1e6d558bfefcd0fa61e4",
+    "scale_shift/prob": "07f59a3fe62f442fcdc069435cbf7127a7bacaeac99dd49baf460170142848e5",
+    "mlp/feature": "47d5671fde835063b45aaa710d7fd2f7da6d27ca8f34e86b95edc814f47297f4",
+    "mlp/logits": "7cb127ba8a576bb446729b83f40e51257f96db70e3a8476db050cd3de3b750fa",
+    "mlp/prob": "ace695d4e93df7b562a3cbae23fd0159817f58eab41811f650a9904d86ecb50d",
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("variant", KR_VARIANTS)
+def test_backward_bits_are_pinned(mode, variant):
+    seed = 10000 * MODES.index(mode) + 100 * KR_VARIANTS.index(variant)
+    state, bank, batch, cfg, _ = gradcheck_instance(mode, variant, seed)
+    report, grads = backward(state, bank, batch, cfg)
+    h = hashlib.sha256(repr(dataclasses.astuple(report)).encode())
+    for key, g in grads.items():
+        h.update(key.encode())
+        h.update(g.astype("<f8").tobytes())
+    assert h.hexdigest() == BACKWARD_SHA256[f"{mode}/{variant}"]
 
 
 def test_max_relative_error_floor():
