@@ -73,7 +73,7 @@ def _load_config_file(path, keys):
     try:
         with open(path, encoding="utf-8") as f:
             cfg = json.load(f)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad UTF-8 or JSON, or a too-long integer
         raise ConfigError(f"cannot read config file {path}: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path}: not a JSON object")

@@ -153,12 +153,12 @@ def read_manifest(path, n_rows=None):
                     continue
                 try:  # one decode; json.loads where it fails or stops short, for json's message
                     rec, end = raw_decode(line)
-                except json.JSONDecodeError:
+                except ValueError:  # JSONDecodeError, or an integer past int's digit limit
                     end = None
                 if end != len(line):
                     try:
                         rec = json.loads(line)
-                    except json.JSONDecodeError as e:
+                    except ValueError as e:
                         raise SchemaError(f"{path} line {lineno}: not valid JSON: {e}") from None
                 error = _record_error(rec, seen_rows, n_rows)
                 if error is not None:

@@ -354,7 +354,7 @@ def load_checkpoint(path):
         blob = json.loads(meta_raw.decode("utf-8"))
     except UnicodeDecodeError:
         raise FormatError("checkpoint metadata is not valid UTF-8") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past int's digit limit
         raise FormatError(f"checkpoint metadata is not valid JSON: {e}") from None
     if not isinstance(blob, dict) or not {"config", "meta"} <= blob.keys():
         raise FormatError("checkpoint metadata lacks its 'config' and 'meta' entries")

@@ -52,6 +52,9 @@ _BLOCK_ELEMS = 2**16
 # plain paths agree bit for bit only on a shared grid. 2**19 is the smallest
 # chunk that OpenBLAS still splits over threads, and a tuned chunk stays in cache.
 _CHUNK_ELEMS = 2**19
+# sorted ID scores per chunk of the AUROC count: bounds its temporaries,
+# whatever the score count
+_AUROC_CHUNK = 2**16
 
 
 def _chunk_rows(dim):
@@ -248,9 +251,20 @@ def _sorted_sides(id_scores, ood_scores, tpr=None):
 
 
 def _auroc_sorted(id_sorted, ood_sorted):
-    # sorted queries keep searchsorted's binary searches cache-friendly
-    wins = int(np.searchsorted(ood_sorted, id_sorted, side="left").sum())
-    ties = int(np.searchsorted(ood_sorted, id_sorted, side="right").sum()) - wins
+    # each distinct value of a chunk is searched once, weighted by its count;
+    # only values that occur among the OOD scores are searched again for ties
+    wins = ties = 0
+    last = ood_sorted.size - 1
+    for start in range(0, id_sorted.size, _AUROC_CHUNK):
+        chunk = id_sorted[start : start + _AUROC_CHUNK]
+        starts = np.flatnonzero(np.concatenate(([True], chunk[1:] != chunk[:-1])))
+        values, counts = chunk[starts], np.diff(starts, append=chunk.size)
+        lo = np.searchsorted(ood_sorted, values, side="left")
+        wins += int(lo @ counts)
+        hit = ood_sorted[np.minimum(lo, last)] == values
+        if hit.any():
+            hi = np.searchsorted(ood_sorted, values[hit], side="right")
+            ties += int((hi - lo[hit]) @ counts[hit])
     return (wins + 0.5 * ties) / (id_sorted.size * ood_sorted.size)
 
 
@@ -265,8 +279,11 @@ def _fpr_sorted(id_sorted, ood_sorted, tpr):
 def auroc(id_scores, ood_scores):
     """Probability a random ID score exceeds a random OOD score; ties count 0.5.
 
-    Sort + searchsorted, O(n log n) and exact: (wins + 0.5 * ties) is a
-    half-integer, exact in float64 while n_id * n_ood < 2**53.
+    Both sides are sorted; wins and ties are counted per chunk of 2**16 ID
+    scores with one left search of the OOD scores per distinct value and a
+    right search only where that value occurs among them, so memory beyond
+    the sorted copies is chunk-sized. O(n log n) and exact: (wins + 0.5 *
+    ties) is a half-integer, exact in float64 while n_id * n_ood < 2**53.
     """
     return _auroc_sorted(*_sorted_sides(id_scores, ood_scores))
 
@@ -282,14 +299,15 @@ def fpr_at_tpr(id_scores, ood_scores, tpr=0.95):
 
 
 def hmean(a, b):
-    """Harmonic mean 2ab / (a + b)."""
-    if a <= 0 or b <= 0:
-        raise NonPositiveInput("harmonic mean requires positive inputs")
+    """Harmonic mean 2ab / (a + b) of two finite positive numbers."""
+    if not (0 < a < math.inf and 0 < b < math.inf):  # also rejects NaN
+        raise NonPositiveInput("harmonic mean requires finite positive inputs")
     return 2.0 * a * b / (a + b)
 
 
 def evaluate(id_scores, ood_scores, tpr=0.95):
-    """auroc and fpr_at_tpr from one sort of each side: O(n log n), exact."""
+    """auroc and fpr_at_tpr from one sort of each side: O(n log n), exact; auroc's
+    chunked counts keep memory beyond the two sorted copies chunk-sized."""
     id_sorted, ood_sorted = _sorted_sides(id_scores, ood_scores, tpr)
     fpr, threshold = _fpr_sorted(id_sorted, ood_sorted, tpr)
     return MetricReport(

@@ -51,3 +51,9 @@ def test_benchmark_eval_1m_smoke():
     # evaluate on 1M+1M scores, checked for exact equality with the
     # benchmark's independent AUROC and FPR95 references
     _smoke("eval_1m")
+
+
+def test_benchmark_eval_1m_traced_smoke():
+    # the traced run's decompose checks that auroc (distinct and tied) and
+    # fpr_at_tpr each equal evaluate's report
+    _smoke("eval_1m", "--trace", "1")

@@ -44,6 +44,10 @@ def synth_dir(tmp_path_factory):
     return out
 
 
+# past int()'s 4,300-digit limit json raises a plain ValueError, not JSONDecodeError
+HUGE_INT = b"1" * 5000
+
+
 def assert_one_line(err, *needles):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     for needle in needles:
@@ -402,6 +406,15 @@ def test_config_file_outside_the_echoed_keys_is_usage_error(synth_dir, tmp_path,
     assert not out.exists()
 
 
+def test_config_file_integer_past_the_digit_limit_is_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"seed": ' + HUGE_INT + b"}")
+    out = tmp_path / "out"
+    assert run("synth", "--config", str(cfg_path), "--out", str(out)) == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, f"cannot read config file {cfg_path}")
+    assert not out.exists()
+
+
 def test_train_replays_its_echoed_config(synth_dir, tmp_path):
     first = tmp_path / "first"
     assert run("train", "--data", str(synth_dir), "--out", str(first), "--epochs", "1",
@@ -725,6 +738,17 @@ def test_score_malformed_manifest_line_is_data_error(tmp_path, capsys, line3, ne
     assert_one_line(capsys.readouterr().err, str(manifest), needle)
 
 
+def test_score_manifest_integer_past_the_digit_limit_is_data_error(tmp_path, capsys):
+    d = tiny_bank_dir(tmp_path)  # two records
+    manifest = d / "manifest.jsonl"
+    manifest.write_bytes(manifest.read_bytes()
+                         + b'{"row": ' + HUGE_INT + b', "id": "x", "role": "neg_label"}\n')
+    write_bank(tmp_path / "imgs.fbnk", np.eye(4)[:2])
+    assert run("score", "--bank", str(d), "--images", str(tmp_path / "imgs.fbnk"),
+               "--out", str(tmp_path / "s.csv")) == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, str(manifest), "line 3: not valid JSON")
+
+
 def test_score_parser_reuse_keeps_no_state(tmp_path):
     # the second call omits --tau-score: it must score at the default 1.0
     d = tiny_bank_dir(tmp_path, n_pos=2)
@@ -788,6 +812,22 @@ def test_score_malformed_checkpoint_is_data_error(tmp_path, capsys, case, make, 
     err = capsys.readouterr().err
     assert needle in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_score_checkpoint_metadata_integer_past_the_digit_limit_is_data_error(tmp_path,
+                                                                             capsys):
+    data = _checkpoint_bytes(tmp_path)
+    (meta_len,) = struct.unpack_from("<I", data, 16)
+    meta = b'{"config": {}, "meta": {"n": ' + HUGE_INT + b"}}"
+    ckpt = tmp_path / "huge_int_meta.nftc"
+    ckpt.write_bytes(bytes(data[:16]) + struct.pack("<I", len(meta)) + meta
+                     + bytes(data[20 + meta_len :]))
+    d = tiny_bank_dir(tmp_path)
+    write_bank(tmp_path / "imgs.fbnk", np.eye(4)[:2])
+    assert run("score", "--bank", str(d), "--images", str(tmp_path / "imgs.fbnk"),
+               "--method", "krnft", "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "s.csv")) == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, "checkpoint metadata is not valid JSON")
 
 
 # ---- eval ----

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from nft_ood.errors import (
 from nft_ood.model import MODES, FeatureBank, init_model, transform_bank
 from nft_ood.numerics import as_f64, sigmoid
 from nft_ood.scoring import (
+    _AUROC_CHUNK,
     _BLOCK_ELEMS,
     auroc,
     evaluate,
@@ -316,6 +318,68 @@ def test_auroc_edge_cases_match_rank_oracle(ids, oods, want):
     assert auroc(ids, oods) == rank_auroc(ids, oods) == want
 
 
+def assert_auroc_matches_oracles(ids, oods):
+    # pairwise_auroc is a Python double loop: callers keep the OOD side small
+    got = auroc(ids, oods)
+    assert got == rank_auroc(ids, oods) == pairwise_auroc(ids, oods)
+    assert evaluate(ids, oods).auroc == got
+
+
+# ID-side sizes that straddle the AUROC count's chunk of sorted ID scores
+@pytest.mark.parametrize("n_id", [2 * _AUROC_CHUNK - 1, 2 * _AUROC_CHUNK, 2 * _AUROC_CHUNK + 3])
+def test_auroc_straddling_the_chunk_matches_oracles(n_id):
+    rng = np.random.default_rng(64)
+    # a 1/8 grid: thousands of ID values per run, so runs cross chunk ends
+    ids = rng.integers(-16, 24, size=n_id) / 8.0
+    oods = rng.integers(-20, 12, size=9) / 8.0
+    assert_auroc_matches_oracles(ids, oods)
+    # distinct ID scores: no run longer than one, few ties
+    assert_auroc_matches_oracles(rng.standard_normal(n_id), np.r_[oods, ids[:3]])
+
+
+def test_auroc_equal_run_across_a_chunk_boundary():
+    c = _AUROC_CHUNK
+    # sorted positions c - 10 .. c + 9 hold 0.5, which three OOD scores tie
+    ids = np.r_[np.linspace(-1.0, 0.0, c - 10, endpoint=False), np.full(20, 0.5),
+                np.linspace(1.0, 2.0, c)]
+    assert_auroc_matches_oracles(ids, [0.5, -2.0, 0.5, 1.5, 0.5, 3.0])
+
+
+def test_auroc_ties_at_the_ood_extremes_and_ids_above_every_ood():
+    # ties only with the smallest and the largest OOD score, whose left searches
+    # land on index 0 and on the first of the largest; ID scores above every OOD
+    # score land past the end and are clipped to the last OOD score, no tie
+    rng = np.random.default_rng(65)
+    ids = rng.choice([-1.0, 0.0, 0.25, 2.0, 3.0, 4.0, 5.0], size=2 * _AUROC_CHUNK + 3)
+    assert_auroc_matches_oracles(ids, [0.0, 0.0, 1.0, 1.5, 3.0, 3.0, 3.0])
+    assert_auroc_matches_oracles(ids, [-0.5])  # only ID scores above it, or below
+    assert auroc([4.0, 5.0] * _AUROC_CHUNK, [0.0, 3.0, 3.0]) == 1.0
+
+
+def test_auroc_signed_zero_run_across_a_chunk_boundary():
+    # -0.0 and +0.0 compare equal, so they form one run and tie each other
+    c = _AUROC_CHUNK
+    zeros = np.where(np.arange(40) % 3 == 0, -0.0, 0.0)
+    ids = np.r_[-np.arange(1.0, c - 19), zeros, np.arange(1.0, c)]
+    assert_auroc_matches_oracles(ids, [0.0, -0.0, -0.0, 0.0, -1.0, 1.0])
+
+
+def test_evaluate_memory_is_the_sorted_copies_plus_chunks():
+    # 2**20 + 2**20 distinct scores: the two sorted float64 copies take 16 MiB.
+    # Bound: those plus ten float64 arrays of a 2**16-score chunk (5 MiB), 21 MiB
+    # in all; one full-size search output (8 MiB more) would exceed it.
+    rng = np.random.default_rng(66)
+    ids, oods = rng.normal(1.0, 1.0, 2**20), rng.normal(0.0, 1.0, 2**20)
+    bound = 2 * ids.nbytes + 10 * 8 * 2**16
+    tracemalloc.start()
+    try:
+        evaluate(ids, oods)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
+
+
 def test_auroc_complement_property():
     rng = np.random.default_rng(57)
     a = rng.standard_normal(30)
@@ -389,8 +453,11 @@ def test_hmean_paper_values():
 
 def test_hmean_identity_and_validation():
     assert hmean(7.3, 7.3) == pytest.approx(7.3, abs=1e-12)
-    with pytest.raises(NonPositiveInput):
-        hmean(0.0, 1.0)
+    # NaN and Inf pass a plain <= 0 check, and would return nan
+    for a, b in [(0.0, 1.0), (1.0, -2.0), (math.nan, 0.5), (0.5, math.nan),
+                 (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0)]:
+        with pytest.raises(NonPositiveInput):
+            hmean(a, b)
 
 
 def test_evaluate_report():
