@@ -20,7 +20,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import data_io, mining, scoring
-from .errors import ConfigError, DataError, NftError, NumericError, QTooLarge, SchemaError
+from .errors import ConfigError, DataError, NumericError, QTooLarge, SchemaError
 from .model import (
     MODES,
     FeatureBank,
@@ -440,9 +440,6 @@ def main(argv=None):
     except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except NftError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception:  # a bug: keep it visible, under a code of its own
         traceback.print_exc()
         print("internal error: the traceback above is a bug", file=sys.stderr)

@@ -78,7 +78,7 @@ class FeatureBank:
 
     @cached_property
     def squares(self):
-        """Read-only c * c of every row, built on first use: by affine-mode training only."""
+        """Read-only c * c of every row, built on first use: by `scale_shift` training only."""
         sq = self.matrix * self.matrix
         sq.flags.writeable = False
         return sq

@@ -18,15 +18,16 @@ bank C and its elementwise square C * C (`FeatureBank.squares`):
     c . u   = a . (c * c) + b . c
     ||u||^2 = (a * a) . (c * c) + 2 (a * b) . c + ||b||^2
 
-Each role takes them in two stacked GEMMs on its columns of whole-bank
-buffers, [a * v; a * b; b] @ C.T and [a * a; a] @ (C * C).T, and its gradient
-sums in two more, [alpha; rho; gamma] @ C and [rho; gamma] @ (C * C), where
-dL/du = alpha v + gamma c - rho u. The b, a and gamma rows cover only the
-images the feature regularizer does. No (B, K, D) tensor is built. Entries
-where u nearly cancels, and the expansion of ||u||^2 with it, are recomputed
-from u directly. In `const_shift` and `mlp` the tuned bank does not depend on
-the image: both roles are tuned into one (K, D) bank once per call, and the
-backward passes through the normalization and the transform once.
+Each role takes them in two stacked GEMMs on its columns of whole-bank buffers,
+[a * v; 2 a * b; b] @ C.T and [a * a; a] @ (C * C).T, and its gradient sums in
+two more, [alpha; rho; gamma] @ C and [rho; gamma] @ (C * C), with dL/du =
+alpha v + gamma c - rho u. The b, a and gamma rows cover only the images the
+feature regularizer does. `vec_shift` has no scale (a = 1), and the bank's unit
+rows have ||c||^2 = 1: it skips C * C and its GEMMs. No (B, K, D) tensor is
+built. Entries where u nearly cancels, and the expansion of ||u||^2 with it,
+are recomputed from u directly. In `const_shift` and `mlp` the tuned bank does
+not depend on the image: both roles are tuned into one (K, D) bank once per
+call, and the backward passes through the normalization and the transform once.
 
 Gradients are derived by hand, including through the L2 normalization
 (projection Jacobian) and the relu (subgradient 0 at 0); a central-difference
@@ -148,16 +149,16 @@ def _forward(state, bank, imgs, n_dots):
         return _Pass(s=imgs @ cp.T, d=d, n=n, roles=roles, cp=cp)
     p1 = np.empty((2 * n_img + n_dots, c.shape[0]))
     p2 = np.empty((n_img + n_dots, c.shape[0]))
-    for i, (name, cols, a, b, z, h) in enumerate(roles):
-        if a is None:
-            a = np.ones_like(b)
-            roles[i] = (name, cols, a, b, z, h)
-        np.matmul(np.concatenate([a * imgs, a * b, b[:n_dots]]), c[cols].T, out=p1[:, cols])
-        np.matmul(np.concatenate([a * a, a[:n_dots]]), bank.squares[cols].T, out=p2[:, cols])
+    for _, cols, a, b, _, _ in roles:
+        av, ab = (imgs, b) if a is None else (a * imgs, a * b)
+        np.matmul(np.concatenate([av, 2.0 * ab, b[:n_dots]]), c[cols].T, out=p1[:, cols])
+        if a is None:  # c . c = 1 on the bank's unit rows
+            p2[:, cols] = 1.0
+        else:
+            np.matmul(np.concatenate([a * a, a[:n_dots]]), bank.squares[cols].T, out=p2[:, cols])
         p1[:n_img, cols] += (b * imgs).sum(axis=1, keepdims=True)
         p2[:n_img, cols] += (b * b).sum(axis=1, keepdims=True)
     vu, n2, cu, q = p1[:n_img], p1[n_img : 2 * n_img], p2[n_img:], p2[:n_img]
-    n2 *= 2.0
     n2 += q  # q = ||a*c||^2 + ||b||^2
     cu += p1[2 * n_img :]
     q *= _CANCELLATION
@@ -165,7 +166,8 @@ def _forward(state, bank, imgs, n_dots):
     if cancelled.any():
         i, j = cancelled.nonzero()
         r = i + n_img * (j >= bank.n_pos)  # the row of (a, b) in the roles' stacks
-        u = np.vstack([t[2] for t in roles])[r] * c[j] + np.vstack([t[3] for t in roles])[r]
+        a = 1.0 if roles[0][2] is None else np.vstack([t[2] for t in roles])[r]
+        u = a * c[j] + np.vstack([t[3] for t in roles])[r]
         n2[i, j] = (u * u).sum(axis=1)
         vu[i, j] = (imgs[i] * u).sum(axis=1)
         dots = i < n_dots
@@ -206,7 +208,8 @@ def _backprop(state, bank, f, imgs, g_s, g_d, grads):
         else:
             cc = coef[:, cols] @ c[cols]  # alpha @ c, rho @ c, gamma @ c
             sums = coef[: 2 * n_img, cols].sum(axis=1, keepdims=True)
-            g_b = imgs * sums[:n_img] - a * cc[n_img : 2 * n_img] - b * sums[n_img:]
+            rc = cc[n_img : 2 * n_img]
+            g_b = imgs * sums[:n_img] - (rc if a is None else a * rc) - b * sums[n_img:]
             g_b[:n_g] += cc[2 * n_img :]
             dp["beta"] += g_b.sum(axis=0)
             if "alpha" in p:

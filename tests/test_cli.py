@@ -467,6 +467,17 @@ def test_manifest_row_outside_its_bank_is_data_error(synth_dir, tmp_path, capsys
     assert_one_line(capsys.readouterr().err, f"row {victim['row']} ", repr(victim["id"]))
 
 
+@pytest.mark.parametrize("cmd", ["train", "score"])
+def test_manifest_without_pos_label_rows_is_data_error(synth_dir, tmp_path, capsys, cmd):
+    d = tmp_path / "no_pos"
+    copy_dataset(synth_dir, d, keep=lambda r: r["role"] != "pos_label")
+    argv = {"train": ["train", "--data", str(d), "--out", str(tmp_path / "t")],
+            "score": ["score", "--bank", str(d), "--images", str(d / "test_id.fbnk"),
+                      "--out", str(tmp_path / "s.csv")]}[cmd]
+    assert run(*argv) == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, "manifest declares no pos_label rows")
+
+
 def test_train_pos_class_must_be_an_integer(synth_dir, tmp_path, capsys):
     d = tmp_path / "bad"
     records = copy_dataset(synth_dir, d)
@@ -496,6 +507,15 @@ def select_crops_argv(tmp_path, edit=lambda rec: None):
             "--crops-manifest", str(tmp_path / "crops.jsonl"),
             "--labels", str(tmp_path / "labels.fbnk"), "-q", "2",
             "--out", str(tmp_path / "training")]
+
+
+def test_select_crops_non_crop_role_is_data_error(tmp_path, capsys):
+    def edit(rec):
+        rec["role"] = "pos_label"
+
+    assert run(*select_crops_argv(tmp_path, edit)) == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, "non-crop role 'pos_label'")
+    assert not (tmp_path / "training").exists()
 
 
 def test_select_crops_crop_without_parent_is_data_error(tmp_path, capsys):
@@ -793,6 +813,13 @@ def _with_meta(byte):
     return edit
 
 
+def _with_meta_blob(meta):
+    def edit(data):
+        (meta_len,) = struct.unpack_from("<I", data, 16)
+        return data[:16] + struct.pack("<I", len(meta)) + meta + data[20 + meta_len :]
+    return edit
+
+
 @pytest.mark.parametrize("case, make, needle", [
     # 22 bytes declaring a 298 GiB payload: rejected before any allocation
     ("huge_dims", lambda data: _header_only(200000, 200000), "truncated"),
@@ -800,6 +827,9 @@ def _with_meta(byte):
     ("zero_hidden", _with_dims(4, 0), "hidden=0"),
     ("non_utf8_meta", _with_meta(b"\xff"), "UTF-8"),
     ("malformed_json_meta", _with_meta(b"{"), "JSON"),
+    ("meta_not_an_object", _with_meta_blob(b"[]"), "lacks its 'config' and 'meta' entries"),
+    ("meta_without_meta", _with_meta_blob(b'{"config": {}}'),
+     "lacks its 'config' and 'meta' entries"),
 ])
 def test_score_malformed_checkpoint_is_data_error(tmp_path, capsys, case, make, needle):
     d = tiny_bank_dir(tmp_path)
@@ -816,12 +846,9 @@ def test_score_malformed_checkpoint_is_data_error(tmp_path, capsys, case, make, 
 
 def test_score_checkpoint_metadata_integer_past_the_digit_limit_is_data_error(tmp_path,
                                                                              capsys):
-    data = _checkpoint_bytes(tmp_path)
-    (meta_len,) = struct.unpack_from("<I", data, 16)
     meta = b'{"config": {}, "meta": {"n": ' + HUGE_INT + b"}}"
     ckpt = tmp_path / "huge_int_meta.nftc"
-    ckpt.write_bytes(bytes(data[:16]) + struct.pack("<I", len(meta)) + meta
-                     + bytes(data[20 + meta_len :]))
+    ckpt.write_bytes(bytes(_with_meta_blob(meta)(_checkpoint_bytes(tmp_path))))
     d = tiny_bank_dir(tmp_path)
     write_bank(tmp_path / "imgs.fbnk", np.eye(4)[:2])
     assert run("score", "--bank", str(d), "--images", str(tmp_path / "imgs.fbnk"),

@@ -111,6 +111,18 @@ def test_lexicon_duplicate_names():
         lexicon_from(unit_rows(rng, 2, 4), names=["a", "a"])
 
 
+@pytest.mark.parametrize("call, needle", [
+    pytest.param(lambda rng: lexicon_from(unit_rows(rng, 3, 4), names=["a", "b"]),
+                 "name count", id="lexicon-name-count"),
+    pytest.param(lambda rng: build_training_set([CropSet("s", 0, unit_rows(rng, 4, 6))],
+                                                unit_rows(rng, 1, 4), 1),
+                 "crop features and label feature dimensions differ", id="crop-width"),
+])
+def test_shape_mismatch_is_rejected(call, needle):
+    with pytest.raises(DimMismatch, match=needle):
+        call(np.random.default_rng(75))
+
+
 # ---- crop selection ----
 
 

@@ -65,6 +65,14 @@ def test_bank_needs_positive_rows():
         FeatureBank.from_rows(np.zeros((0, 4)), unit_rows(np.random.default_rng(0), 2, 4))
 
 
+@pytest.mark.parametrize("k", [1, 3])  # a positive row, a negative row
+def test_bank_rejects_a_zero_row(k):
+    rows = unit_rows(np.random.default_rng(0), 4, 4)
+    rows[k] = 0.0
+    with pytest.warns(UserWarning), pytest.raises(ZeroNorm):
+        FeatureBank.from_rows(rows[:2], rows[2:])
+
+
 # ---- initialization ----
 
 
@@ -85,6 +93,15 @@ def test_init_deterministic():
     assert states_equal(a, b)
     c = init_model(16, hidden=8, mode="scale_shift", seed=43)
     assert not states_equal(a, c)
+
+
+@pytest.mark.parametrize("dim, hidden, mode", [
+    (16, 8, "vec_shift"), (8, 8, "scale_shift"), (16, 4, "scale_shift"),
+], ids=["mode", "dim", "hidden"])
+def test_states_of_another_shape_are_unequal(dim, hidden, mode):
+    state = init_model(16, hidden=8, mode="scale_shift", seed=42)
+    other = init_model(dim, hidden=hidden, mode=mode, seed=42)
+    assert not states_equal(state, other) and not states_equal(other, state)
 
 
 def test_init_rejects_bad_dims():

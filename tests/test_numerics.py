@@ -53,6 +53,11 @@ def test_normalize_rows_matches_per_row():
         assert np.allclose(out[i], l2_normalize(m[i]), atol=1e-15)
 
 
+def test_normalize_rows_zero_row_rejected():
+    with pytest.raises(ZeroNorm):
+        normalize_rows(np.array([[3.0, 4.0], [0.0, 0.0]]))
+
+
 def test_cosine_examples():
     assert cosine([1, 0], [1, 0]) == pytest.approx(1.0, abs=1e-12)
     assert cosine([1, 0], [0, 1]) == pytest.approx(0.0, abs=1e-12)

@@ -306,6 +306,21 @@ def test_total_loss_empty_batch_rejected():
         total_loss(state, bank, empty, TrainConfig())
 
 
+@pytest.mark.parametrize("labels, n_neg_labels, exc", [
+    ([0, 3], 4, BadClassIndex),  # class N is a negative label's row
+    ([-1, 0], 4, BadClassIndex),
+    ([0, 2], 0, NoNegativeLabels),  # negative samples, but a bank without negative labels
+])
+def test_invalid_batch_is_rejected_by_every_loss_call(labels, n_neg_labels, exc):
+    rng = np.random.default_rng(30)
+    bank = FeatureBank.from_rows(unit_rows(rng, 3, 8), unit_rows(rng, n_neg_labels, 8))
+    batch = Batch(unit_rows(rng, 2, 8), np.array(labels), unit_rows(rng, 2, 8))
+    state = init_model(8, hidden=4, seed=0)
+    for call in (total_loss, backward):
+        with pytest.raises(exc):
+            call(state, bank, batch, TrainConfig())
+
+
 def test_total_loss_permutation_invariant():
     rng = np.random.default_rng(31)
     bank = FeatureBank.from_rows(unit_rows(rng, 3, 8), unit_rows(rng, 4, 8))
@@ -415,14 +430,16 @@ def test_zero_gradients_are_views_of_one_zeroed_buffer(mode):
 
 
 # sha256 of backward's loss report and gradients on gradcheck_instance(mode, variant,
-# 10000 i + 100 j), recorded before the loss lost its numpy wrappers: the same bits
+# 10000 i + 100 j), recorded before the loss lost its numpy wrappers: the same bits.
+# vec_shift's three moved (by <= 4e-16 relative) when it stopped taking ||c||^2 = 1
+# from a GEMM of ones against C * C.
 BACKWARD_SHA256 = {
     "const_shift/feature": "3d04c2974e9c8477811dfe33a5e5697cf0bb798cc6f653f33c0fc461786007ed",
     "const_shift/logits": "b3a4c3aefbff52c2f5d8b2946e1844b2f2cf678f662758c25e00759d56446616",
     "const_shift/prob": "9f0aa5b7de144b779c066ef51077699695be2bb3bae4addb263ee2795d372b97",
-    "vec_shift/feature": "a44a64c50c27384d247b5cc4a6732604e5b487075a101f500c7a952e12ee82de",
-    "vec_shift/logits": "abea327fc35af94fd805833f8cc53a30c4703e8be4dcd1bca7e1b2cd7e01720e",
-    "vec_shift/prob": "111fcc75f7c0af2d429f8041ef725124e39e9501496df9089bab3be07c2954ee",
+    "vec_shift/feature": "4d6bb5916349484d2451e0e0e3a89bc702443fe8919399d0d861de661ed07e45",
+    "vec_shift/logits": "d1737e0b7b2d684f32b27d3c7d83557152ed3992b9952780680934dd822ccaaf",
+    "vec_shift/prob": "b48e10df3555405f582977503fd2f55d2b75947d75bbc3c6ce1f7d5d38675ff7",
     "scale_shift/feature": "72a4909b2dd9d034ad4c4cf86fb6f8d2b98f1a2df605804a6df35a1e5093ac60",
     "scale_shift/logits": "5f997a9f574e4eb51843f72890483a3e7a2461d7854f1e6d558bfefcd0fa61e4",
     "scale_shift/prob": "07f59a3fe62f442fcdc069435cbf7127a7bacaeac99dd49baf460170142848e5",
@@ -574,18 +591,19 @@ def cancelled_entries(state, bank, imgs):
     ("negative", 5, 3, "pos"),  # a negative image, which takes no dots
 ])
 def test_backward_cancellation_recompute_matches_loop_reference(role, i0, k0, scope):
-    state, bank, batch, cfg, _ = gradcheck_instance("scale_shift", "feature", 42)
-    cfg = dataclasses.replace(cfg, kr_scope=scope)
-    imgs = batch_images(batch)
-    # shift the role's head so that image i0 tunes row k0 to ||u|| = 1e-4, where the
-    # GEMM expansion of ||u||^2 keeps only about 1e-8 of its terms' size
-    prefix, rows = ("pos", bank.pos) if role == "positive" else ("neg", bank.neg)
-    a, b = affine_params(state, imgs[i0], role)
-    e = unit_rows(np.random.default_rng(45), 1, bank.dim)[0]
-    state.arrays[f"{prefix}_head.beta"] += 1e-4 * e - (a * rows[k0] + b)
-    mask = cancelled_entries(state, bank, imgs)
-    assert mask[i0, k0 + (bank.n_pos if role == "negative" else 0)] and mask.sum() == 1
-    assert_matches_loop_reference(state, bank, batch, cfg)
+    for mode in ("scale_shift", "vec_shift"):  # vec_shift recomputes u with a = 1
+        state, bank, batch, cfg, _ = gradcheck_instance(mode, "feature", 42)
+        cfg = dataclasses.replace(cfg, kr_scope=scope)
+        imgs = batch_images(batch)
+        # shift the role's head so that image i0 tunes row k0 to ||u|| = 1e-4, where the
+        # GEMM expansion of ||u||^2 keeps only about 1e-8 of its terms' size
+        prefix, rows = ("pos", bank.pos) if role == "positive" else ("neg", bank.neg)
+        a, b = affine_params(state, imgs[i0], role)
+        e = unit_rows(np.random.default_rng(45), 1, bank.dim)[0]
+        state.arrays[f"{prefix}_head.beta"] += 1e-4 * e - (a * rows[k0] + b)
+        mask = cancelled_entries(state, bank, imgs)
+        assert mask[i0, k0 + (bank.n_pos if role == "negative" else 0)] and mask.sum() == 1
+        assert_matches_loop_reference(state, bank, batch, cfg)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -597,18 +615,21 @@ def test_backward_without_negative_labels_matches_loop_reference(mode):
 
 
 def test_bank_squares_are_read_only_and_built_by_training_only():
-    state, bank, batch, cfg, _ = gradcheck_instance("scale_shift", "feature", 47)
-    bank = FeatureBank.from_rows(bank.pos, bank.neg)  # the instance's backward built its own
-    imgs = batch_images(batch)
-    for method in ("mcm", "neglabel", "krnft"):
-        score_many(imgs, method, bank, state=state)
-    assert "squares" not in vars(bank)
-    backward(state, bank, batch, cfg)
-    assert "squares" in vars(bank)
-    assert np.array_equal(bank.squares, bank.matrix * bank.matrix)
-    assert not bank.squares.flags.writeable
-    with pytest.raises(ValueError):
-        bank.squares[0, 0] = 0.0
+    # scale_shift training alone builds them: vec_shift has a = 1 and unit rows ||c|| = 1
+    for mode in MODES:
+        state, bank, batch, cfg, _ = gradcheck_instance(mode, "feature", 47)
+        bank = FeatureBank.from_rows(bank.pos, bank.neg)  # the instance's backward built its own
+        imgs = batch_images(batch)
+        for method in ("mcm", "neglabel", "krnft"):
+            score_many(imgs, method, bank, state=state)
+        assert "squares" not in vars(bank)
+        train(state, bank, batch, dataclasses.replace(cfg, epochs=1))
+        assert ("squares" in vars(bank)) == (mode == "scale_shift"), mode
+        if mode == "scale_shift":
+            assert np.array_equal(bank.squares, bank.matrix * bank.matrix)
+            assert not bank.squares.flags.writeable
+            with pytest.raises(ValueError):
+                bank.squares[0, 0] = 0.0
 
 
 def forward_cosines_and_dots(state, bank, imgs):

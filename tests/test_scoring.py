@@ -7,6 +7,7 @@ import pytest
 
 from conftest import unit_rows
 from nft_ood.errors import (
+    DimMismatch,
     EmptyBank,
     EmptyInput,
     NoNegativeLabels,
@@ -275,6 +276,25 @@ def test_score_many_unknown_method():
     bank = FeatureBank.from_rows(unit_rows(rng, 2, 8), unit_rows(rng, 2, 8))
     with pytest.raises(EmptyInput):
         score_many(unit_rows(rng, 2, 8), "bogus", bank)
+
+
+@pytest.mark.parametrize("call, exc, needle", [
+    pytest.param(lambda bank, images: score_many(images[:, :4], "mcm", bank),
+                 DimMismatch, "image features", id="image-width"),
+    pytest.param(lambda bank, images: score_many(images, "krnft", bank),
+                 EmptyInput, "krnft scoring requires a model state", id="krnft-without-state"),
+    # the image-conditional modes tune chunk by chunk, past transform_bank's check
+    pytest.param(lambda bank, images: score_many(
+        images, "krnft", bank, state=init_model(4, hidden=4, mode="vec_shift", seed=0)),
+        DimMismatch, "dimensions must agree", id="model-narrower-than-bank"),
+    pytest.param(lambda bank, images: score_neglabel(images[0], bank.rows(), 0),
+                 EmptyBank, "at least one positive", id="neglabel-without-positives"),
+])
+def test_scoring_input_errors(call, exc, needle):
+    rng = np.random.default_rng(56)
+    bank = FeatureBank.from_rows(unit_rows(rng, 2, 8), unit_rows(rng, 2, 8))
+    with pytest.raises(exc, match=needle):
+        call(bank, unit_rows(rng, 2, 8))
 
 
 # ---- metrics ----
