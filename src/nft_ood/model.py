@@ -248,44 +248,43 @@ def role_terms(state, role, v, c_rows=None):
     return a, b, z, h
 
 
-# rows per block of the tuning kernel: a block and its squares stay in cache
+# rows per block of _tune_blocks: a block and its squares stay in cache
 _BLOCK_ROWS = 256
 
 
 def _tune_rows(c_rows, a, b, out, sq):
-    """Write the tuned, unit-normalized rows u = a * c + b of c_rows into out.
+    """Tune c_rows into out, u = a * c + b over ||u||, and return the norms ||u||.
 
-    (a, b) come from role_terms; sq is a scratch of at least
-    min(_BLOCK_ROWS, rows) rows. Per block of _BLOCK_ROWS rows: u in out, the
-    row norms from the squares in sq, the ZeroNorm check, then u / norms in
-    place. Each tuned row depends on its own c row alone, so any split into
-    calls gives the same bits. Returns whether every tuned row is finite:
-    only a NaN or Inf row norm can leave NaN or Inf in one, and then the
-    block is scanned.
+    (a, b) come from role_terms, b one shift for all rows or one per row
+    (mlp); sq, the squares' scratch, has at least as many rows as c_rows.
+    Each tuned row depends on its own c row alone, so any split of the rows
+    into calls gives the same bits. A non-finite tuned row holds a NaN.
     """
-    finite = True
+    if a is None:
+        np.add(c_rows, b, out=out)
+    else:
+        np.multiply(a, c_rows, out=out)
+        np.add(out, b, out=out)
+    # array methods: the np.* wrappers cost a few percent at 256-row blocks
+    norms = np.sqrt(np.multiply(out, out, out=sq[: out.shape[0]]).sum(axis=1))
+    if (norms <= EPS_NORM).any():
+        raise ZeroNorm("transform produced a zero vector; parameters are degenerate")
+    np.divide(out, norms[:, None], out=out)
+    return norms
+
+
+def _tune_blocks(c_rows, a, b, out, sq):
+    """_tune_rows per block of _BLOCK_ROWS rows, each with its own rows of mlp's
+    shifts; sq holds at least min(_BLOCK_ROWS, rows) rows."""
     for i in range(0, c_rows.shape[0], _BLOCK_ROWS):
-        c, o = c_rows[i : i + _BLOCK_ROWS], out[i : i + _BLOCK_ROWS]
-        shift = b[i : i + _BLOCK_ROWS] if b.ndim == 2 else b
-        if a is None:
-            np.add(c, shift, out=o)
-        else:
-            np.multiply(a, c, out=o)
-            np.add(o, shift, out=o)
-        # array methods: the np.* wrappers cost a few percent at 256-row blocks
-        norms = np.sqrt(np.multiply(o, o, out=sq[: o.shape[0]]).sum(axis=1))
-        if (norms <= EPS_NORM).any():
-            raise ZeroNorm("transform produced a zero vector; parameters are degenerate")
-        np.divide(o, norms[:, None], out=o)
-        if not np.isfinite(norms).all():
-            finite = bool(np.isfinite(o).all()) and finite
-    return finite
+        blk = slice(i, i + _BLOCK_ROWS)
+        _tune_rows(c_rows[blk], a, b[blk] if b.ndim == 2 else b, out[blk], sq)
 
 
 def transform_bank(state, bank, v):
     """Tuned bank: positive rows with the positive head/net, negative with the negative.
 
-    Returns a freshly allocated (N + M, D) array.
+    Returns a freshly allocated (N + M, D) array, tuned by _tune_blocks.
     """
     v = as_f64(v)
     if bank.dim != state.dim or v.shape != (state.dim,):
@@ -294,7 +293,7 @@ def transform_bank(state, bank, v):
     sq = np.empty((min(_BLOCK_ROWS, out.shape[0]), bank.dim))
     for role, c_rows, o in (("positive", bank.pos, out[: bank.n_pos]),
                             ("negative", bank.neg, out[bank.n_pos :])):
-        _tune_rows(c_rows, *role_terms(state, role, v, c_rows)[:2], o, sq)
+        _tune_blocks(c_rows, *role_terms(state, role, v, c_rows)[:2], o, sq)
     return out
 
 

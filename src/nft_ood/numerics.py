@@ -12,6 +12,7 @@ import numpy as np
 from .errors import InvalidConfig, NonFiniteInput, NonPositiveTemperature, ZeroNorm
 
 EPS_NORM = 1e-12
+TAU_MIN = float(np.finfo(np.float64).tiny)  # the smallest normal float64
 
 
 def as_f64(x):
@@ -48,8 +49,11 @@ def philox(seed, stream=0):
 
 
 def check_tau(name, tau):
-    """tau must be > 0 (NaN is not) and finite: at inf every label's logit is 0."""
+    """tau must be > 0 (NaN is not), finite (at inf every label's logit is 0) and normal:
+    a subnormal tau has lost precision, and below about 5.6e-309 1 / tau overflows."""
     if not tau > 0:
         raise NonPositiveTemperature(f"{name} must be > 0, got {tau}")
     if tau == math.inf:
         raise NonPositiveTemperature(f"{name} must be finite, got {tau}")
+    if tau < TAU_MIN:
+        raise NonPositiveTemperature(f"{name} must be >= {TAU_MIN}, a normal float, got {tau}")

@@ -26,8 +26,10 @@ feature regularizer does. `vec_shift` has no scale (a = 1), and the bank's unit
 rows have ||c||^2 = 1: it skips C * C and its GEMMs. No (B, K, D) tensor is
 built. Entries where u nearly cancels, and the expansion of ||u||^2 with it,
 are recomputed from u directly. In `const_shift` and `mlp` the tuned bank does
-not depend on the image: both roles are tuned into one (K, D) bank once per
-call, and the backward passes through the normalization and the transform once.
+not depend on the image: each role is tuned once per call by `model._tune_rows`,
+the kernel of `transform_bank` and krnft scoring, so training sees the bits of
+the bank it is scored with; the backward passes through the normalization and
+the transform once.
 
 Gradients are derived by hand, including through the L2 normalization
 (projection Jacobian) and the relu (subgradient 0 at 0); a central-difference
@@ -45,8 +47,8 @@ from .errors import (
     NoNegativeLabels,
     ZeroNorm,
 )
-from .model import (IMAGE_INDEPENDENT_MODES, ROLES, TrainingSet, flat_arrays, role_arrays,
-                    role_terms)
+from .model import (IMAGE_INDEPENDENT_MODES, ROLES, TrainingSet, _tune_rows, flat_arrays,
+                    role_arrays, role_terms)
 from .numerics import EPS_NORM, as_f64, check_tau
 
 KR_VARIANTS = ("feature", "logits", "prob")
@@ -123,12 +125,7 @@ class _Pass:
     n: np.ndarray  # ||u||: (B, K) in the affine modes, (K,) otherwise
     roles: list  # (name, column slice, a, b, z, h) of each role with rows; see role_terms
     cp: np.ndarray = None  # (K, D) tuned rows, image-independent modes
-
-
-def _checked_norms(n2):
-    if (n2 <= EPS_NORM * EPS_NORM).any():
-        raise ZeroNorm("transform produced a zero vector")
-    return np.sqrt(n2, out=n2)
+    sq: np.ndarray = None  # (K, D) scratch of their squares, reused by the backward
 
 
 def _forward(state, bank, imgs, n_dots):
@@ -140,13 +137,12 @@ def _forward(state, bank, imgs, n_dots):
                                 ("negative", slice(bank.n_pos, c.shape[0])))
              if cols.stop > cols.start]
     if state.mode in IMAGE_INDEPENDENT_MODES:
-        cp = np.empty_like(c)
-        for _, cols, _, b, _, _ in roles:
-            np.add(c[cols], b, out=cp[cols])
-        n = _checked_norms(np.einsum("ij,ij->i", cp, cp))
-        cp /= n[:, None]
+        # one block, sq reused by the backward: fresh arrays cost page faults each step
+        cp, sq = np.empty((2, *c.shape))
+        n = np.concatenate([_tune_rows(c[cols], a, b, cp[cols], sq)
+                            for _, cols, a, b, _, _ in roles])
         d = np.broadcast_to(np.einsum("ij,ij->i", c, cp), (n_dots, c.shape[0]))
-        return _Pass(s=imgs @ cp.T, d=d, n=n, roles=roles, cp=cp)
+        return _Pass(s=imgs @ cp.T, d=d, n=n, roles=roles, cp=cp, sq=sq)
     p1 = np.empty((2 * n_img + n_dots, c.shape[0]))
     p2 = np.empty((n_img + n_dots, c.shape[0]))
     for _, cols, a, b, _, _ in roles:
@@ -172,7 +168,9 @@ def _forward(state, bank, imgs, n_dots):
         vu[i, j] = (imgs[i] * u).sum(axis=1)
         dots = i < n_dots
         cu[i[dots], j[dots]] = (c[j[dots]] * u[dots]).sum(axis=1)
-    n = _checked_norms(n2)
+    if (n2 <= EPS_NORM * EPS_NORM).any():
+        raise ZeroNorm("transform produced a zero vector")
+    n = np.sqrt(n2, out=n2)
     vu /= n
     cu /= n[:n_dots]
     return _Pass(s=vu, d=cu, n=n, roles=roles)
@@ -184,7 +182,8 @@ def _backprop(state, bank, f, imgs, g_s, g_d, grads):
     c, n_g = bank.matrix, f.d.shape[0]
     if state.mode in IMAGE_INDEPENDENT_MODES:
         # dL/dc' summed over the batch, then through the normalization once
-        g_u = g_s.T @ imgs + (n_g * g_d) * c
+        g_u = np.matmul(g_s.T, imgs, out=f.sq)
+        g_u += (n_g * g_d) * c
         g_u -= np.einsum("ij,ij->i", g_u, f.cp)[:, None] * f.cp
         g_u /= f.n[:, None]
     else:

@@ -14,14 +14,7 @@ from .errors import (
     NonFiniteInput,
     NonPositiveInput,
 )
-from .model import (
-    _BLOCK_ROWS,
-    IMAGE_INDEPENDENT_MODES,
-    ROLES,
-    _tune_rows,
-    role_terms,
-    transform_bank,
-)
+from .model import IMAGE_INDEPENDENT_MODES, ROLES, _tune_blocks, role_terms, transform_bank
 from .numerics import as_f64, check_tau, sigmoid
 
 
@@ -103,28 +96,29 @@ def _tuned_cosines(state, bank):
     """cosines(v, c) writing the cosines of v with its tuned bank into c.
 
     The tuned bank is never built: each chunk of the grid is tuned into one
-    chunk-sized scratch and its cosines taken while it is still in cache. A
-    chunk that straddles N tunes its two parts with their own role's
-    parameters, computed once per image. NegLabel's checks follow the last
-    chunk, as they follow transform_bank on the per-image path.
+    chunk-sized scratch, one _tune_blocks call per role's part, and its
+    cosines taken while it is still in cache. A chunk that straddles N tunes
+    its two parts with their own role's parameters, computed once per image.
+    NegLabel's checks follow the last chunk, as they follow transform_bank on
+    the per-image path. A non-finite tuned row holds a NaN, so its cosine is
+    NaN: a NaN among the cosines is the NaN/Inf check, and an Inf cosine (an
+    image of overflowing norm) is left to the reduction's, as per image.
     """
     if state.dim != bank.dim:
         raise DimMismatch("bank, model and image feature dimensions must agree")
     rows, n, step = bank.rows(), bank.n_pos, _chunk_rows(bank.dim)
     k = rows.shape[0]
     chunk = np.empty((min(step, k), bank.dim))
-    sq = np.empty((min(_BLOCK_ROWS, k), bank.dim))
+    sq = np.empty_like(chunk)
 
     def cosines(v, c):
         (a_pos, b_pos), (a_neg, b_neg) = (role_terms(state, role, v)[:2] for role in ROLES)
-        finite = True
         for r in range(0, k, step):
             e = min(r + step, k)
             for lo, hi, a, b in ((r, min(e, n), a_pos, b_pos), (max(r, n), e, a_neg, b_neg)):
-                if lo < hi:
-                    finite &= _tune_rows(rows[lo:hi], a, b, chunk[lo - r : hi - r], sq)
+                _tune_blocks(rows[lo:hi], a, b, chunk[lo - r : hi - r], sq)
             np.dot(chunk[: e - r], v, out=c[r:e])
-        _check_neglabel(k, n, finite)
+        _check_neglabel(k, n, not np.isnan(c).any())
 
     return cosines
 
@@ -150,7 +144,7 @@ def _mcm_block(cos, tau):
     max(e) / sum(e) equals the max of the softmax e / sum(e) bit for bit,
     because rounded division by a positive number is monotone.
     """
-    x = as_f64(cos) / tau
+    x = as_f64(cos / tau)  # NaN/Inf check: cos / tau overflows on rows of large norm
     e = np.exp(x - np.max(x, axis=1)[:, None])
     return (np.max(e, axis=1) / np.sum(e, axis=1)).tolist()
 
@@ -210,7 +204,8 @@ def score_many(images, method, bank, state=None, tau_score=1.0):
     product per chunk of a fixed grid of 2**19 // D bank rows, the grid the
     per-image score_* calls use too. In the image-conditional krnft modes no
     tuned bank is built: each chunk is tuned into one chunk-sized scratch and
-    its cosines taken at once, and the image's checks follow its last chunk.
+    its cosines taken at once, and the image's checks follow its last chunk,
+    NaN/Inf in its tuned rows read off a NaN among its cosines.
     The scores of a block of images are reduced together. Results equal the
     per-image score_* calls (score_krnft, i.e. transform_bank +
     score_neglabel) bit for bit.

@@ -47,6 +47,12 @@ def test_benchmark_score_paper_smoke():
     _smoke("score_paper")
 
 
+def test_benchmark_score_paper_traced_smoke():
+    # the traced run's decompose checks transform_bank + score_neglabel against
+    # score_many's krnft bit for bit at paper shape: both tune through one kernel
+    _smoke("score_paper", "--trace", "1")
+
+
 def test_benchmark_eval_1m_smoke():
     # evaluate on 1M+1M scores, checked for exact equality with the
     # benchmark's independent AUROC and FPR95 references

@@ -256,6 +256,16 @@ def test_train_non_finite_value_is_usage_error(synth_dir, tmp_path, capsys, flag
     assert not out.exists()
 
 
+def test_train_subnormal_tau_loss_is_usage_error(synth_dir, tmp_path, capsys):
+    # once exit 3: "training diverged"
+    out = tmp_path / "run"
+    assert run("train", "--data", str(synth_dir), "--out", str(out), "--epochs", "1",
+               "--tau-loss", "1e-310") == EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, "tau_loss must be >= 2.2250738585072014e-308",
+                    "got 1e-310")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["const_shift", "vec_shift", "scale_shift", "mlp"])
 def test_train_divergence_is_numeric_error(synth_dir, tmp_path, capsys, mode):
     # once exit 0 with an all-NaN checkpoint and 8 lines of overflow warnings
@@ -705,6 +715,25 @@ def test_score_infinite_tau_is_usage_error(tmp_path, capsys, method):
                "--method", method, "--checkpoint", str(tmp_path / "c.nftc"),
                "--tau-score", "inf", "--out", str(out)) == EXIT_USAGE
     assert_one_line(capsys.readouterr().err, "must be finite, got inf")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["mcm", "neglabel", "krnft"])
+def test_score_subnormal_tau_is_usage_error(synth_dir, tmp_path, capsys, method):
+    # once mcm exit 0 with NaN in every row, and neglabel and krnft exit 2, each
+    # after numpy's overflow warnings: a unit cosine over 1e-310 overflows
+    dim = read_bank(synth_dir / "labels.fbnk").shape[1]
+    save_checkpoint(Checkpoint(model=init_model(dim, seed=0)), tmp_path / "c.nftc")
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("score", "--bank", str(synth_dir), "--images",
+                   str(synth_dir / "test_id.fbnk"), "--method", method, "--checkpoint",
+                   str(tmp_path / "c.nftc"), "--tau-score", "1e-310", "--out", str(out))
+    assert code == EXIT_USAGE
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert_one_line(capsys.readouterr().err, "tau_score must be >= 2.2250738585072014e-308",
+                    "got 1e-310")
     assert not out.exists()
 
 

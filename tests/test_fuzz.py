@@ -158,7 +158,7 @@ def test_fuzz_manifest_values(inputs, tmp_path, capsys):
 # edge values of a number flag: signs, zero, the uint64 bounds, overflow, underflow,
 # NaN, non-numbers
 FLAG_VALUES = ("-1", "0", "-0", "0.5", "1", "1.5", "2", "-0.5", str(2**64 - 1), str(2**64),
-               "1e308", "1e400", "1e-400", "nan", "inf", "-inf", "", "x")
+               "1e308", "1e400", "1e-310", "1e-400", "nan", "inf", "-inf", "", "x")
 # the values of a size flag: none large
 COUNT_VALUES = ("-1", "0", "-0", "0.5", "1", "2", "3", "1e3", "", "x")
 

@@ -195,10 +195,13 @@ def test_every_seeded_generator_rejects_seeds_outside_uint64(seed):
 
 
 @pytest.mark.parametrize("tau, needle", [
-    (0.0, "> 0"), (-1.0, "> 0"), (math.nan, "> 0"), (math.inf, "finite")])
+    (0.0, "> 0"), (-1.0, "> 0"), (math.nan, "> 0"), (math.inf, "finite"),
+    # subnormal: a unit cosine over 1e-310 overflows
+    (1e-310, ">= 2.2250738585072014e-308, a normal float")])
 def test_check_tau_rejects_non_positive_nan_and_infinite(tau, needle):
     with pytest.raises(NonPositiveTemperature, match=f"^tau_x must be {needle}"):
         check_tau("tau_x", tau)
     assert issubclass(NonPositiveTemperature, InvalidConfig)
     assert issubclass(NonPositiveTemperature, ConfigError)
     check_tau("tau_x", 1e-300)
+    check_tau("tau_x", np.finfo(np.float64).tiny)

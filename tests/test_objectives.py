@@ -22,7 +22,15 @@ from nft_ood.errors import (
     NoNegativeLabels,
     ZeroNorm,
 )
-from nft_ood.model import MODES, FeatureBank, TrainingSet, flat_buffer, init_model, transform_bank
+from nft_ood.model import (
+    IMAGE_INDEPENDENT_MODES,
+    MODES,
+    FeatureBank,
+    TrainingSet,
+    flat_buffer,
+    init_model,
+    transform_bank,
+)
 from nft_ood.scoring import score_many
 from nft_ood.objectives import (
     _CANCELLATION,
@@ -432,20 +440,22 @@ def test_zero_gradients_are_views_of_one_zeroed_buffer(mode):
 # sha256 of backward's loss report and gradients on gradcheck_instance(mode, variant,
 # 10000 i + 100 j), recorded before the loss lost its numpy wrappers: the same bits.
 # vec_shift's three moved (by <= 4e-16 relative) when it stopped taking ||c||^2 = 1
-# from a GEMM of ones against C * C.
+# from a GEMM of ones against C * C. const_shift's and mlp's six moved (by <= 4.4e-16
+# relative to each gradient array's largest entry) when the whole-bank forward took its
+# row norms from transform_bank's kernel, (u * u).sum(axis=1), instead of an einsum.
 BACKWARD_SHA256 = {
-    "const_shift/feature": "3d04c2974e9c8477811dfe33a5e5697cf0bb798cc6f653f33c0fc461786007ed",
-    "const_shift/logits": "b3a4c3aefbff52c2f5d8b2946e1844b2f2cf678f662758c25e00759d56446616",
-    "const_shift/prob": "9f0aa5b7de144b779c066ef51077699695be2bb3bae4addb263ee2795d372b97",
+    "const_shift/feature": "a491d9ca0530c941fcd15f30e31cd3ab44e75a7986ca142bcaa14ce096cc8cd7",
+    "const_shift/logits": "8af33d54e0e9b53fb22dc8b9a1e53dee5379fea75e14bdbcffec4fa6ab908974",
+    "const_shift/prob": "c5efd8bbd311367b27b03c9ae2d3ea4714eb486c3aa0d4c05065d7f66536d03f",
     "vec_shift/feature": "4d6bb5916349484d2451e0e0e3a89bc702443fe8919399d0d861de661ed07e45",
     "vec_shift/logits": "d1737e0b7b2d684f32b27d3c7d83557152ed3992b9952780680934dd822ccaaf",
     "vec_shift/prob": "b48e10df3555405f582977503fd2f55d2b75947d75bbc3c6ce1f7d5d38675ff7",
     "scale_shift/feature": "72a4909b2dd9d034ad4c4cf86fb6f8d2b98f1a2df605804a6df35a1e5093ac60",
     "scale_shift/logits": "5f997a9f574e4eb51843f72890483a3e7a2461d7854f1e6d558bfefcd0fa61e4",
     "scale_shift/prob": "07f59a3fe62f442fcdc069435cbf7127a7bacaeac99dd49baf460170142848e5",
-    "mlp/feature": "47d5671fde835063b45aaa710d7fd2f7da6d27ca8f34e86b95edc814f47297f4",
-    "mlp/logits": "7cb127ba8a576bb446729b83f40e51257f96db70e3a8476db050cd3de3b750fa",
-    "mlp/prob": "ace695d4e93df7b562a3cbae23fd0159817f58eab41811f650a9904d86ecb50d",
+    "mlp/feature": "3ea91574bb7120b94df39fbbf50e1ca73f946983cfc54d4a80810f1ec9ecdc3b",
+    "mlp/logits": "879b5753b8def0e4db246ea002cb90757dedf299ed2ed954a3047f096a417641",
+    "mlp/prob": "e99e1f52cff3bafc2e44ccd43c3ee1305fd44191283ce10ec8afab426cd128d0",
 }
 
 
@@ -646,6 +656,25 @@ def test_forward_matches_materialized_bank(mode):
         tuned = transform_bank(state, bank, v)
         assert np.max(np.abs(s[i] - tuned @ v)) <= 1e-12
         assert np.max(np.abs(d[i] - np.sum(bank.rows() * tuned, axis=1))) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", IMAGE_INDEPENDENT_MODES)
+def test_forward_trains_on_the_bank_that_krnft_scores(mode):
+    # criterion 2's 21 instances of the mode: the whole-bank forward tunes through
+    # transform_bank's kernel, so its bank equals transform_bank's bit for bit
+    for vi, variant in enumerate(KR_VARIANTS):
+        for s in range(7):
+            base_seed = 10000 * MODES.index(mode) + 100 * vi + s
+            state, bank, batch, _, _ = gradcheck_instance(mode, variant, base_seed)
+            imgs = batch_images(batch)
+            cp = _forward(state, bank, imgs, 0).cp
+            assert np.array_equal(cp, transform_bank(state, bank, imgs[0])), base_seed
+    # roles longer than transform_bank's blocks, which training tunes in one call
+    rng = np.random.default_rng(45)
+    bank = FeatureBank.from_rows(unit_rows(rng, 300, 16), unit_rows(rng, 600, 16))
+    state = perturbed_state(rng, d=16, hidden=8, mode=mode)
+    imgs = unit_rows(rng, 3, 16)
+    assert np.array_equal(_forward(state, bank, imgs, 0).cp, transform_bank(state, bank, imgs[0]))
 
 
 def test_forward_near_zero_norm_guard():

@@ -261,14 +261,29 @@ def test_score_many_matches_reference_on_many_images():
 
 
 def test_neglabel_overflowing_temperature_is_non_finite():
-    # cos / tau overflows at a subnormal tau: the scores raise, not return NaN
+    # cos / tau overflows on images of norm 1e300 at tau 1e-10 (a subnormal tau
+    # is rejected before any cosine): the scores raise, not return NaN
     rng = np.random.default_rng(66)
     bank = FeatureBank.from_rows(unit_rows(rng, 3, 8), unit_rows(rng, 5, 8))
-    images = unit_rows(rng, 4, 8)
+    images = 1e300 * unit_rows(rng, 4, 8)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteInput):
-        score_neglabel(images[0], bank.rows(), 3, 1e-309)
+        score_neglabel(images[0], bank.rows(), 3, 1e-10)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteInput):
-        score_many(images, "neglabel", bank, tau_score=1e-309)
+        score_many(images, "neglabel", bank, tau_score=1e-10)
+
+
+def test_mcm_overflowing_temperature_is_non_finite():
+    # MCM once returned NaN here, from exp(inf - inf)
+    rng = np.random.default_rng(67)
+    pos = unit_rows(rng, 3, 8)
+    images = 1e300 * unit_rows(rng, 4, 8)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteInput):
+        score_mcm(images[0], pos, 1e-10)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteInput):
+        score_many(images, "mcm", FeatureBank.from_rows(pos, []), tau_score=1e-10)
+    # and on rows of norm 1e300 at a unit image: a per-image call takes any rows
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteInput):
+        score_mcm(images[0] / 1e300, 1e300 * pos, 1e-10)
 
 
 def test_score_many_unknown_method():

@@ -1,9 +1,11 @@
-"""The blocked in-place tuned-bank kernel against the allocating reference.
+"""The in-place tuned-bank kernel, `model._tune_rows`, against the allocating reference.
 
-`transform_bank` and krnft `score_many` must give the reference's bits
-exactly, at shapes that end a block part-way, and raise the same
-exception class on degenerate parameters. Banks of more than 2**19 entries
-span several chunks of the scoring grid, which the fused krnft path and the
+`transform_bank` and krnft `score_many` (the kernel per block of
+`_BLOCK_ROWS` rows, through `model._tune_blocks`) must give the
+reference's bits exactly, at shapes that end a block part-way, and raise the
+same exception class on degenerate parameters; the fused path reads NaN/Inf
+off the cosines of the tuned rows. Banks of more than 2**19 entries span
+several chunks of the scoring grid, which the fused krnft path and the
 per-image path must share.
 """
 
@@ -180,6 +182,8 @@ CASES = {  # edits, tau, negative rows, expected exception (None: finite scores)
     "zero": ([(_zero_rows, "negative")], 1.0, M, ZeroNorm),
     # ZeroNorm in the negative rows wins over the non-finite positive rows
     "inf_then_zero": ([(_inf_rows, "positive"), (_zero_rows, "negative")], 1.0, M, ZeroNorm),
+    # non-finite negative rows only: the fused path sees NaN in the cosines past N
+    "inf_neg": ([(_inf_rows, "negative")], 1.0, M, NonFiniteInput),
     # the temperature check comes before the NaN/Inf scan ...
     "inf_bad_tau": ([(_inf_rows, "negative")], 0.0, M, NonPositiveTemperature),
     # ... and the NaN/Inf scan before the negative-row check
@@ -214,6 +218,21 @@ def test_degenerate_parameters_match_reference(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_degenerate_parameters_on_the_chunk_grid_match_reference(case):
     _check_degenerate(case, *GRID_BANK)
+
+
+def test_overflowing_cosines_of_finite_rows_match_reference():
+    # an image of norm 2.4e308 overflows its cosines with the finite identity-tuned
+    # rows; with no negative rows both paths raise NoNegativeLabels, not NonFiniteInput
+    pos = np.zeros((3, D))
+    pos[:, :2] = 1.0
+    pos[:, 2:5] = np.eye(3)
+    bank = FeatureBank.from_rows(pos / np.sqrt(3.0), [])
+    state = init_model(D, hidden=8, mode="scale_shift", seed=3)
+    image = np.zeros((1, D))
+    image[0, :2] = 1.7e308
+    got = _outcome(lambda: score_many(image, "krnft", bank, state=state))
+    ref = _outcome(lambda: bank_reference.score_krnft(state, image[0], bank))
+    assert got is ref is NoNegativeLabels
 
 
 def test_transform_bank_returns_a_fresh_array():
