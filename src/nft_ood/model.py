@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimMismatch, FormatError, InvalidDim, ZeroNorm
+from .errors import DimMismatch, FormatError, InvalidDim, NumericError, ZeroNorm
 from .numerics import EPS_NORM, as_f64, philox
 
 MODES = ("const_shift", "vec_shift", "scale_shift", "mlp")
@@ -248,7 +248,7 @@ def role_terms(state, role, v, c_rows=None):
     return a, b, z, h
 
 
-# rows per block of _tune_blocks: a block and its squares stay in cache
+# bank rows per block of every tuning and cosine pass: a tuned block stays in cache
 _BLOCK_ROWS = 256
 
 
@@ -258,7 +258,9 @@ def _tune_rows(c_rows, a, b, out, sq):
     (a, b) come from role_terms, b one shift for all rows or one per row
     (mlp); sq, the squares' scratch, has at least as many rows as c_rows.
     Each tuned row depends on its own c row alone, so any split of the rows
-    into calls gives the same bits. A non-finite tuned row holds a NaN.
+    into calls gives the same bits. A non-finite tuned row holds a NaN. A
+    norm at most EPS_NORM raises ZeroNorm, and a finite row whose squares
+    overflow raises NumericError: dividing it by its Inf norm would give zeros.
     """
     if a is None:
         np.add(c_rows, b, out=out)
@@ -266,25 +268,23 @@ def _tune_rows(c_rows, a, b, out, sq):
         np.multiply(a, c_rows, out=out)
         np.add(out, b, out=out)
     # array methods: the np.* wrappers cost a few percent at 256-row blocks
-    norms = np.sqrt(np.multiply(out, out, out=sq[: out.shape[0]]).sum(axis=1))
-    if (norms <= EPS_NORM).any():
-        raise ZeroNorm("transform produced a zero vector; parameters are degenerate")
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.multiply(out, out, out=sq[: out.shape[0]]).sum(axis=1))
+    if not ((norms > EPS_NORM) & (norms < math.inf)).all():  # NaN fails both
+        if (norms <= EPS_NORM).any():
+            raise ZeroNorm("transform produced a zero vector; parameters are degenerate")
+        if np.isfinite(out[norms == math.inf]).all(axis=1).any():
+            raise NumericError("transform produced a vector whose norm overflows")
     np.divide(out, norms[:, None], out=out)
     return norms
-
-
-def _tune_blocks(c_rows, a, b, out, sq):
-    """_tune_rows per block of _BLOCK_ROWS rows, each with its own rows of mlp's
-    shifts; sq holds at least min(_BLOCK_ROWS, rows) rows."""
-    for i in range(0, c_rows.shape[0], _BLOCK_ROWS):
-        blk = slice(i, i + _BLOCK_ROWS)
-        _tune_rows(c_rows[blk], a, b[blk] if b.ndim == 2 else b, out[blk], sq)
 
 
 def transform_bank(state, bank, v):
     """Tuned bank: positive rows with the positive head/net, negative with the negative.
 
-    Returns a freshly allocated (N + M, D) array, tuned by _tune_blocks.
+    Returns a freshly allocated (N + M, D) array, each role's rows tuned by
+    _tune_rows in blocks of _BLOCK_ROWS rows, each block with its own rows of
+    mlp's per-row shifts.
     """
     v = as_f64(v)
     if bank.dim != state.dim or v.shape != (state.dim,):
@@ -293,7 +293,10 @@ def transform_bank(state, bank, v):
     sq = np.empty((min(_BLOCK_ROWS, out.shape[0]), bank.dim))
     for role, c_rows, o in (("positive", bank.pos, out[: bank.n_pos]),
                             ("negative", bank.neg, out[bank.n_pos :])):
-        _tune_blocks(c_rows, *role_terms(state, role, v, c_rows)[:2], o, sq)
+        a, b = role_terms(state, role, v, c_rows)[:2]
+        for i in range(0, c_rows.shape[0], _BLOCK_ROWS):
+            blk = slice(i, i + _BLOCK_ROWS)
+            _tune_rows(c_rows[blk], a, b[blk] if b.ndim == 2 else b, o[blk], sq)
     return out
 
 

@@ -141,7 +141,7 @@ def _forward(state, bank, imgs, n_dots):
         cp, sq = np.empty((2, *c.shape))
         n = np.concatenate([_tune_rows(c[cols], a, b, cp[cols], sq)
                             for _, cols, a, b, _, _ in roles])
-        d = np.broadcast_to(np.einsum("ij,ij->i", c, cp), (n_dots, c.shape[0]))
+        d = np.broadcast_to(np.einsum("ij,ij->i", c, cp) if n_dots else 0.0, (n_dots, c.shape[0]))
         return _Pass(s=imgs @ cp.T, d=d, n=n, roles=roles, cp=cp, sq=sq)
     p1 = np.empty((2 * n_img + n_dots, c.shape[0]))
     p2 = np.empty((n_img + n_dots, c.shape[0]))
@@ -183,7 +183,8 @@ def _backprop(state, bank, f, imgs, g_s, g_d, grads):
     if state.mode in IMAGE_INDEPENDENT_MODES:
         # dL/dc' summed over the batch, then through the normalization once
         g_u = np.matmul(g_s.T, imgs, out=f.sq)
-        g_u += (n_g * g_d) * c
+        if n_g:
+            g_u += (n_g * g_d) * c
         g_u -= np.einsum("ij,ij->i", g_u, f.cp)[:, None] * f.cp
         g_u /= f.n[:, None]
     else:

@@ -14,7 +14,8 @@ from .errors import (
     NonFiniteInput,
     NonPositiveInput,
 )
-from .model import IMAGE_INDEPENDENT_MODES, ROLES, _tune_blocks, role_terms, transform_bank
+from .model import (_BLOCK_ROWS, IMAGE_INDEPENDENT_MODES, ROLES, _tune_rows, role_terms,
+                    transform_bank)
 from .numerics import as_f64, check_tau, sigmoid
 
 
@@ -39,19 +40,9 @@ class MetricReport:
 # cosines per block of score_many: bounds the (b, K) block and its reduction
 # temporaries, whatever the image count
 _BLOCK_ELEMS = 2**16
-# entries per row chunk of the bank: every cosine comes from one matrix-vector
-# product per chunk of this fixed grid. A product over part of the rows can
-# differ in the last bits from one over all of them, so the tuned and the
-# plain paths agree bit for bit only on a shared grid. 2**19 is the smallest
-# chunk that OpenBLAS still splits over threads, and a tuned chunk stays in cache.
-_CHUNK_ELEMS = 2**19
 # sorted ID scores per chunk of the AUROC count: bounds its temporaries,
 # whatever the score count
 _AUROC_CHUNK = 2**16
-
-
-def _chunk_rows(dim):
-    return max(1, _CHUNK_ELEMS // max(dim, 1))
 
 
 def _check_neglabel(k, n_pos, finite):
@@ -79,15 +70,15 @@ def _mcm_rows(pos_rows):
 
 
 def _grid_cosines(rows):
-    """cosines(v, c) writing rows @ v into c, one matrix-vector product per grid chunk."""
-    step = _chunk_rows(rows.shape[1])
-    if rows.shape[0] <= step:  # one chunk: no per-image loop, which small banks would feel
+    """cosines(v, c) writing rows @ v into c, one matrix-vector product per block of
+    _BLOCK_ROWS rows: every cosine, plain or tuned, comes from this one grid, since a
+    product over part of the rows can differ in the last bits from one over all of them."""
+    if rows.shape[0] <= _BLOCK_ROWS:  # one block: no per-image loop, which small banks would feel
         return partial(np.dot, rows)
-    parts = [(rows[r : r + step], slice(r, r + step)) for r in range(0, rows.shape[0], step)]
 
     def cosines(v, c):
-        for part, s in parts:
-            np.dot(part, v, out=c[s])
+        for r in range(0, rows.shape[0], _BLOCK_ROWS):
+            np.dot(rows[r : r + _BLOCK_ROWS], v, out=c[r : r + _BLOCK_ROWS])
 
     return cosines
 
@@ -95,29 +86,30 @@ def _grid_cosines(rows):
 def _tuned_cosines(state, bank):
     """cosines(v, c) writing the cosines of v with its tuned bank into c.
 
-    The tuned bank is never built: each chunk of the grid is tuned into one
-    chunk-sized scratch, one _tune_blocks call per role's part, and its
-    cosines taken while it is still in cache. A chunk that straddles N tunes
+    The tuned bank is never built: each block of the grid is tuned into one
+    block-sized scratch, one _tune_rows call per role's part, and its
+    cosines taken while it is still in cache. A block that straddles N tunes
     its two parts with their own role's parameters, computed once per image.
-    NegLabel's checks follow the last chunk, as they follow transform_bank on
+    NegLabel's checks follow the last block, as they follow transform_bank on
     the per-image path. A non-finite tuned row holds a NaN, so its cosine is
     NaN: a NaN among the cosines is the NaN/Inf check, and an Inf cosine (an
     image of overflowing norm) is left to the reduction's, as per image.
     """
     if state.dim != bank.dim:
         raise DimMismatch("bank, model and image feature dimensions must agree")
-    rows, n, step = bank.rows(), bank.n_pos, _chunk_rows(bank.dim)
+    rows, n = bank.rows(), bank.n_pos
     k = rows.shape[0]
-    chunk = np.empty((min(step, k), bank.dim))
-    sq = np.empty_like(chunk)
+    block = np.empty((min(_BLOCK_ROWS, k), bank.dim))
+    sq = np.empty_like(block)
 
     def cosines(v, c):
         (a_pos, b_pos), (a_neg, b_neg) = (role_terms(state, role, v)[:2] for role in ROLES)
-        for r in range(0, k, step):
-            e = min(r + step, k)
+        for r in range(0, k, _BLOCK_ROWS):
+            e = min(r + _BLOCK_ROWS, k)
             for lo, hi, a, b in ((r, min(e, n), a_pos, b_pos), (max(r, n), e, a_neg, b_neg)):
-                _tune_blocks(rows[lo:hi], a, b, chunk[lo - r : hi - r], sq)
-            np.dot(chunk[: e - r], v, out=c[r:e])
+                if lo < hi:
+                    _tune_rows(rows[lo:hi], a, b, block[lo - r : hi - r], sq)
+            np.dot(block[: e - r], v, out=c[r:e])
         _check_neglabel(k, n, not np.isnan(c).any())
 
     return cosines
@@ -201,11 +193,12 @@ def score_many(images, method, bank, state=None, tau_score=1.0):
 
     The bank is validated once per call, and so is the tuned bank in the
     image-independent krnft modes. Every cosine comes from one matrix-vector
-    product per chunk of a fixed grid of 2**19 // D bank rows, the grid the
-    per-image score_* calls use too. In the image-conditional krnft modes no
-    tuned bank is built: each chunk is tuned into one chunk-sized scratch and
-    its cosines taken at once, and the image's checks follow its last chunk,
-    NaN/Inf in its tuned rows read off a NaN among its cosines.
+    product per block of 256 bank rows (model._BLOCK_ROWS), the grid the
+    per-image score_* calls use too; a bank of at most 256 rows is one
+    product. In the image-conditional krnft modes no tuned bank is built:
+    each block is tuned into one block-sized scratch and its cosines taken
+    at once, and the image's checks follow its last block, NaN/Inf in its
+    tuned rows read off a NaN among its cosines.
     The scores of a block of images are reduced together. Results equal the
     per-image score_* calls (score_krnft, i.e. transform_bank +
     score_neglabel) bit for bit.

@@ -13,7 +13,7 @@ which fetches each array by its full key, not from `model.role_terms` or
 
 import numpy as np
 
-from nft_ood.errors import DimMismatch, ZeroNorm
+from nft_ood.errors import DimMismatch, NumericError, ZeroNorm
 from nft_ood.numerics import as_f64
 from nft_ood.scoring import score_neglabel
 
@@ -79,6 +79,8 @@ def transform_rows(state, c_rows, v, role):
     norms = np.sqrt(np.sum(u * u, axis=1))
     if np.any(norms <= 1e-12):
         raise ZeroNorm("transform produced a zero vector; parameters are degenerate")
+    if np.any(np.isinf(norms) & np.all(np.isfinite(u), axis=1)):
+        raise NumericError("transform produced a vector whose norm overflows")
     return u / norms[:, None]
 
 

@@ -737,6 +737,26 @@ def test_score_subnormal_tau_is_usage_error(synth_dir, tmp_path, capsys, method)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_score_krnft_overflowing_tuned_norm_is_numeric_error(synth_dir, tmp_path, capsys, mode):
+    # once exit 0 after an overflow warning, each positive tuned row a row of
+    # zeros: u = c + 1e200 is finite but its squares overflow, so ||u|| is Inf
+    dim = read_bank(synth_dir / "labels.fbnk").shape[1]
+    state = init_model(dim, mode=mode, seed=0)
+    state.arrays["pos_net.b_beta" if mode == "mlp" else "pos_head.beta"][:] = 1e200
+    save_checkpoint(Checkpoint(model=state), tmp_path / "c.nftc")
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("score", "--bank", str(synth_dir), "--images",
+                   str(synth_dir / "test_id.fbnk"), "--method", "krnft", "--checkpoint",
+                   str(tmp_path / "c.nftc"), "--out", str(out))
+    assert code == EXIT_NUMERIC
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert_one_line(capsys.readouterr().err, "norm overflows")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method, mode", [("mcm", None), ("neglabel", None)]
                          + [("krnft", mode) for mode in MODES])
 @pytest.mark.parametrize("tau", ["-1", "nan"])

@@ -1,12 +1,11 @@
 """The in-place tuned-bank kernel, `model._tune_rows`, against the allocating reference.
 
 `transform_bank` and krnft `score_many` (the kernel per block of
-`_BLOCK_ROWS` rows, through `model._tune_blocks`) must give the
-reference's bits exactly, at shapes that end a block part-way, and raise the
-same exception class on degenerate parameters; the fused path reads NaN/Inf
-off the cosines of the tuned rows. Banks of more than 2**19 entries span
-several chunks of the scoring grid, which the fused krnft path and the
-per-image path must share.
+`_BLOCK_ROWS` rows) must give the reference's bits exactly, at shapes that
+end a block part-way, and raise the same exception class on degenerate
+parameters; the fused path reads NaN/Inf off the cosines of the tuned rows.
+Banks of more than `_BLOCK_ROWS` rows span several blocks of the scoring
+grid, which the fused krnft path and the per-image path must share.
 """
 
 import tracemalloc
@@ -16,7 +15,13 @@ import pytest
 
 import bank_reference
 from conftest import unit_rows
-from nft_ood.errors import NoNegativeLabels, NonFiniteInput, NonPositiveTemperature, ZeroNorm
+from nft_ood.errors import (
+    NoNegativeLabels,
+    NonFiniteInput,
+    NonPositiveTemperature,
+    NumericError,
+    ZeroNorm,
+)
 from nft_ood.model import (
     _BLOCK_ROWS,
     IMAGE_INDEPENDENT_MODES,
@@ -25,18 +30,17 @@ from nft_ood.model import (
     init_model,
     transform_bank,
 )
-from nft_ood.scoring import (
-    _CHUNK_ELEMS,
-    _tuned_cosines,
-    score_many,
-    score_mcm,
-    score_neglabel,
-)
+from nft_ood.scoring import _tuned_cosines, score_many, score_mcm, score_neglabel
 
 D = 16
-# K*D = 563,200 > 2**19: at D=512 a grid chunk is 1,024 rows, so N falls
-# inside the first chunk and K = 1,100 ends part-way through the second
-GRID_BANK = (512, 100, 1000)
+# banks (D, N, M) of several grid blocks; the test names keep "chunk_grid" so
+# that their ids stay stable
+GRID_BANKS = {
+    # N falls inside the first block, and K = 1,100 ends part-way through the fifth
+    "": (512, 100, 1000),
+    # K = 257: the grid ends in a 1-row block
+    "tail-": (128, 100, 157),
+}
 
 SHAPES = {
     # K = N + M is no multiple of the block; both roles end part-way through a block
@@ -88,16 +92,18 @@ def test_score_many_krnft_bit_identical_to_per_image_path(mode):
         assert np.array_equal(got, np.array(split))
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_score_many_on_the_chunk_grid_matches_per_image_paths(mode):
-    dim, n, m = GRID_BANK
+@pytest.mark.parametrize("bank_shape, mode", [pytest.param(shape, mode, id=tag + mode)
+                                               for tag, shape in GRID_BANKS.items()
+                                               for mode in MODES])
+def test_score_many_on_the_chunk_grid_matches_per_image_paths(bank_shape, mode):
+    dim, n, m = bank_shape
     rng = np.random.default_rng(75)
     bank = make_bank(rng, n, m, dim)
     state = perturbed_state(rng, mode, dim)
     for arr in state.params().values():  # back near identity: scores far from 0 and 1
         arr *= 0.05
     images = unit_rows(rng, 16, dim)
-    step, k = _CHUNK_ELEMS // dim, n + m
+    step, k = _BLOCK_ROWS, n + m
     cos = np.empty(k)
     for v in images if mode not in IMAGE_INDEPENDENT_MODES else ():
         # the fused path's cosines: a product over all K rows differs from the
@@ -121,7 +127,7 @@ def test_score_many_on_the_chunk_grid_matches_per_image_paths(mode):
 @pytest.mark.parametrize("mode", ["vec_shift", "scale_shift"])
 def test_score_many_krnft_builds_no_tuned_bank(mode):
     rng = np.random.default_rng(76)
-    k, dim = 40_000, 64  # 2.56M entries: five chunks of the grid
+    k, dim = 40_000, 64  # 2.56M entries: 157 blocks of the grid
     bank = make_bank(rng, 1_000, k - 1_000, dim)
     state = perturbed_state(rng, mode, dim)
     images = unit_rows(rng, 2, dim)
@@ -152,7 +158,7 @@ def _outcome(fn):
     try:
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             return fn()
-    except (NoNegativeLabels, NonFiniteInput, NonPositiveTemperature, ZeroNorm) as e:
+    except (NoNegativeLabels, NonFiniteInput, NonPositiveTemperature, NumericError) as e:
         return type(e)
 
 
@@ -171,13 +177,13 @@ def _zero_rows(state, role):
 
 
 def _overflowed_squares(state, role):
-    # u is finite but u * u overflows: norm Inf, and u / norm a finite row of zeros
+    # u is finite but u * u overflows: its norm is Inf, and u / norm would be a row of zeros
     head = "pos_head" if role == "positive" else "neg_head"
     state.arrays[f"{head}.beta"][0] = 1e200
 
 
 M = _BLOCK_ROWS + 3
-CASES = {  # edits, tau, negative rows, expected exception (None: finite scores)
+CASES = {  # edits, tau, negative rows, expected exception
     "inf": ([(_inf_rows, "positive")], 1.0, M, NonFiniteInput),
     "zero": ([(_zero_rows, "negative")], 1.0, M, ZeroNorm),
     # ZeroNorm in the negative rows wins over the non-finite positive rows
@@ -188,7 +194,7 @@ CASES = {  # edits, tau, negative rows, expected exception (None: finite scores)
     "inf_bad_tau": ([(_inf_rows, "negative")], 0.0, M, NonPositiveTemperature),
     # ... and the NaN/Inf scan before the negative-row check
     "inf_no_neg": ([(_inf_rows, "positive")], 1.0, 0, NonFiniteInput),
-    "overflowed_squares": ([(_overflowed_squares, "positive")], 1.0, M, None),
+    "overflowed_squares": ([(_overflowed_squares, "positive")], 1.0, M, NumericError),
 }
 
 
@@ -204,10 +210,7 @@ def _check_degenerate(case, dim, n, m_bank):
     got = _outcome(lambda: score_many(images, "krnft", bank, state=state, tau_score=tau))
     ref = _outcome(lambda: np.array(
         [bank_reference.score_krnft(state, v, bank, tau) for v in images]))
-    if want is None:
-        assert np.array_equal(got, ref) and np.all(np.isfinite(got))
-    else:
-        assert got is ref is want
+    assert got is ref is want
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -215,9 +218,11 @@ def test_degenerate_parameters_match_reference(case):
     _check_degenerate(case, D, 5, M)
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_degenerate_parameters_on_the_chunk_grid_match_reference(case):
-    _check_degenerate(case, *GRID_BANK)
+@pytest.mark.parametrize("bank_shape, case", [pytest.param(shape, case, id=tag + case)
+                                               for tag, shape in GRID_BANKS.items()
+                                               for case in sorted(CASES)])
+def test_degenerate_parameters_on_the_chunk_grid_match_reference(bank_shape, case):
+    _check_degenerate(case, *bank_shape)
 
 
 def test_overflowing_cosines_of_finite_rows_match_reference():
