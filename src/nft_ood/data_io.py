@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InvalidConfig, SchemaError, ZeroNorm
+from .errors import FormatError, InvalidConfig, NonFiniteInput, SchemaError, ZeroNorm
 from .mining import CropSet, build_training_set
 from .model import FeatureBank, TrainingSet
 from .numerics import as_f64, normalize_rows, philox
@@ -49,9 +49,10 @@ def write_bank(path, mat):
 def read_bank(path, unit_rows=False):
     """Read an FBNK file as a float64 matrix.
 
-    With unit_rows=True the rows are treated as feature vectors: rows whose
-    norm deviates from 1 by more than 1e-5 are re-normalized with a warning,
-    and rows with norm below 1e-6 are rejected.
+    With unit_rows=True the rows are treated as feature vectors: a row with
+    a NaN or Inf cell (its norm is not finite) or with norm below 1e-6 is
+    rejected, and rows whose norm deviates from 1 by more than 1e-5 are
+    re-normalized with a warning.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -73,6 +74,9 @@ def read_bank(path, unit_rows=False):
     mat = np.frombuffer(data[24:], dtype="<f4").astype(np.float64).reshape(rows, dim)
     if unit_rows:
         norms = np.sqrt(np.sum(mat * mat, axis=1))
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            raise NonFiniteInput(f"{path}: row {bad[0]} contains NaN or Inf")
         if np.any(norms < 1e-6):
             raise ZeroNorm("bank contains a near-zero feature row")
         if np.any(np.abs(norms - 1.0) > 1e-5):

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimMismatch, FormatError, InvalidDim, NumericError, ZeroNorm
+from .errors import DimMismatch, FormatError, InvalidDim, NonFiniteInput, NumericError, ZeroNorm
 from .numerics import EPS_NORM, as_f64, philox
 
 MODES = ("const_shift", "vec_shift", "scale_shift", "mlp")
@@ -232,19 +232,21 @@ def role_terms(state, role, v, c_rows=None):
     b_beta) and a = alpha + (h @ w_alpha.T + b_alpha), each head term only
     where the mode has it. a is None where it is all ones. In const_shift b
     is the head's (1,) beta and z, h are None. Training and scoring both tune
-    through this one definition.
+    through this one definition. An overflow here gives a non-finite a or b,
+    which _tune_rows and training's divergence check report without a warning.
     """
     p = role_arrays(state.arrays, state.mode, role)
     if "w1" not in p:  # const_shift has no meta-net
         return None, p["beta"], None, None
-    z = (c_rows if state.mode == "mlp" else v) @ p["w1"].T + p["b1"]
-    h = np.maximum(z, 0.0)
-    b = h @ p["w_beta"].T + p["b_beta"]
-    a = None
-    if "beta" in p:
-        b = p["beta"] + b
-        if "alpha" in p:
-            a = p["alpha"] + (h @ p["w_alpha"].T + p["b_alpha"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (c_rows if state.mode == "mlp" else v) @ p["w1"].T + p["b1"]
+        h = np.maximum(z, 0.0)
+        b = h @ p["w_beta"].T + p["b_beta"]
+        a = None
+        if "beta" in p:
+            b = p["beta"] + b
+            if "alpha" in p:
+                a = p["alpha"] + (h @ p["w_alpha"].T + p["b_alpha"])
     return a, b, z, h
 
 
@@ -258,23 +260,22 @@ def _tune_rows(c_rows, a, b, out, sq):
     (a, b) come from role_terms, b one shift for all rows or one per row
     (mlp); sq, the squares' scratch, has at least as many rows as c_rows.
     Each tuned row depends on its own c row alone, so any split of the rows
-    into calls gives the same bits. A non-finite tuned row holds a NaN. A
-    norm at most EPS_NORM raises ZeroNorm, and a finite row whose squares
-    overflow raises NumericError: dividing it by its Inf norm would give zeros.
+    into calls gives the same bits. A norm at most EPS_NORM raises ZeroNorm.
+    Parameters and images are checked finite where they enter, so a
+    non-finite norm can only come from an overflow: it raises NumericError.
     """
-    if a is None:
-        np.add(c_rows, b, out=out)
-    else:
-        np.multiply(a, c_rows, out=out)
-        np.add(out, b, out=out)
-    # array methods: the np.* wrappers cost a few percent at 256-row blocks
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflow raises below, with no warning
+        if a is None:
+            np.add(c_rows, b, out=out)
+        else:
+            np.multiply(a, c_rows, out=out)
+            np.add(out, b, out=out)
+        # array methods: the np.* wrappers cost a few percent at 256-row blocks
         norms = np.sqrt(np.multiply(out, out, out=sq[: out.shape[0]]).sum(axis=1))
     if not ((norms > EPS_NORM) & (norms < math.inf)).all():  # NaN fails both
         if (norms <= EPS_NORM).any():
             raise ZeroNorm("transform produced a zero vector; parameters are degenerate")
-        if np.isfinite(out[norms == math.inf]).all(axis=1).any():
-            raise NumericError("transform produced a vector whose norm overflows")
+        raise NumericError("transform produced a vector whose norm overflows")
     np.divide(out, norms[:, None], out=out)
     return norms
 
@@ -289,6 +290,7 @@ def transform_bank(state, bank, v):
     v = as_f64(v)
     if bank.dim != state.dim or v.shape != (state.dim,):
         raise DimMismatch("bank, model and image feature dimensions must agree")
+    as_f64(flat_buffer(state.arrays, state.arrays))  # NaN/Inf parameters
     out = np.empty((bank.n_pos + bank.n_neg, bank.dim))
     sq = np.empty((min(_BLOCK_ROWS, out.shape[0]), bank.dim))
     for role, c_rows, o in (("positive", bank.pos, out[: bank.n_pos]),
@@ -366,6 +368,9 @@ def load_checkpoint(path):
         raise FormatError("trailing bytes after checkpoint payload")
     if version == 1:
         arrays = live_from_v1(mode, dim, hidden, arrays)
+    for key, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise NonFiniteInput(f"checkpoint array {key} contains NaN or Inf")
     state = ModelState(mode=mode, dim=dim, hidden=hidden, arrays=flat_arrays(arrays))
     return Checkpoint(model=state, config=blob["config"], meta=blob["meta"])
 

@@ -6,16 +6,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (
-    DimMismatch,
-    EmptyBank,
-    EmptyInput,
-    NoNegativeLabels,
-    NonFiniteInput,
-    NonPositiveInput,
-)
-from .model import (_BLOCK_ROWS, IMAGE_INDEPENDENT_MODES, ROLES, _tune_rows, role_terms,
-                    transform_bank)
+from .errors import DimMismatch, EmptyBank, EmptyInput, NoNegativeLabels, NonPositiveInput
+from .model import (_BLOCK_ROWS, IMAGE_INDEPENDENT_MODES, ROLES, _tune_rows, flat_buffer,
+                    role_terms, transform_bank)
 from .numerics import as_f64, check_tau, sigmoid
 
 
@@ -45,21 +38,12 @@ _BLOCK_ELEMS = 2**16
 _AUROC_CHUNK = 2**16
 
 
-def _check_neglabel(k, n_pos, finite):
-    """NegLabel's checks on a bank of k rows: NaN/Inf, then its two parts."""
-    if not finite:
-        raise NonFiniteInput("input contains NaN or Inf")
+def _check_neglabel(k, n_pos):
+    """NegLabel's checks that a bank of k rows has both parts; _neglabel_block checks NaN/Inf."""
     if n_pos < 1:
         raise EmptyBank("need at least one positive label row")
     if k - n_pos < 1:
         raise NoNegativeLabels("NegLabel score requires negative label rows")
-
-
-def _neglabel_rows(bank_rows, n_pos):
-    """The bank as float64, checked for NegLabel scoring."""
-    bank_rows = np.asarray(bank_rows, dtype=np.float64)
-    _check_neglabel(bank_rows.shape[0], n_pos, np.all(np.isfinite(bank_rows)))
-    return bank_rows
 
 
 def _mcm_rows(pos_rows):
@@ -90,13 +74,14 @@ def _tuned_cosines(state, bank):
     block-sized scratch, one _tune_rows call per role's part, and its
     cosines taken while it is still in cache. A block that straddles N tunes
     its two parts with their own role's parameters, computed once per image.
-    NegLabel's checks follow the last block, as they follow transform_bank on
-    the per-image path. A non-finite tuned row holds a NaN, so its cosine is
-    NaN: a NaN among the cosines is the NaN/Inf check, and an Inf cosine (an
-    image of overflowing norm) is left to the reduction's, as per image.
+    The parameters are checked finite here, as transform_bank checks them, so
+    a tuned row is finite or _tune_rows raises; NegLabel's checks follow the
+    last block, as they follow transform_bank on the per-image path. An Inf
+    cosine (an image of overflowing norm) is left to the reduction's check.
     """
     if state.dim != bank.dim:
         raise DimMismatch("bank, model and image feature dimensions must agree")
+    as_f64(flat_buffer(state.arrays, state.arrays))  # NaN/Inf parameters
     rows, n = bank.rows(), bank.n_pos
     k = rows.shape[0]
     block = np.empty((min(_BLOCK_ROWS, k), bank.dim))
@@ -110,7 +95,7 @@ def _tuned_cosines(state, bank):
                 if lo < hi:
                     _tune_rows(rows[lo:hi], a, b, block[lo - r : hi - r], sq)
             np.dot(block[: e - r], v, out=c[r:e])
-        _check_neglabel(k, n, not np.isnan(c).any())
+        _check_neglabel(k, n)
 
     return cosines
 
@@ -124,7 +109,7 @@ def _logsumexp_rows(x):
 
 
 def _neglabel_block(cos, n_pos, tau_score):
-    # the NaN/Inf check logsumexp made: a tiny tau can overflow cos / tau
+    # the NaN/Inf check of a caller's rows and of cos / tau, which a tiny tau overflows
     x = as_f64(cos / tau_score)
     pos, neg = _logsumexp_rows(x[:, :n_pos]), _logsumexp_rows(x[:, n_pos:])
     return [sigmoid(p - q) for p, q in zip(pos, neg)]
@@ -171,7 +156,8 @@ def score_neglabel(v, bank_rows, n_pos, tau_score=1.0):
     similarities to the total over positive plus negative labels.
     """
     check_tau("tau_score", tau_score)
-    rows = _neglabel_rows(bank_rows, n_pos)
+    rows = np.asarray(bank_rows, dtype=np.float64)
+    _check_neglabel(rows.shape[0], n_pos)
     return _score_one(v, rows, partial(_neglabel_block, n_pos=n_pos, tau_score=tau_score))
 
 
@@ -191,14 +177,14 @@ def score_krnft(state, v, bank, tau_score=1.0):
 def score_many(images, method, bank, state=None, tau_score=1.0):
     """Score each row of images; output order follows input order.
 
-    The bank is validated once per call, and so is the tuned bank in the
-    image-independent krnft modes. Every cosine comes from one matrix-vector
-    product per block of 256 bank rows (model._BLOCK_ROWS), the grid the
-    per-image score_* calls use too; a bank of at most 256 rows is one
-    product. In the image-conditional krnft modes no tuned bank is built:
-    each block is tuned into one block-sized scratch and its cosines taken
-    at once, and the image's checks follow its last block, NaN/Inf in its
-    tuned rows read off a NaN among its cosines.
+    The bank and krnft's parameters are validated once per call, and so is
+    the tuned bank in the image-independent krnft modes. Every cosine comes
+    from one matrix-vector product per block of 256 bank rows
+    (model._BLOCK_ROWS), the grid the per-image score_* calls use too; a
+    bank of at most 256 rows is one product. In the image-conditional krnft
+    modes no tuned bank is built: each block is tuned into one block-sized
+    scratch and its cosines taken at once, and the image's checks follow
+    its last block; an overflowed tuned row raises NumericError there.
     The scores of a block of images are reduced together. Results equal the
     per-image score_* calls (score_krnft, i.e. transform_bank +
     score_neglabel) bit for bit.
@@ -217,10 +203,10 @@ def score_many(images, method, bank, state=None, tau_score=1.0):
         rows, reduce = _mcm_rows(bank.pos), partial(_mcm_block, tau=tau_score)
     elif method == "neglabel":
         rows = bank.rows()  # from_rows rejected NaN and Inf
-        _check_neglabel(rows.shape[0], bank.n_pos, True)
+        _check_neglabel(rows.shape[0], bank.n_pos)
     elif state.mode in IMAGE_INDEPENDENT_MODES and images.shape[0]:
         rows = transform_bank(state, bank, images[0])  # any image: it is unused
-        rows = _neglabel_rows(rows, bank.n_pos)
+        _check_neglabel(rows.shape[0], bank.n_pos)
     else:
         k = bank.n_pos + bank.n_neg
         return _blocked_scores(images, k, _tuned_cosines(state, bank), reduce)

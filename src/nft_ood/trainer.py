@@ -12,7 +12,7 @@ import numpy as np
 from .errors import EmptyTrainingSet, InvalidConfig, NumericError, ShapeMismatch
 from .model import (Checkpoint, FeatureBank, flat_arrays, flat_buffer, init_model,
                     live_from_v1, param_layout, v1_layout)
-from .numerics import philox
+from .numerics import as_f64, philox
 from .objectives import Batch, _validate_cfg, backward, fd_well_conditioned, zero_gradients
 
 
@@ -156,6 +156,7 @@ def train(state, bank, train_set, cfg):
     """Run the full training loop in place; returns (Checkpoint, LossTrace)."""
     if train_set.n_pos and train_set.pos_features.shape[1] != bank.dim:
         raise ShapeMismatch("training features do not match bank dimension")
+    as_f64(flat_buffer(state.arrays, state.arrays))  # NaN/Inf parameters
     opt = init_optimizer(state)
     params = state.params()
     trace = LossTrace()

@@ -14,7 +14,7 @@ which fetches each array by its full key, not from `model.role_terms` or
 import numpy as np
 
 from nft_ood.errors import DimMismatch, NumericError, ZeroNorm
-from nft_ood.numerics import as_f64
+from nft_ood.numerics import as_f64, check_tau
 from nft_ood.scoring import score_neglabel
 
 
@@ -79,7 +79,7 @@ def transform_rows(state, c_rows, v, role):
     norms = np.sqrt(np.sum(u * u, axis=1))
     if np.any(norms <= 1e-12):
         raise ZeroNorm("transform produced a zero vector; parameters are degenerate")
-    if np.any(np.isinf(norms) & np.all(np.isfinite(u), axis=1)):
+    if not np.all(np.isfinite(norms)):
         raise NumericError("transform produced a vector whose norm overflows")
     return u / norms[:, None]
 
@@ -96,5 +96,7 @@ def transform_bank(state, bank, v):
 
 
 def score_krnft(state, v, bank, tau_score=1.0):
-    """krnft score of one image: the reference tuned bank, then score_neglabel."""
+    """krnft score of one image: the temperature check, the reference tuned bank, then
+    score_neglabel, as in `scoring.score_krnft`."""
+    check_tau("tau_score", tau_score)
     return score_neglabel(v, transform_bank(state, bank, v), bank.n_pos, tau_score)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import struct
 import subprocess
@@ -755,6 +756,56 @@ def test_score_krnft_overflowing_tuned_norm_is_numeric_error(synth_dir, tmp_path
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert_one_line(capsys.readouterr().err, "norm overflows")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edits, code, needle", [
+    ({"pos_head.beta": (0, math.inf)}, EXIT_DATA, "pos_head.beta contains NaN or Inf"),
+    ({"pos_net.w1": ((0, 0), math.inf)}, EXIT_DATA, "pos_net.w1 contains NaN or Inf"),
+    ({"neg_head.alpha": (0, math.nan)}, EXIT_DATA, "neg_head.alpha contains NaN or Inf"),
+    # finite parameters whose a * c + b, or whose meta-net, overflows: a numeric failure
+    ({"pos_head.alpha": (..., 1.7e308), "pos_head.beta": (..., 1.7e308)}, EXIT_NUMERIC,
+     "norm overflows"),
+    ({"pos_net.w1": (..., 1e308)}, EXIT_NUMERIC, "norm overflows"),
+], ids=["inf_beta", "inf_w1", "nan_alpha", "overflow", "overflow_w1"])
+def test_score_krnft_non_finite_or_overflowing_checkpoint(synth_dir, tmp_path, capsys, edits,
+                                                          code, needle):
+    # each once exit 2 with "input contains NaN or Inf", after up to three RuntimeWarnings
+    state = init_model(read_bank(synth_dir / "labels.fbnk").shape[1], seed=0)
+    for key, (index, value) in edits.items():
+        state.arrays[key][index] = value
+    save_checkpoint(Checkpoint(model=state), tmp_path / "c.nftc")
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("score", "--bank", str(synth_dir), "--images",
+                   str(synth_dir / "test_id.fbnk"), "--method", "krnft", "--checkpoint",
+                   str(tmp_path / "c.nftc"), "--out", str(out)) == code
+    assert not caught
+    assert_one_line(capsys.readouterr().err, needle)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name", ["test_id.fbnk", "train.fbnk"])
+def test_non_finite_bank_cell_is_data_error_naming_file_and_row(synth_dir, tmp_path, capsys,
+                                                               name, value):
+    # once a re-normalizing warning (Inf) and a RuntimeWarning, then "input contains NaN
+    # or Inf", which named no file
+    d = tmp_path / "data"
+    copy_dataset(synth_dir, d)
+    raw = bytearray((d / name).read_bytes())
+    (dim,) = struct.unpack_from("<Q", raw, 16)
+    struct.pack_into("<f", raw, 24 + 4 * (3 * dim + 5), float(value))  # row 3, column 5
+    (d / name).write_bytes(bytes(raw))
+    if name == "train.fbnk":
+        argv = ["train", "--data", d, "--out", tmp_path / "run", "--epochs", "1"]
+    else:
+        argv = ["score", "--bank", d, "--images", d / name, "--out", tmp_path / "s.csv"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*map(str, argv)) == EXIT_DATA
+    assert not caught
+    assert_one_line(capsys.readouterr().err, f"{d / name}: row 3 contains NaN or Inf")
 
 
 @pytest.mark.parametrize("method, mode", [("mcm", None), ("neglabel", None)]

@@ -10,13 +10,16 @@ seeds, so a failure replays.
 """
 
 import json
+import math
 import os
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
 from nft_ood.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from nft_ood.model import load_checkpoint, save_checkpoint
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 DOCUMENTED = {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC}
@@ -130,6 +133,40 @@ def test_fuzz_file_mutations(inputs, tmp_path, capsys):
         scores.write_bytes(_mutated(rng, raw))
         bad.append(_outcome(["eval", "--scores-id", scores, "--scores-ood",
                              inputs / "ood.csv", "--out", tmp_path / "eval.json"], capsys))
+    bad = [b for b in bad if b]
+    assert not bad, f"{len(bad)} undocumented outcomes, e.g. {bad[:3]}"
+
+
+# edits (array key, index, value) of the trained checkpoint: Inf and NaN parameters, and
+# finite ones whose tuned rows overflow
+CHECKPOINT_EDITS = (
+    (("pos_head.beta", 0, math.inf),),
+    (("pos_net.w1", (0, 0), math.inf),),
+    (("pos_head.alpha", ..., 1.7e308), ("pos_head.beta", ..., 1.7e308)),
+    (("neg_head.alpha", 0, math.nan),),
+)
+
+
+def test_fuzz_fixed_non_finite_values(inputs, tmp_path, capsys):
+    data, out = inputs / "data", tmp_path / "out.csv"
+    bad = []
+    for i, edits in enumerate(CHECKPOINT_EDITS):
+        ckpt = load_checkpoint(inputs / "run" / "checkpoint.nftc")
+        for key, index, value in edits:
+            ckpt.model.arrays[key][index] = value
+        path = tmp_path / f"edit_{i}.nftc"
+        save_checkpoint(ckpt, path)
+        bad.append(_outcome(["score", "--bank", data, "--images", data / "test_id.fbnk",
+                             "--method", "krnft", "--checkpoint", path, "--out", out], capsys))
+    # a float32 NaN or Inf in row 1, column 2 of a bank
+    for name in ("test_id.fbnk", "labels.fbnk"):
+        for value in (math.nan, math.inf):
+            raw = bytearray((data / name).read_bytes())
+            (dim,) = struct.unpack_from("<Q", raw, 16)
+            struct.pack_into("<f", raw, 24 + 4 * (dim + 2), value)
+            d = _dataset_copy(data, tmp_path / f"{name}_{value}", name, bytes(raw))
+            bad.append(_outcome(["score", "--bank", d, "--images", d / "test_id.fbnk",
+                                 "--out", out], capsys))
     bad = [b for b in bad if b]
     assert not bad, f"{len(bad)} undocumented outcomes, e.g. {bad[:3]}"
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 
@@ -7,12 +8,13 @@ import pytest
 
 import bank_reference
 from conftest import unit_rows
-from nft_ood.errors import DimMismatch, FormatError, InvalidDim, ZeroNorm
+from nft_ood.errors import DimMismatch, FormatError, InvalidDim, NonFiniteInput, ZeroNorm
 from nft_ood.model import (
     MODES,
     Checkpoint,
     FeatureBank,
     ModelState,
+    TrainingSet,
     init_model,
     load_checkpoint,
     role_arrays,
@@ -20,8 +22,10 @@ from nft_ood.model import (
     save_checkpoint,
     states_equal,
     transform_bank,
+    v1_layout,
 )
 from nft_ood.scoring import score_many
+from nft_ood.trainer import TrainConfig, train
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -392,6 +396,64 @@ def test_v1_checkpoint_resaves_as_v2(tmp_path, mode):
     assert states_equal(reloaded.model, ckpt.model)
     save_checkpoint(reloaded, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+def _v1_with_value(tmp_path, mode, key, value):
+    """The v1 fixture of a mode with the first entry of its v1 array key set to value."""
+    with open(os.path.join(FIXTURES, f"v1_{mode}.nftc"), "rb") as f:
+        data = bytearray(f.read())
+    (meta_len,) = struct.unpack_from("<I", data, 16)
+    off = 20 + meta_len
+    for k, shape, _ in v1_layout(8, 4):  # the fixtures' dim and hidden
+        if k == key:
+            break
+        off += 8 * math.prod(shape)
+    struct.pack_into("<d", data, off, value)
+    path = tmp_path / f"v1_{mode}.nftc"
+    path.write_bytes(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize("key", ["pos_head.alpha", "neg_net.w1", "neg_net.b_beta"])
+def test_checkpoint_with_a_non_finite_live_array_is_rejected_naming_it(tmp_path, key):
+    # once loaded, and scoring printed RuntimeWarnings before "input contains NaN or Inf"
+    state = init_model(8, hidden=4, seed=1)
+    state.arrays[key].flat[0] = math.inf
+    save_checkpoint(Checkpoint(model=state), tmp_path / "v2.nftc")
+    for path in (tmp_path / "v2.nftc", _v1_with_value(tmp_path, "scale_shift", key, math.inf)):
+        with pytest.raises(NonFiniteInput, match=f"checkpoint array {key} contains NaN or Inf"):
+            load_checkpoint(path)
+
+
+def test_v1_checkpoint_with_inf_only_in_its_dead_arrays_loads(tmp_path):
+    # vec_shift has no alpha: its v1 file's alpha slots are cut away before the check
+    spec, bank, images = _v1_fixture_inputs()
+    for key in ("pos_head.alpha", "neg_net.w_alpha"):
+        path = _v1_with_value(tmp_path, "vec_shift", key, math.inf)
+        state = load_checkpoint(path).model
+        got = score_many(images, "krnft", bank, state=state, tau_score=spec["tau_score"])
+        assert np.array_equal(got, np.array(spec["krnft_scores"]["vec_shift"]))
+
+
+def _train_one_epoch(state, bank, images):
+    labels = np.zeros(images.shape[0], dtype=int)
+    train(state, bank, TrainingSet(images, labels, images), TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda state, bank, images: score_many(images, "krnft", bank, state=state),
+    lambda state, bank, images: transform_bank(state, bank, images[0]),
+    _train_one_epoch,
+], ids=["score_many", "transform_bank", "train"])
+@pytest.mark.parametrize("mode", MODES)
+def test_nan_parameter_is_rejected_at_entry(entry, mode):
+    # transform_bank once returned NaN rows, and train reported "training diverged"
+    rng = np.random.default_rng(18)
+    bank = small_bank(rng)
+    state = init_model(8, hidden=4, mode=mode, seed=2)
+    list(state.arrays.values())[-1].flat[-1] = math.nan
+    with pytest.raises(NonFiniteInput, match="NaN or Inf"):
+        entry(state, bank, unit_rows(rng, 4, 8))
 
 
 def _states_of_every_origin(mode, tmp_path):

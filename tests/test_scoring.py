@@ -272,6 +272,18 @@ def test_neglabel_overflowing_temperature_is_non_finite():
         score_many(images, "neglabel", bank, tau_score=1e-10)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row", [1, 5])  # a positive and a negative row
+def test_neglabel_non_finite_rows_are_rejected(value, row):
+    # a caller's rows are checked through their cosines, which a NaN or Inf cell makes
+    # non-finite
+    rng = np.random.default_rng(68)
+    rows = unit_rows(rng, 8, 8)
+    rows[row, 2] = value
+    with pytest.raises(NonFiniteInput):
+        score_neglabel(unit_rows(rng, 1, 8)[0], rows, 3)
+
+
 def test_mcm_overflowing_temperature_is_non_finite():
     # MCM once returned NaN here, from exp(inf - inf)
     rng = np.random.default_rng(67)

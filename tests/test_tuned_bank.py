@@ -3,7 +3,7 @@
 `transform_bank` and krnft `score_many` (the kernel per block of
 `_BLOCK_ROWS` rows) must give the reference's bits exactly, at shapes that
 end a block part-way, and raise the same exception class on degenerate
-parameters; the fused path reads NaN/Inf off the cosines of the tuned rows.
+parameters: ZeroNorm for a zero tuned row, NumericError for an overflowed one.
 Banks of more than `_BLOCK_ROWS` rows span several blocks of the scoring
 grid, which the fused krnft path and the per-image path must share.
 """
@@ -163,7 +163,7 @@ def _outcome(fn):
 
 
 def _inf_rows(state, role):
-    # a * c + b overflows to +Inf wherever c > ~0.06; the tuned row is then NaN
+    # finite parameters, but a * c + b overflows to +Inf wherever c > ~0.06: the norm is Inf
     head = "pos_head" if role == "positive" else "neg_head"
     state.arrays[f"{head}.alpha"][:] = 1.7e308
     state.arrays[f"{head}.beta"][:] = 1.7e308
@@ -184,16 +184,17 @@ def _overflowed_squares(state, role):
 
 M = _BLOCK_ROWS + 3
 CASES = {  # edits, tau, negative rows, expected exception
-    "inf": ([(_inf_rows, "positive")], 1.0, M, NonFiniteInput),
+    "inf": ([(_inf_rows, "positive")], 1.0, M, NumericError),
     "zero": ([(_zero_rows, "negative")], 1.0, M, ZeroNorm),
-    # ZeroNorm in the negative rows wins over the non-finite positive rows
-    "inf_then_zero": ([(_inf_rows, "positive"), (_zero_rows, "negative")], 1.0, M, ZeroNorm),
-    # non-finite negative rows only: the fused path sees NaN in the cosines past N
-    "inf_neg": ([(_inf_rows, "negative")], 1.0, M, NonFiniteInput),
-    # the temperature check comes before the NaN/Inf scan ...
+    # the positive rows are tuned first: their overflow wins over the negative rows' ZeroNorm
+    "inf_then_zero": ([(_inf_rows, "positive"), (_zero_rows, "negative")], 1.0, M,
+                      NumericError),
+    # overflowed negative rows only: the fused path meets them past N
+    "inf_neg": ([(_inf_rows, "negative")], 1.0, M, NumericError),
+    # the temperature check comes before the tuning ...
     "inf_bad_tau": ([(_inf_rows, "negative")], 0.0, M, NonPositiveTemperature),
-    # ... and the NaN/Inf scan before the negative-row check
-    "inf_no_neg": ([(_inf_rows, "positive")], 1.0, 0, NonFiniteInput),
+    # ... and the tuning before the negative-row check
+    "inf_no_neg": ([(_inf_rows, "positive")], 1.0, 0, NumericError),
     "overflowed_squares": ([(_overflowed_squares, "positive")], 1.0, M, NumericError),
 }
 
