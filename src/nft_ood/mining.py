@@ -50,6 +50,10 @@ def mine_negative_labels(lexicon, id_bank_pos, m, stat="max", quantile=None):
     """
     if m < 1:
         raise InvalidConfig(f"need m >= 1 negative labels, got m={m}")
+    if stat not in ("max", "quantile"):
+        raise InvalidConfig(f"unknown mining statistic {stat!r}")
+    if stat == "quantile" and (quantile is None or not 0 <= quantile <= 1):
+        raise InvalidConfig(f"quantile level must be in [0, 1], got {quantile}")
     feats = as_f64(lexicon.features)
     id_rows = as_f64(id_bank_pos)
     if feats.shape[1] != id_rows.shape[1]:
@@ -62,12 +66,8 @@ def mine_negative_labels(lexicon, id_bank_pos, m, stat="max", quantile=None):
     blocks = (feats[i:i + b] @ id_rows.T for i in range(0, feats.shape[0], b))  # cosines
     if stat == "max":
         statistic = np.concatenate([np.max(sims, axis=1) for sims in blocks])
-    elif stat == "quantile":
-        if quantile is None or not 0 <= quantile <= 1:
-            raise TooFewCandidates(f"quantile level must be in [0, 1], got {quantile}")
-        statistic = np.concatenate([np.quantile(sims, quantile, axis=1) for sims in blocks])
     else:
-        raise TooFewCandidates(f"unknown mining statistic {stat!r}")
+        statistic = np.concatenate([np.quantile(sims, quantile, axis=1) for sims in blocks])
     # stable sort keeps ascending-index order among ties
     return np.argsort(statistic, kind="mergesort")[:m]
 

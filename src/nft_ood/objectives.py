@@ -45,6 +45,7 @@ from .errors import (
     EmptyBatch,
     InvalidConfig,
     NoNegativeLabels,
+    ShapeMismatch,
     ZeroNorm,
 )
 from .model import (IMAGE_INDEPENDENT_MODES, ROLES, TrainingSet, _tune_rows, flat_arrays,
@@ -86,6 +87,8 @@ def _validate_cfg(cfg):
 
 
 def _validate_batch(bank, batch):
+    if any(f.shape[1:] != (bank.dim,) for f in (batch.pos_features, batch.neg_features)):
+        raise ShapeMismatch("training features do not match bank dimension")
     if batch.n_pos == 0 and batch.n_neg == 0:
         raise EmptyBatch("batch has neither positive nor negative samples")
     if batch.n_pos and (batch.pos_labels.min() < 0 or batch.pos_labels.max() >= bank.n_pos):

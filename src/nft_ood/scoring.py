@@ -38,19 +38,21 @@ _BLOCK_ELEMS = 2**16
 _AUROC_CHUNK = 2**16
 
 
-def _check_neglabel(k, n_pos):
-    """NegLabel's checks that a bank of k rows has both parts; _neglabel_block checks NaN/Inf."""
+def _check_bank(n_pos, n_neg=None):
+    """A score call's check, before any image, of its bank's parts (negative ones unless MCM)."""
     if n_pos < 1:
         raise EmptyBank("need at least one positive label row")
-    if k - n_pos < 1:
+    if n_neg is not None and n_neg < 1:
         raise NoNegativeLabels("NegLabel score requires negative label rows")
 
 
-def _mcm_rows(pos_rows):
-    pos_rows = as_f64(pos_rows)
-    if pos_rows.shape[0] < 1:
-        raise EmptyBank("MCM score requires at least one positive label row")
-    return pos_rows
+def _image_rows(images, dim, single=False):
+    """images as finite (n, dim) float64 rows: one (dim,) image, or unless single an (n, dim)
+    stack. Every score call checks its images here, before its first image is scored."""
+    images = as_f64(images)
+    if images.shape[-1:] != (dim,) or images.ndim > (1 if single else 2):
+        raise DimMismatch(f"image features of shape {images.shape} do not match bank width {dim}")
+    return images.reshape(-1, dim)
 
 
 def _grid_cosines(rows):
@@ -74,14 +76,11 @@ def _tuned_cosines(state, bank):
     block-sized scratch, one _tune_rows call per role's part, and its
     cosines taken while it is still in cache. A block that straddles N tunes
     its two parts with their own role's parameters, computed once per image.
-    The parameters are checked finite here, as transform_bank checks them, so
-    a tuned row is finite or _tune_rows raises; NegLabel's checks follow the
-    last block, as they follow transform_bank on the per-image path. An Inf
-    cosine (an image of overflowing norm) is left to the reduction's check.
+    It checks nothing: score_many has checked the call (widths, bank parts,
+    finite parameters) before its first image, so a tuned row is finite or
+    _tune_rows raises. An Inf cosine (an image of overflowing norm) is left
+    to the reduction's check.
     """
-    if state.dim != bank.dim:
-        raise DimMismatch("bank, model and image feature dimensions must agree")
-    as_f64(flat_buffer(state.arrays, state.arrays))  # NaN/Inf parameters
     rows, n = bank.rows(), bank.n_pos
     k = rows.shape[0]
     block = np.empty((min(_BLOCK_ROWS, k), bank.dim))
@@ -95,7 +94,6 @@ def _tuned_cosines(state, bank):
                 if lo < hi:
                     _tune_rows(rows[lo:hi], a, b, block[lo - r : hi - r], sq)
             np.dot(block[: e - r], v, out=c[r:e])
-        _check_neglabel(k, n)
 
     return cosines
 
@@ -145,7 +143,6 @@ def _blocked_scores(images, k, cosines, reduce):
 
 
 def _score_one(v, rows, reduce):
-    v = as_f64(v)[None, :]
     return float(_blocked_scores(v, rows.shape[0], _grid_cosines(rows), reduce)[0])
 
 
@@ -155,62 +152,63 @@ def score_neglabel(v, bank_rows, n_pos, tau_score=1.0):
     Algebraically identical to the ratio of exponentiated positive
     similarities to the total over positive plus negative labels.
     """
-    check_tau("tau_score", tau_score)
     rows = np.asarray(bank_rows, dtype=np.float64)
-    _check_neglabel(rows.shape[0], n_pos)
+    v = _image_rows(v, rows.shape[-1], single=True)
+    check_tau("tau_score", tau_score)
+    _check_bank(n_pos, rows.shape[0] - n_pos)
     return _score_one(v, rows, partial(_neglabel_block, n_pos=n_pos, tau_score=tau_score))
 
 
 def score_mcm(v, pos_rows, tau=1.0):
     """Maximum softmax probability over positive label similarities."""
+    rows = np.asarray(pos_rows, dtype=np.float64)
+    v = _image_rows(v, rows.shape[-1], single=True)
     check_tau("tau", tau)
-    return _score_one(v, _mcm_rows(pos_rows), partial(_mcm_block, tau=tau))
+    _check_bank(rows.shape[0])
+    return _score_one(v, rows, partial(_mcm_block, tau=tau))
 
 
 def score_krnft(state, v, bank, tau_score=1.0):
-    """NegLabel score on the image-conditionally tuned bank."""
-    check_tau("tau_score", tau_score)
-    rows = transform_bank(state, bank, v)
-    return score_neglabel(v, rows, bank.n_pos, tau_score)
+    """NegLabel score on the image-conditionally tuned bank: score_many of the one image v."""
+    v = _image_rows(v, bank.dim, single=True)
+    return float(score_many(v, "krnft", bank, state=state, tau_score=tau_score)[0])
 
 
 def score_many(images, method, bank, state=None, tau_score=1.0):
     """Score each row of images; output order follows input order.
 
-    The bank and krnft's parameters are validated once per call, and so is
-    the tuned bank in the image-independent krnft modes. Every cosine comes
-    from one matrix-vector product per block of 256 bank rows
-    (model._BLOCK_ROWS), the grid the per-image score_* calls use too; a
-    bank of at most 256 rows is one product. In the image-conditional krnft
-    modes no tuned bank is built: each block is tuned into one block-sized
-    scratch and its cosines taken at once, and the image's checks follow
-    its last block; an overflowed tuned row raises NumericError there.
-    The scores of a block of images are reduced together. Results equal the
-    per-image score_* calls (score_krnft, i.e. transform_bank +
-    score_neglabel) bit for bit.
+    The call is checked once, before its first image, so that no image
+    count hides a fault: images, method, state, tau, the bank's parts, then
+    krnft's model width and finite parameters. Every cosine comes from one
+    matrix-vector product per block of 256 bank rows (model._BLOCK_ROWS),
+    the grid of score_neglabel and score_mcm too.
+    The image-independent krnft modes build their one tuned bank; the
+    image-conditional ones build none: each block is tuned into one
+    block-sized scratch and its cosines taken at once, and an overflowed
+    tuned row raises NumericError. The scores of a block of images are
+    reduced together. Results equal the per-image score_* calls, and krnft's
+    transform_bank + score_neglabel, bit for bit.
     """
-    images = as_f64(np.atleast_2d(images))
-    if images.shape[1] != bank.dim:
-        raise DimMismatch("image features do not match bank dimension")
+    images = _image_rows(images, bank.dim)
     if method not in ("mcm", "neglabel", "krnft"):
         raise EmptyInput(f"unknown scoring method {method!r}")
     if method == "krnft" and state is None:
         raise EmptyInput("krnft scoring requires a model state")
-    # before any image, so an empty image set cannot hide a bad temperature
     check_tau("tau_score", tau_score)
-    reduce = partial(_neglabel_block, n_pos=bank.n_pos, tau_score=tau_score)
+    _check_bank(bank.n_pos, None if method == "mcm" else bank.n_neg)
     if method == "mcm":
-        rows, reduce = _mcm_rows(bank.pos), partial(_mcm_block, tau=tau_score)
-    elif method == "neglabel":
-        rows = bank.rows()  # from_rows rejected NaN and Inf
-        _check_neglabel(rows.shape[0], bank.n_pos)
-    elif state.mode in IMAGE_INDEPENDENT_MODES and images.shape[0]:
-        rows = transform_bank(state, bank, images[0])  # any image: it is unused
-        _check_neglabel(rows.shape[0], bank.n_pos)
-    else:
-        k = bank.n_pos + bank.n_neg
-        return _blocked_scores(images, k, _tuned_cosines(state, bank), reduce)
-    return _blocked_scores(images, rows.shape[0], _grid_cosines(rows), reduce)
+        return _blocked_scores(images, bank.n_pos, _grid_cosines(bank.pos),
+                               partial(_mcm_block, tau=tau_score))
+    rows, k = bank.rows(), bank.n_pos + bank.n_neg  # from_rows rejected NaN and Inf
+    reduce = partial(_neglabel_block, n_pos=bank.n_pos, tau_score=tau_score)
+    if method == "krnft":
+        if state.dim != bank.dim:
+            raise DimMismatch("bank, model and image feature dimensions must agree")
+        as_f64(flat_buffer(state.arrays, state.arrays))  # NaN/Inf parameters
+        if state.mode not in IMAGE_INDEPENDENT_MODES:
+            return _blocked_scores(images, k, _tuned_cosines(state, bank), reduce)
+        rows = transform_bank(state, bank, np.zeros(bank.dim))  # any image: it is unused
+    return _blocked_scores(images, k, _grid_cosines(rows), reduce)
 
 
 def _sorted_sides(id_scores, ood_scores, tpr=None):

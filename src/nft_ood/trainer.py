@@ -154,8 +154,6 @@ _RUNAWAY_NORM = 1e6
 
 def train(state, bank, train_set, cfg):
     """Run the full training loop in place; returns (Checkpoint, LossTrace)."""
-    if train_set.n_pos and train_set.pos_features.shape[1] != bank.dim:
-        raise ShapeMismatch("training features do not match bank dimension")
     as_f64(flat_buffer(state.arrays, state.arrays))  # NaN/Inf parameters
     opt = init_optimizer(state)
     params = state.params()

@@ -13,7 +13,7 @@ which fetches each array by its full key, not from `model.role_terms` or
 
 import numpy as np
 
-from nft_ood.errors import DimMismatch, NumericError, ZeroNorm
+from nft_ood.errors import DimMismatch, NoNegativeLabels, NumericError, ZeroNorm
 from nft_ood.numerics import as_f64, check_tau
 from nft_ood.scoring import score_neglabel
 
@@ -96,7 +96,10 @@ def transform_bank(state, bank, v):
 
 
 def score_krnft(state, v, bank, tau_score=1.0):
-    """krnft score of one image: the temperature check, the reference tuned bank, then
-    score_neglabel, as in `scoring.score_krnft`."""
+    """krnft score of one image: the temperature check and the check of the bank's
+    negative rows before any tuning, as in `scoring.score_krnft`, then the reference
+    tuned bank and score_neglabel."""
     check_tau("tau_score", tau_score)
+    if bank.n_neg < 1:
+        raise NoNegativeLabels("NegLabel score requires negative label rows")
     return score_neglabel(v, transform_bank(state, bank, v), bank.n_pos, tau_score)

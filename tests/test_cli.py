@@ -489,6 +489,20 @@ def test_manifest_without_pos_label_rows_is_data_error(synth_dir, tmp_path, caps
     assert_one_line(capsys.readouterr().err, "manifest declares no pos_label rows")
 
 
+def test_train_negatives_only_from_a_narrower_train_bank_is_data_error(synth_dir, tmp_path,
+                                                                       capsys):
+    # once exit 4 with a traceback: train checked the width of its positive side only
+    d = tmp_path / "narrow"
+    copy_dataset(synth_dir, d, keep=lambda r: r["role"] != "train_pos")
+    n_rows = read_bank(d / "train.fbnk").shape[0]
+    write_bank(d / "train.fbnk", np.eye(16)[np.arange(n_rows) % 16])
+    assert read_bank(d / "labels.fbnk").shape[1] == 32
+    assert run("train", "--data", str(d), "--out", str(tmp_path / "t"),
+               "--epochs", "1") == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, "training features do not match bank dimension")
+    assert not (tmp_path / "t").exists()
+
+
 def test_train_pos_class_must_be_an_integer(synth_dir, tmp_path, capsys):
     d = tmp_path / "bad"
     records = copy_dataset(synth_dir, d)
@@ -822,6 +836,23 @@ def test_score_bad_tau_without_images_is_usage_error(tmp_path, capsys, method, m
                "--method", method, "--checkpoint", str(tmp_path / "c.nftc"),
                "--tau-score", tau, "--out", str(out)) == EXIT_USAGE
     assert_one_line(capsys.readouterr().err, "must be > 0, got")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_score_krnft_without_images_or_negative_labels_is_data_error(tmp_path, capsys, mode):
+    # once exit 0 with a header-only CSV, where neglabel exits 2
+    d = tiny_bank_dir(tmp_path, n_pos=2)
+    write_manifest(d / "manifest.jsonl", [r for r in read_manifest(d / "manifest.jsonl")
+                                          if r["role"] != "neg_label"])
+    write_bank(tmp_path / "imgs.fbnk", np.zeros((0, 4)))
+    save_checkpoint(Checkpoint(model=init_model(4, hidden=4, mode=mode, seed=0)),
+                    tmp_path / "c.nftc")
+    out = tmp_path / "s.csv"
+    assert run("score", "--bank", str(d), "--images", str(tmp_path / "imgs.fbnk"),
+               "--method", "krnft", "--checkpoint", str(tmp_path / "c.nftc"),
+               "--out", str(out)) == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, "requires negative label rows")
     assert not out.exists()
 
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from nft_ood.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from nft_ood.data_io import read_bank, write_bank
 from nft_ood.model import load_checkpoint, save_checkpoint
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -167,6 +168,31 @@ def test_fuzz_fixed_non_finite_values(inputs, tmp_path, capsys):
             d = _dataset_copy(data, tmp_path / f"{name}_{value}", name, bytes(raw))
             bad.append(_outcome(["score", "--bank", d, "--images", d / "test_id.fbnk",
                                  "--out", out], capsys))
+    bad = [b for b in bad if b]
+    assert not bad, f"{len(bad)} undocumented outcomes, e.g. {bad[:3]}"
+
+
+def test_fuzz_fixed_shape_cases(inputs, tmp_path, capsys):
+    # krnft on no images against a bank without negative labels (once exit 0 with a
+    # header-only CSV), and training on negatives only from a train.fbnk narrower than
+    # labels.fbnk (once exit 4)
+    data = inputs / "data"
+    records = (data / "manifest.jsonl").read_text().splitlines()
+
+    def without(role):
+        return "".join(line + "\n" for line in records if json.loads(line)["role"] != role)
+
+    d = _dataset_copy(data, tmp_path / "no_neg", "manifest.jsonl", without("neg_label").encode())
+    write_bank(tmp_path / "none.fbnk", np.zeros((0, 8)))
+    checkpoints = [inputs / "run" / "checkpoint.nftc"]
+    checkpoints += [os.path.join(FIXTURES, f"v1_{mode}.nftc")
+                    for mode in ("const_shift", "vec_shift", "scale_shift", "mlp")]
+    bad = [_outcome(["score", "--bank", d, "--images", tmp_path / "none.fbnk", "--method",
+                     "krnft", "--checkpoint", path, "--out", tmp_path / "s.csv"], capsys)
+           for path in checkpoints]
+    d = _dataset_copy(data, tmp_path / "narrow", "manifest.jsonl", without("train_pos").encode())
+    write_bank(d / "train.fbnk", np.eye(4)[np.arange(read_bank(data / "train.fbnk").shape[0]) % 4])
+    bad.append(_outcome(["train", "--data", d, "--out", d / "run", *TRAIN], capsys))
     bad = [b for b in bad if b]
     assert not bad, f"{len(bad)} undocumented outcomes, e.g. {bad[:3]}"
 

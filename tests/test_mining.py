@@ -3,7 +3,13 @@ import pytest
 
 from conftest import unit_rows
 from nft_ood import mining
-from nft_ood.errors import DimMismatch, NonFiniteInput, QTooLarge, TooFewCandidates
+from nft_ood.errors import (
+    DimMismatch,
+    InvalidConfig,
+    NonFiniteInput,
+    QTooLarge,
+    TooFewCandidates,
+)
 from nft_ood.mining import (
     CandidateLexicon,
     CropSet,
@@ -97,9 +103,11 @@ def test_mine_validation():
     id_rows = unit_rows(rng, 2, 8)
     with pytest.raises(TooFewCandidates):
         mine_negative_labels(lex, id_rows, 6)
-    with pytest.raises(TooFewCandidates):
+    with pytest.raises(InvalidConfig):
         mine_negative_labels(lex, id_rows, 2, stat="quantile", quantile=None)
-    with pytest.raises(TooFewCandidates):
+    with pytest.raises(InvalidConfig):
+        mine_negative_labels(lex, id_rows, 2, stat="quantile", quantile=1.5)
+    with pytest.raises(InvalidConfig):
         mine_negative_labels(lex, id_rows, 2, stat="median")
     with pytest.raises(DimMismatch):
         mine_negative_labels(lex, unit_rows(rng, 2, 4), 2)

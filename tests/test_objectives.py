@@ -20,6 +20,7 @@ from nft_ood.errors import (
     EmptyBatch,
     InvalidConfig,
     NoNegativeLabels,
+    ShapeMismatch,
     ZeroNorm,
 )
 from nft_ood.model import (
@@ -326,6 +327,18 @@ def test_invalid_batch_is_rejected_by_every_loss_call(labels, n_neg_labels, exc)
     state = init_model(8, hidden=4, seed=0)
     for call in (total_loss, backward):
         with pytest.raises(exc):
+            call(state, bank, batch, TrainConfig())
+
+
+@pytest.mark.parametrize("pos, neg", [(0, 2), (2, 0), (2, 2)])
+def test_batch_of_the_wrong_width_is_rejected_by_every_loss_call(pos, neg):
+    # a negatives-only batch once passed its check and failed in numpy's matmul
+    rng = np.random.default_rng(30)
+    bank = FeatureBank.from_rows(unit_rows(rng, 3, 8), unit_rows(rng, 4, 8))
+    batch = Batch(unit_rows(rng, pos, 4), np.zeros(pos, dtype=int), unit_rows(rng, neg, 4))
+    state = init_model(8, hidden=4, seed=0)
+    for call in (total_loss, backward):
+        with pytest.raises(ShapeMismatch, match="training features do not match bank"):
             call(state, bank, batch, TrainConfig())
 
 

@@ -10,11 +10,13 @@ from nft_ood.errors import (
     DimMismatch,
     EmptyBank,
     EmptyInput,
+    NftError,
     NoNegativeLabels,
     NonFiniteInput,
     NonPositiveInput,
 )
-from nft_ood.model import MODES, FeatureBank, init_model, transform_bank
+from nft_ood.model import (IMAGE_INDEPENDENT_MODES, MODES, FeatureBank, init_model,
+                           transform_bank)
 from nft_ood.numerics import as_f64, sigmoid
 from nft_ood.scoring import (
     _AUROC_CHUNK,
@@ -310,18 +312,58 @@ def test_score_many_unknown_method():
                  DimMismatch, "image features", id="image-width"),
     pytest.param(lambda bank, images: score_many(images, "krnft", bank),
                  EmptyInput, "krnft scoring requires a model state", id="krnft-without-state"),
-    # the image-conditional modes tune chunk by chunk, past transform_bank's check
+    # the image-conditional modes tune block by block and never call transform_bank
     pytest.param(lambda bank, images: score_many(
         images, "krnft", bank, state=init_model(4, hidden=4, mode="vec_shift", seed=0)),
         DimMismatch, "dimensions must agree", id="model-narrower-than-bank"),
     pytest.param(lambda bank, images: score_neglabel(images[0], bank.rows(), 0),
                  EmptyBank, "at least one positive", id="neglabel-without-positives"),
+    # a per-image call takes one (D,) image; neglabel and mcm once raised numpy's ValueError
+    *[pytest.param(lambda bank, images, call=call, image=image: call(bank, image(images)),
+                   DimMismatch, "image features", id=f"{name}-{tag}")
+      for name, call in (
+          ("neglabel", lambda bank, v: score_neglabel(v, bank.rows(), bank.n_pos)),
+          ("mcm", lambda bank, v: score_mcm(v, bank.pos)),
+          ("krnft", lambda bank, v: score_krnft(
+              init_model(8, hidden=4, mode="vec_shift", seed=0), v, bank)))
+      for tag, image in (("image-width", lambda images: images[0, :4]),
+                         ("two-images", lambda images: images))],
 ])
 def test_scoring_input_errors(call, exc, needle):
     rng = np.random.default_rng(56)
     bank = FeatureBank.from_rows(unit_rows(rng, 2, 8), unit_rows(rng, 2, 8))
     with pytest.raises(exc, match=needle):
         call(bank, unit_rows(rng, 2, 8))
+
+
+# (method, mode, fault): each fault a property of the call, not of an image
+CALL_FAULTS = ([(method, None, fault) for method in ("mcm", "neglabel")
+                for fault in ("image-width", "tau")] + [("neglabel", None, "no-negatives")]
+               + [("krnft", mode, fault) for mode in MODES
+                  for fault in ("image-width", "tau", "no-negatives", "model-width", "nan")]
+               # const_shift and mlp tune their one bank whatever the image
+               + [("krnft", mode, "overflow") for mode in IMAGE_INDEPENDENT_MODES])
+
+
+@pytest.mark.parametrize("method, mode, fault", CALL_FAULTS,
+                         ids=["-".join(filter(None, case)) for case in CALL_FAULTS])
+def test_call_level_fault_raises_alike_at_zero_and_one_image(method, mode, fault):
+    rng = np.random.default_rng(57)
+    neg = [] if fault == "no-negatives" else unit_rows(rng, 2, 8)
+    bank = FeatureBank.from_rows(unit_rows(rng, 2, 8), neg)
+    state = mode and init_model(4 if fault == "model-width" else 8, hidden=4, mode=mode, seed=0)
+    if fault == "nan":
+        next(iter(state.arrays.values())).flat[0] = math.nan
+    if fault == "overflow":  # u = c + 1e200 is finite, but its squares overflow
+        state.arrays["pos_net.b_beta" if mode == "mlp" else "pos_head.beta"][:] = 1e200
+    images = unit_rows(rng, 1, 4 if fault == "image-width" else 8)
+    raised = []
+    for count in (0, 1):
+        with pytest.raises(NftError) as info:
+            score_many(images[:count], method, bank, state=state,
+                       tau_score=0.0 if fault == "tau" else 1.0)
+        raised.append(info.type)
+    assert raised[0] is raised[1]
 
 
 # ---- metrics ----

@@ -4,8 +4,9 @@
 `_BLOCK_ROWS` rows) must give the reference's bits exactly, at shapes that
 end a block part-way, and raise the same exception class on degenerate
 parameters: ZeroNorm for a zero tuned row, NumericError for an overflowed one.
+The call's checks (tau, the bank's parts) come before any tuning, in both.
 Banks of more than `_BLOCK_ROWS` rows span several blocks of the scoring
-grid, which the fused krnft path and the per-image path must share.
+grid, which the fused krnft path and transform_bank + score_neglabel must share.
 """
 
 import tracemalloc
@@ -193,8 +194,8 @@ CASES = {  # edits, tau, negative rows, expected exception
     "inf_neg": ([(_inf_rows, "negative")], 1.0, M, NumericError),
     # the temperature check comes before the tuning ...
     "inf_bad_tau": ([(_inf_rows, "negative")], 0.0, M, NonPositiveTemperature),
-    # ... and the tuning before the negative-row check
-    "inf_no_neg": ([(_inf_rows, "positive")], 1.0, 0, NumericError),
+    # ... and so does the negative-row check
+    "inf_no_neg": ([(_inf_rows, "positive")], 1.0, 0, NoNegativeLabels),
     "overflowed_squares": ([(_overflowed_squares, "positive")], 1.0, M, NumericError),
 }
 
