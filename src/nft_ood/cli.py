@@ -315,6 +315,9 @@ def cmd_gradcheck(args):
     # an instance draws from seed base_seed * 1000 + attempt (attempt < 50), below 2**64
     limit = ((2**64 - 50) // 1000 - 10000 * max(map(MODES.index, modes))
              - 100 * max(map(KR_VARIANTS.index, variants)) - args.instances + 1)
+    if limit < 0:  # too many instances even at --seed 0
+        raise ConfigError(f"--instances must be <= {args.instances + limit} for these modes "
+                          f"and variants, got {args.instances}")
     if args.seed > limit:
         raise ConfigError(f"--seed must be <= {limit} for these modes, variants and "
                           f"--instances, got {args.seed}")

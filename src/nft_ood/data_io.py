@@ -21,6 +21,7 @@ from .numerics import as_f64, normalize_rows, philox
 BANK_MAGIC = b"FBNK"
 BANK_VERSION = 1
 BANK_DTYPE_F32 = 1
+_MAX_DIM = np.iinfo(np.intp).max // 8  # the widest float64 row numpy can shape
 
 MANIFEST_ROLES = (
     "pos_label",
@@ -66,6 +67,8 @@ def read_bank(path, unit_rows=False):
     if dtype != BANK_DTYPE_F32:
         raise FormatError(f"unsupported bank dtype code {dtype}")
     rows, dim = struct.unpack("<QQ", data[8:24])
+    if not 0 < dim <= _MAX_DIM:  # then the payload check bounds rows: numpy can shape both
+        raise FormatError(f"{path}: bank header declares width {dim}, not in [1, {_MAX_DIM}]")
     expected = rows * dim * 4
     if len(data) - 24 != expected:
         raise FormatError(

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidConfig, NonFiniteInput, QTooLarge, TooFewCandidates
+from .errors import (DimMismatch, EmptyBank, InvalidConfig, NonFiniteInput, QTooLarge,
+                     TooFewCandidates)
 from .model import TrainingSet
 from .numerics import as_f64
 
@@ -58,11 +59,13 @@ def mine_negative_labels(lexicon, id_bank_pos, m, stat="max", quantile=None):
     id_rows = as_f64(id_bank_pos)
     if feats.shape[1] != id_rows.shape[1]:
         raise DimMismatch("lexicon and ID bank dimensions differ")
+    if id_rows.shape[0] < 1:  # no cosine to take a statistic of
+        raise EmptyBank("mining needs at least one ID bank row")
     if m > feats.shape[0]:
         raise TooFewCandidates(
             f"requested {m} negatives from {feats.shape[0]} candidates"
         )
-    b = max(1, _BLOCK_ELEMS // max(id_rows.shape[0], 1))
+    b = max(1, _BLOCK_ELEMS // id_rows.shape[0])
     blocks = (feats[i:i + b] @ id_rows.T for i in range(0, feats.shape[0], b))  # cosines
     if stat == "max":
         statistic = np.concatenate([np.max(sims, axis=1) for sims in blocks])

@@ -280,25 +280,32 @@ def _tune_rows(c_rows, a, b, out, sq):
     return norms
 
 
+def _tune_block(rows, n_pos, terms, r, e, out, sq):
+    """Tune rows[r:e] of a bank whose first n_pos rows are positive into out[: e - r]:
+    each role's part with its (a, b) in terms, mlp's per-row shifts indexed within the role."""
+    for (a, b), lo, hi, first in zip(terms, (r, max(r, n_pos)), (min(e, n_pos), e), (0, n_pos)):
+        if lo < hi:
+            _tune_rows(rows[lo:hi], a, b[lo - first : hi - first] if b.ndim == 2 else b,
+                       out[lo - r : hi - r], sq)
+
+
 def transform_bank(state, bank, v):
     """Tuned bank: positive rows with the positive head/net, negative with the negative.
 
-    Returns a freshly allocated (N + M, D) array, each role's rows tuned by
-    _tune_rows in blocks of _BLOCK_ROWS rows, each block with its own rows of
-    mlp's per-row shifts.
+    Returns a freshly allocated (N + M, D) array, tuned by _tune_block in
+    blocks of _BLOCK_ROWS rows, the grid that krnft scoring tunes too.
     """
     v = as_f64(v)
     if bank.dim != state.dim or v.shape != (state.dim,):
         raise DimMismatch("bank, model and image feature dimensions must agree")
     as_f64(flat_buffer(state.arrays, state.arrays))  # NaN/Inf parameters
-    out = np.empty((bank.n_pos + bank.n_neg, bank.dim))
-    sq = np.empty((min(_BLOCK_ROWS, out.shape[0]), bank.dim))
-    for role, c_rows, o in (("positive", bank.pos, out[: bank.n_pos]),
-                            ("negative", bank.neg, out[bank.n_pos :])):
-        a, b = role_terms(state, role, v, c_rows)[:2]
-        for i in range(0, c_rows.shape[0], _BLOCK_ROWS):
-            blk = slice(i, i + _BLOCK_ROWS)
-            _tune_rows(c_rows[blk], a, b[blk] if b.ndim == 2 else b, o[blk], sq)
+    terms = [role_terms(state, role, v, c_rows)[:2]
+             for role, c_rows in zip(ROLES, (bank.pos, bank.neg))]
+    k = bank.n_pos + bank.n_neg
+    out = np.empty((k, bank.dim))
+    sq = np.empty((min(_BLOCK_ROWS, k), bank.dim))
+    for r in range(0, k, _BLOCK_ROWS):
+        _tune_block(bank.rows(), bank.n_pos, terms, r, min(r + _BLOCK_ROWS, k), out[r:], sq)
     return out
 
 

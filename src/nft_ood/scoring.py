@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimMismatch, EmptyBank, EmptyInput, NoNegativeLabels, NonPositiveInput
-from .model import (_BLOCK_ROWS, IMAGE_INDEPENDENT_MODES, ROLES, _tune_rows, flat_buffer,
+from .model import (_BLOCK_ROWS, IMAGE_INDEPENDENT_MODES, ROLES, _tune_block, flat_buffer,
                     role_terms, transform_bank)
 from .numerics import as_f64, check_tau, sigmoid
 
@@ -30,8 +30,8 @@ class MetricReport:
         }
 
 
-# cosines per block of score_many: bounds the (b, K) block and its reduction
-# temporaries, whatever the image count
+# cosines per image block of the scoring walk: bounds the (b, K) block and its
+# reduction temporaries, whatever the image count
 _BLOCK_ELEMS = 2**16
 # sorted ID scores per chunk of the AUROC count: bounds its temporaries,
 # whatever the score count
@@ -53,49 +53,6 @@ def _image_rows(images, dim, single=False):
     if images.shape[-1:] != (dim,) or images.ndim > (1 if single else 2):
         raise DimMismatch(f"image features of shape {images.shape} do not match bank width {dim}")
     return images.reshape(-1, dim)
-
-
-def _grid_cosines(rows):
-    """cosines(v, c) writing rows @ v into c, one matrix-vector product per block of
-    _BLOCK_ROWS rows: every cosine, plain or tuned, comes from this one grid, since a
-    product over part of the rows can differ in the last bits from one over all of them."""
-    if rows.shape[0] <= _BLOCK_ROWS:  # one block: no per-image loop, which small banks would feel
-        return partial(np.dot, rows)
-
-    def cosines(v, c):
-        for r in range(0, rows.shape[0], _BLOCK_ROWS):
-            np.dot(rows[r : r + _BLOCK_ROWS], v, out=c[r : r + _BLOCK_ROWS])
-
-    return cosines
-
-
-def _tuned_cosines(state, bank):
-    """cosines(v, c) writing the cosines of v with its tuned bank into c.
-
-    The tuned bank is never built: each block of the grid is tuned into one
-    block-sized scratch, one _tune_rows call per role's part, and its
-    cosines taken while it is still in cache. A block that straddles N tunes
-    its two parts with their own role's parameters, computed once per image.
-    It checks nothing: score_many has checked the call (widths, bank parts,
-    finite parameters) before its first image, so a tuned row is finite or
-    _tune_rows raises. An Inf cosine (an image of overflowing norm) is left
-    to the reduction's check.
-    """
-    rows, n = bank.rows(), bank.n_pos
-    k = rows.shape[0]
-    block = np.empty((min(_BLOCK_ROWS, k), bank.dim))
-    sq = np.empty_like(block)
-
-    def cosines(v, c):
-        (a_pos, b_pos), (a_neg, b_neg) = (role_terms(state, role, v)[:2] for role in ROLES)
-        for r in range(0, k, _BLOCK_ROWS):
-            e = min(r + _BLOCK_ROWS, k)
-            for lo, hi, a, b in ((r, min(e, n), a_pos, b_pos), (max(r, n), e, a_neg, b_neg)):
-                if lo < hi:
-                    _tune_rows(rows[lo:hi], a, b, block[lo - r : hi - r], sq)
-            np.dot(block[: e - r], v, out=c[r:e])
-
-    return cosines
 
 
 def _logsumexp_rows(x):
@@ -124,26 +81,38 @@ def _mcm_block(cos, tau):
     return (np.max(e, axis=1) / np.sum(e, axis=1)).tolist()
 
 
-def _blocked_scores(images, k, cosines, reduce):
-    """Scores of each image, in input order.
+def _scores(images, rows, reduce, state=None, n_pos=0):
+    """Scores of each image, in input order: reduce scores each (b, K) block of their
+    cosines with the K bank rows.
 
-    cosines(v, c) writes the k cosines of image v into c, a row of a (b, k)
-    block; reduce then scores the whole block.
+    Every cosine, plain or tuned, is one matrix-vector product per block of
+    _BLOCK_ROWS rows, since a product over part of the rows can differ in the
+    last bits from one over all of them. Given a state, each block is first
+    tuned into one block-sized scratch (_tune_block, with the image's (a, b)
+    and the first n_pos rows positive) and its cosines taken while it is
+    still in cache: no tuned bank is built. It checks nothing: the score call
+    has checked widths, bank parts and finite parameters before its first
+    image, so a tuned row is finite or _tune_rows raises. An Inf cosine (an
+    image of overflowing norm) is left to the reduction's check.
     """
-    n = images.shape[0]
+    n, k = images.shape[0], rows.shape[0]
+    spans = [(r, min(r + _BLOCK_ROWS, k)) for r in range(0, k, _BLOCK_ROWS)]
+    if state is not None:
+        tuned, sq = np.empty((2, min(_BLOCK_ROWS, k), rows.shape[1]))
     b = max(1, _BLOCK_ELEMS // k)
     cos = np.empty((min(b, n), k))
     scores = []
     for start in range(0, n, b):
         block = cos[: min(b, n - start)]
         for v, c in zip(images[start : start + b], block):
-            cosines(v, c)
+            if state is not None:
+                terms = [role_terms(state, role, v)[:2] for role in ROLES]
+            for r, e in spans:
+                if state is not None:
+                    _tune_block(rows, n_pos, terms, r, e, tuned, sq)
+                np.dot(rows[r:e] if state is None else tuned[: e - r], v, out=c[r:e])
         scores += reduce(block)
     return np.array(scores)
-
-
-def _score_one(v, rows, reduce):
-    return float(_blocked_scores(v, rows.shape[0], _grid_cosines(rows), reduce)[0])
 
 
 def score_neglabel(v, bank_rows, n_pos, tau_score=1.0):
@@ -156,7 +125,7 @@ def score_neglabel(v, bank_rows, n_pos, tau_score=1.0):
     v = _image_rows(v, rows.shape[-1], single=True)
     check_tau("tau_score", tau_score)
     _check_bank(n_pos, rows.shape[0] - n_pos)
-    return _score_one(v, rows, partial(_neglabel_block, n_pos=n_pos, tau_score=tau_score))
+    return float(_scores(v, rows, partial(_neglabel_block, n_pos=n_pos, tau_score=tau_score))[0])
 
 
 def score_mcm(v, pos_rows, tau=1.0):
@@ -165,7 +134,7 @@ def score_mcm(v, pos_rows, tau=1.0):
     v = _image_rows(v, rows.shape[-1], single=True)
     check_tau("tau", tau)
     _check_bank(rows.shape[0])
-    return _score_one(v, rows, partial(_mcm_block, tau=tau))
+    return float(_scores(v, rows, partial(_mcm_block, tau=tau))[0])
 
 
 def score_krnft(state, v, bank, tau_score=1.0):
@@ -179,15 +148,11 @@ def score_many(images, method, bank, state=None, tau_score=1.0):
 
     The call is checked once, before its first image, so that no image
     count hides a fault: images, method, state, tau, the bank's parts, then
-    krnft's model width and finite parameters. Every cosine comes from one
-    matrix-vector product per block of 256 bank rows (model._BLOCK_ROWS),
-    the grid of score_neglabel and score_mcm too.
-    The image-independent krnft modes build their one tuned bank; the
-    image-conditional ones build none: each block is tuned into one
-    block-sized scratch and its cosines taken at once, and an overflowed
-    tuned row raises NumericError. The scores of a block of images are
-    reduced together. Results equal the per-image score_* calls, and krnft's
-    transform_bank + score_neglabel, bit for bit.
+    krnft's model width and finite parameters. Every score then comes from
+    the one walk, _scores, which tunes krnft's bank block by block, except
+    in the image-independent modes: their one tuned bank (transform_bank)
+    serves every image. Results equal the per-image score_* calls, and
+    krnft's transform_bank + score_neglabel, bit for bit.
     """
     images = _image_rows(images, bank.dim)
     if method not in ("mcm", "neglabel", "krnft"):
@@ -197,18 +162,16 @@ def score_many(images, method, bank, state=None, tau_score=1.0):
     check_tau("tau_score", tau_score)
     _check_bank(bank.n_pos, None if method == "mcm" else bank.n_neg)
     if method == "mcm":
-        return _blocked_scores(images, bank.n_pos, _grid_cosines(bank.pos),
-                               partial(_mcm_block, tau=tau_score))
-    rows, k = bank.rows(), bank.n_pos + bank.n_neg  # from_rows rejected NaN and Inf
+        return _scores(images, bank.pos, partial(_mcm_block, tau=tau_score))
     reduce = partial(_neglabel_block, n_pos=bank.n_pos, tau_score=tau_score)
-    if method == "krnft":
-        if state.dim != bank.dim:
-            raise DimMismatch("bank, model and image feature dimensions must agree")
-        as_f64(flat_buffer(state.arrays, state.arrays))  # NaN/Inf parameters
-        if state.mode not in IMAGE_INDEPENDENT_MODES:
-            return _blocked_scores(images, k, _tuned_cosines(state, bank), reduce)
-        rows = transform_bank(state, bank, np.zeros(bank.dim))  # any image: it is unused
-    return _blocked_scores(images, k, _grid_cosines(rows), reduce)
+    if method == "neglabel":
+        return _scores(images, bank.rows(), reduce)  # from_rows rejected NaN and Inf
+    if state.dim != bank.dim:
+        raise DimMismatch("bank, model and image feature dimensions must agree")
+    as_f64(flat_buffer(state.arrays, state.arrays))  # NaN/Inf parameters
+    if state.mode in IMAGE_INDEPENDENT_MODES:  # the tuned bank ignores the image: one serves all
+        return _scores(images, transform_bank(state, bank, np.zeros(bank.dim)), reduce)
+    return _scores(images, bank.rows(), reduce, state, bank.n_pos)
 
 
 def _sorted_sides(id_scores, ood_scores, tpr=None):

@@ -1161,6 +1161,13 @@ def test_gradcheck_seed_bound_is_checked_before_any_instance(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert_one_line(captured.err, f"--seed must be <= {limit - 30202} ")
+    # instances that no --seed admits: --instances is at fault (once blamed --seed, with a
+    # negative bound)
+    for n in (limit + 2, 2**62):
+        assert run(*one[:-1], str(n)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_line(captured.err, f"--instances must be <= {limit + 1} ", str(n))
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])  # once checked nothing and exited 0

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -75,6 +76,18 @@ def test_bank_unknown_version_and_dtype(tmp_path):
     path.write_bytes(header)
     with pytest.raises(FormatError):
         read_bank(path)
+
+
+@pytest.mark.parametrize("rows, dim", [(0, 2**63), (0, 2**62), (2**63, 0), (5, 0)])
+def test_bank_header_numpy_cannot_shape_is_format_error(tmp_path, rows, dim):
+    # once a ValueError from reshape, or for (5, 0) a ZeroNorm of the empty rows
+    path = tmp_path / "m.fbnk"
+    path.write_bytes(b"FBNK" + struct.pack("<BBH", 1, 1, 0) + struct.pack("<QQ", rows, dim))
+    for unit_rows in (False, True):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .* width {dim},"):
+            read_bank(path, unit_rows=unit_rows)
+    write_bank(path, np.zeros((0, 8)))  # no rows of a real width still load
+    assert read_bank(path, unit_rows=True).shape == (0, 8)
 
 
 def test_bank_unit_rows_renormalized_with_warning(tmp_path):

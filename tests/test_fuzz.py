@@ -197,6 +197,51 @@ def test_fuzz_fixed_shape_cases(inputs, tmp_path, capsys):
     assert not bad, f"{len(bad)} undocumented outcomes, e.g. {bad[:3]}"
 
 
+def _with_header(raw, rows, dim):
+    """FBNK bytes raw with the header's rows and dim replaced where given (None keeps
+    the field), and the payload cut to rows * dim * 4 bytes where that is shorter."""
+    old_rows, old_dim = struct.unpack_from("<QQ", raw, 8)
+    rows = old_rows if rows is None else rows
+    dim = old_dim if dim is None else dim
+    return raw[:8] + struct.pack("<QQ", rows, dim) + raw[24 : 24 + rows * dim * 4]
+
+
+def test_fuzz_fixed_bank_headers(inputs, tmp_path, capsys):
+    # rows and dim of 0 or past what numpy can shape, alone and together, in every bank
+    # that score, train, select-crops and mine-neg read: rows 0 with dim 2**62 or 2**63,
+    # and dim 0 with rows 2**63, once exited 4 with a traceback
+    data, out = inputs / "data", tmp_path / "out"
+    values = (None, 0, 2**62, 2**63, 2**64 - 1)
+    headers = [(rows, dim) for rows in values for dim in values if (rows, dim) != (None, None)]
+    commands = {"score": lambda d: ["score", "--bank", d, "--images", d / "test_id.fbnk",
+                                    "--out", out],
+                "train": lambda d: ["train", "--data", d, "--out", d / "run", *TRAIN]}
+    reads = {"labels.fbnk": ("score", "train"), "train.fbnk": ("train",),
+             "test_id.fbnk": ("score",)}
+    select = {"--crops": data / "test_id.fbnk", "--crops-manifest": data / "crops.jsonl",
+              "--labels": data / "labels.fbnk"}
+    mine = {"--lexicon": data / "labels.fbnk", "--id-bank": data / "test_id.fbnk"}
+    bad = []
+    for i, (rows, dim) in enumerate(headers):
+        for name, readers in reads.items():
+            d = _dataset_copy(data, tmp_path / f"{name}_{i}", name,
+                              _with_header((data / name).read_bytes(), rows, dim))
+            bad += [_outcome(commands[c](d), capsys) for c in readers]
+        for command, files, extra in (("select-crops", select, ["-q", "1"]),
+                                      ("mine-neg", mine, ["-m", "2"])):
+            for flag, path in files.items():
+                if flag == "--crops-manifest":
+                    continue
+                edited = tmp_path / f"{command}{flag}_{i}"
+                edited.write_bytes(_with_header(path.read_bytes(), rows, dim))
+                argv = [command, *extra, "--out", tmp_path / f"{command}_out"]
+                for f, p in files.items():
+                    argv += [f, edited if f == flag else p]
+                bad.append(_outcome(argv, capsys))
+    bad = [b for b in bad if b]
+    assert not bad, f"{len(bad)} undocumented outcomes, e.g. {bad[:3]}"
+
+
 # JSON texts that no record field holds in a valid manifest, and some that one does
 JSON_VALUES = ("-1", str(2**64), "1e400", "null", "[]", "{}", '""', "true")
 

@@ -5,6 +5,7 @@ from conftest import unit_rows
 from nft_ood import mining
 from nft_ood.errors import (
     DimMismatch,
+    EmptyBank,
     InvalidConfig,
     NonFiniteInput,
     QTooLarge,
@@ -111,6 +112,9 @@ def test_mine_validation():
         mine_negative_labels(lex, id_rows, 2, stat="median")
     with pytest.raises(DimMismatch):
         mine_negative_labels(lex, unit_rows(rng, 2, 4), 2)
+    for stat in ("max", "quantile"):  # an empty ID bank once raised a bare ValueError
+        with pytest.raises(EmptyBank):
+            mine_negative_labels(lex, np.zeros((0, 8)), 2, stat=stat, quantile=0.5)
 
 
 def test_lexicon_duplicate_names():

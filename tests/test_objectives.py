@@ -28,6 +28,7 @@ from nft_ood.model import (
     MODES,
     FeatureBank,
     TrainingSet,
+    default_hidden,
     flat_buffer,
     init_model,
     transform_bank,
@@ -627,6 +628,59 @@ def test_backward_cancellation_recompute_matches_loop_reference(role, i0, k0, sc
         mask = cancelled_entries(state, bank, imgs)
         assert mask[i0, k0 + (bank.n_pos if role == "negative" else 0)] and mask.sum() == 1
         assert_matches_loop_reference(state, bank, batch, cfg)
+
+
+# the directional check's step and tolerance, fixed before its first run: criterion 2's
+DIRECTIONAL_EPS, DIRECTIONAL_TOL = 1e-5, 1e-4
+
+
+def directional_error(state, bank, batch, cfg, rng, n_dirs=4):
+    """The worst |g.d - fd| / max(1e-8, |g.d| + |fd|) over n_dirs random unit directions d
+    of the flat parameters, fd = (L(theta + eps d) - L(theta - eps d)) / 2 eps: two
+    total_loss calls check every parameter at once."""
+    _, grads = backward(state, bank, batch, cfg)
+    g = np.concatenate([grads[key].ravel() for key in state.arrays])
+    theta = flat_buffer(state.arrays, state.arrays)
+    assert np.shares_memory(theta, next(iter(state.arrays.values())))
+    start, worst = theta.copy(), 0.0
+    for _ in range(n_dirs):
+        d = rng.standard_normal(theta.size)
+        d /= np.linalg.norm(d)
+        losses = []
+        for sign in (1.0, -1.0):
+            np.add(start, sign * DIRECTIONAL_EPS * d, out=theta)
+            losses.append(total_loss(state, bank, batch, cfg).total)
+        theta[:] = start
+        fd, gd = (losses[0] - losses[1]) / (2.0 * DIRECTIONAL_EPS), float(g @ d)
+        worst = max(worst, abs(gd - fd) / max(1e-8, abs(gd) + abs(fd)))
+    return worst
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_directional_derivative_at_mid_shape(mode):
+    # the whole-bank expansions at D=128, K=1,100, parameters 0.05 off identity and a
+    # batch of 16 + 16; in the affine modes a second state, whose shifted heads tune
+    # positive row 3 for image 0 and negative row 5 for image 16 to ||u|| = 0.05, runs
+    # the cancellation recompute of both roles
+    rng = np.random.default_rng(48)
+    d, n, m = 128, 100, 1000
+    bank = FeatureBank.from_rows(unit_rows(rng, n, d), unit_rows(rng, m, d))
+    state = perturbed_state(rng, d=d, hidden=default_hidden(d), mode=mode, scale=0.05)
+    batch = make_batch(rng, 16, 16, n, d)
+    states = [state]
+    if mode not in IMAGE_INDEPENDENT_MODES:
+        shifted, imgs = state.copy(), batch_images(batch)
+        for role, i, row in (("positive", 0, 3), ("negative", 16, n + 5)):
+            a, b = affine_params(shifted, imgs[i], role)
+            shifted.arrays[f"{role[:3]}_head.beta"] += (0.05 * unit_rows(rng, 1, d)[0]
+                                                       - (a * bank.rows()[row] + b))
+            assert cancelled_entries(shifted, bank, imgs)[i, row]
+        states.append(shifted)
+    for variant in KR_VARIANTS:
+        cfg = TrainConfig(kr_variant=variant, lambda1=0.3, lambda2=0.5, tau_loss=0.25)
+        for st in states:
+            err = directional_error(st, bank, batch, cfg, rng)
+            assert err < DIRECTIONAL_TOL, (variant, err)
 
 
 @pytest.mark.parametrize("mode", MODES)

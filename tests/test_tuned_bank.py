@@ -31,7 +31,7 @@ from nft_ood.model import (
     init_model,
     transform_bank,
 )
-from nft_ood.scoring import _tuned_cosines, score_many, score_mcm, score_neglabel
+from nft_ood.scoring import _scores, score_many, score_mcm, score_neglabel
 
 D = 16
 # banks (D, N, M) of several grid blocks; the test names keep "chunk_grid" so
@@ -105,11 +105,10 @@ def test_score_many_on_the_chunk_grid_matches_per_image_paths(bank_shape, mode):
         arr *= 0.05
     images = unit_rows(rng, 16, dim)
     step, k = _BLOCK_ROWS, n + m
-    cos = np.empty(k)
     for v in images if mode not in IMAGE_INDEPENDENT_MODES else ():
         # the fused path's cosines: a product over all K rows differs from the
         # grid's in the last bits of a few, too few to show in a score
-        _tuned_cosines(state, bank)(v, cos)
+        cos = _scores(v[None], bank.rows(), np.ndarray.tolist, state, n)[0]
         rows = transform_bank(state, bank, v)
         assert np.array_equal(cos, np.concatenate([rows[r : r + step] @ v
                                                    for r in range(0, k, step)]))
