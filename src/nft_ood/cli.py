@@ -21,14 +21,7 @@ import numpy as np
 
 from . import data_io, mining, scoring
 from .errors import ConfigError, DataError, NumericError, QTooLarge, SchemaError
-from .model import (
-    MODES,
-    FeatureBank,
-    TrainingSet,
-    init_model,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .model import MODES, init_model, load_checkpoint, save_checkpoint
 from .objectives import KR_VARIANTS, finite_diff_grad, max_relative_error
 from .trainer import TrainConfig, gradcheck_instance, train
 
@@ -93,64 +86,10 @@ def _merged(file_cfg, args, keys):
     return out
 
 
-def _dataset_manifest(data_dir):
-    return data_io.read_manifest(os.path.join(data_dir, "manifest.jsonl"))
-
-
-def _records_in(records, roles, lo, hi, bank_path):
-    """The records with these roles, each checked to have its row in [lo, hi)."""
-    kept = [r for r in records if r["role"] in roles]
-    for r in kept:
-        if not lo <= r["row"] < hi:
-            raise SchemaError(f"manifest row {r['row']} (id {r['id']!r}) is outside "
-                              f"rows [{lo}, {hi}) of {bank_path}")
-    return kept
-
-
-def _bank_from_dir(data_dir, records):
-    """The label bank, and the row count of labels.fbnk."""
-    path = os.path.join(data_dir, "labels.fbnk")
-    labels = data_io.read_bank(path, unit_rows=True)
-    recs = _records_in(records, ("pos_label", "neg_label"), 0, labels.shape[0], path)
-    pos_rows = sorted(r["row"] for r in recs if r["role"] == "pos_label")
-    neg_rows = sorted(r["row"] for r in recs if r["role"] == "neg_label")
-    if not pos_rows:
-        raise DataError("manifest declares no pos_label rows")
-    return FeatureBank.from_rows(labels[pos_rows], labels[neg_rows]), labels.shape[0]
-
-
-def _training_from_dir(data_dir, records, n_labels):
-    """Training rows follow the n_labels rows of labels.fbnk in manifest numbering."""
-    path = os.path.join(data_dir, "train.fbnk")
-    feats = data_io.read_bank(path, unit_rows=True)
-    recs = _records_in(records, ("train_pos", "train_neg"), n_labels,
-                       n_labels + feats.shape[0], path)
-    n_pos = sum(r["role"] == "pos_label" for r in records)
-    for r in recs:
-        if r["role"] == "train_pos" and not 0 <= r["class"] < n_pos:
-            raise SchemaError(f"manifest row {r['row']} (id {r['id']!r}) has class {r['class']}, "
-                              f"outside the {n_pos} pos_label rows")
-    pos = sorted((r["row"] - n_labels, r["class"]) for r in recs if r["role"] == "train_pos")
-    neg = sorted(r["row"] - n_labels for r in recs if r["role"] == "train_neg")
-    return TrainingSet(
-        pos_features=feats[[i for i, _ in pos]],
-        pos_labels=np.array([c for _, c in pos], dtype=int),
-        neg_features=feats[neg],
-    )
-
-
 def cmd_synth(args):
     keys = _config_keys(data_io.SynthConfig)
     cfg = data_io.SynthConfig(**_merged(_load_config_file(args.config, keys), args, keys))
-    result = data_io.synth_dataset(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    data_io.write_bank(os.path.join(args.out, "labels.fbnk"), result.bank.rows())
-    train_rows = np.vstack([result.training.pos_features,
-                            result.training.neg_features])
-    data_io.write_bank(os.path.join(args.out, "train.fbnk"), train_rows)
-    data_io.write_bank(os.path.join(args.out, "test_id.fbnk"), result.test_id)
-    data_io.write_bank(os.path.join(args.out, "test_ood.fbnk"), result.test_ood)
-    data_io.write_manifest(os.path.join(args.out, "manifest.jsonl"), result.records)
+    data_io.write_dataset(args.out, data_io.synth_dataset(cfg))
     _echo_config(args.out, asdict(cfg))
     print(f"wrote synthetic dataset to {args.out}")
     return EXIT_OK
@@ -224,9 +163,7 @@ def cmd_train(args):
     mode = args.mode or file_cfg.get("mode", "scale_shift")
     hidden = args.hidden if args.hidden is not None else file_cfg.get("hidden")
     cfg = TrainConfig(**_merged(file_cfg, args, keys))
-    records = _dataset_manifest(data_dir)
-    bank, n_labels = _bank_from_dir(data_dir, records)
-    training = _training_from_dir(data_dir, records, n_labels)
+    bank, training = data_io.read_dataset(data_dir)
     state = init_model(bank.dim, hidden=hidden, mode=mode, seed=cfg.seed)
     ckpt, trace = train(state, bank, training, cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -240,7 +177,7 @@ def cmd_train(args):
 
 
 def cmd_score(args):
-    bank, _ = _bank_from_dir(args.bank, _dataset_manifest(args.bank))
+    bank, _ = data_io.read_dataset(args.bank, training=False)
     images = data_io.read_bank(args.images, unit_rows=True)
     state = None
     if args.method == "krnft":

@@ -1,4 +1,5 @@
-"""Feature-bank file format, JSONL manifests, and the synthetic dataset generator.
+"""Feature-bank file format, JSONL manifests, the synthetic dataset generator, and the
+dataset directory that holds its banks and manifest (write_dataset, read_dataset).
 
 The FBNK container stores row-major float32 little-endian payloads regardless
 of host endianness. All randomness flows through a counter-based Philox
@@ -7,21 +8,21 @@ generator keyed on the config seed, so fixtures are portable.
 
 import json
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InvalidConfig, NonFiniteInput, SchemaError, ZeroNorm
+from .errors import DataError, FormatError, InvalidConfig, NonFiniteInput, SchemaError, ZeroNorm
 from .mining import CropSet, build_training_set
 from .model import FeatureBank, TrainingSet
-from .numerics import as_f64, normalize_rows, philox
+from .numerics import MAX_ELEMS, as_f64, philox, scale_to_unit
 
 BANK_MAGIC = b"FBNK"
 BANK_VERSION = 1
 BANK_DTYPE_F32 = 1
-_MAX_DIM = np.iinfo(np.intp).max // 8  # the widest float64 row numpy can shape
 
 MANIFEST_ROLES = (
     "pos_label",
@@ -67,8 +68,8 @@ def read_bank(path, unit_rows=False):
     if dtype != BANK_DTYPE_F32:
         raise FormatError(f"unsupported bank dtype code {dtype}")
     rows, dim = struct.unpack("<QQ", data[8:24])
-    if not 0 < dim <= _MAX_DIM:  # then the payload check bounds rows: numpy can shape both
-        raise FormatError(f"{path}: bank header declares width {dim}, not in [1, {_MAX_DIM}]")
+    if not 0 < dim <= MAX_ELEMS:  # then the payload check bounds rows: numpy can shape both
+        raise FormatError(f"{path}: bank header declares width {dim}, not in [1, {MAX_ELEMS}]")
     expected = rows * dim * 4
     if len(data) - 24 != expected:
         raise FormatError(
@@ -203,6 +204,13 @@ class SynthConfig:
                                 f"{self.background_fraction}")
         if 2 * self.select > self.crops_per_sample:
             raise InvalidConfig("need 2*select <= crops_per_sample")
+        n, d = int(self.n_classes), int(self.dim)  # Python ints: numpy's would wrap
+        rows = max(n + int(self.m_neg), n * int(self.shots) * int(self.crops_per_sample),
+                   n * int(self.n_test_per_class), int(self.n_test_ood))
+        if rows * d > MAX_ELEMS:  # synth_dataset's largest float64 array
+            raise InvalidConfig(f"dim * max(n_classes + m_neg, n_classes * shots * "
+                                f"crops_per_sample, n_classes * n_test_per_class, n_test_ood) "
+                                f"= {rows * d} > {MAX_ELEMS}, more than numpy can shape")
 
 
 @dataclass
@@ -217,9 +225,12 @@ class SynthResult:
 
 def _noisy(rng, protos, kappa):
     """One unit row near each row of protos: protos + kappa N(0, 1), normalized."""
-    return normalize_rows(protos + kappa * rng.standard_normal(protos.shape))
+    rows = protos + kappa * rng.standard_normal(protos.shape)
+    scale_to_unit(rows)
+    return rows
 
 
+@np.errstate(over="ignore")  # a kappa that overflows raises in scale_to_unit, unwarned
 def synth_dataset(cfg):
     """Deterministic synthetic embedding dataset on the unit sphere.
 
@@ -230,8 +241,10 @@ def synth_dataset(cfg):
     """
     rng = philox(cfg.seed)
     d, n, m = cfg.dim, cfg.n_classes, cfg.m_neg
-    pos_proto = normalize_rows(rng.standard_normal((n, d)))
-    neg_proto = normalize_rows(rng.standard_normal((m, d)))
+    pos_proto = rng.standard_normal((n, d))
+    neg_proto = rng.standard_normal((m, d))
+    for protos in (pos_proto, neg_proto):
+        scale_to_unit(protos)
     bank = FeatureBank.from_rows(pos_proto, neg_proto)
 
     n_bg = int(round(cfg.crops_per_sample * cfg.background_fraction))
@@ -247,7 +260,7 @@ def synth_dataset(cfg):
     crops *= cfg.kappa
     crops[:, :n_fg] += pos_proto[classes, None]
     crops[:, n_fg:] += neg_proto[bg_protos]
-    crops = normalize_rows(crops.reshape(-1, d)).reshape(crops.shape)
+    scale_to_unit(crops.reshape(-1, d))
     crop_sets = [CropSet(f"train_{c}_{i % cfg.shots}", c, f)
                  for i, (c, f) in enumerate(zip(classes.tolist(), crops))]
     training = build_training_set(crop_sets, pos_proto, cfg.select)
@@ -273,4 +286,56 @@ def synth_dataset(cfg):
         test_ood=test_ood,
         test_id_classes=test_id_classes,
         records=records,
+    )
+
+
+def write_dataset(out_dir, result):
+    """Write a SynthResult as a dataset directory: labels.fbnk, train.fbnk (positives, then
+    negatives), test_id.fbnk, test_ood.fbnk, and manifest.jsonl, whose rows number the four
+    banks back to back in that order."""
+    os.makedirs(out_dir, exist_ok=True)
+    train = np.vstack([result.training.pos_features, result.training.neg_features])
+    for name, rows in (("labels", result.bank.rows()), ("train", train),
+                       ("test_id", result.test_id), ("test_ood", result.test_ood)):
+        write_bank(os.path.join(out_dir, f"{name}.fbnk"), rows)
+    write_manifest(os.path.join(out_dir, "manifest.jsonl"), result.records)
+
+
+def _read_part(data_dir, name, records, roles, lo):
+    """The rows of name.fbnk, and the records with these roles, each checked to have its
+    row among them, in [lo, lo + rows)."""
+    path = os.path.join(data_dir, f"{name}.fbnk")
+    rows = read_bank(path, unit_rows=True)
+    kept = [r for r in records if r["role"] in roles]
+    for r in kept:
+        if not lo <= r["row"] < lo + rows.shape[0]:
+            raise SchemaError(f"manifest row {r['row']} (id {r['id']!r}) is outside "
+                              f"rows [{lo}, {lo + rows.shape[0]}) of {path}")
+    return rows, kept
+
+
+def read_dataset(data_dir, training=True):
+    """(label bank, training set) of a dataset directory (write_dataset); only if training
+    is train.fbnk read, else the training set is None."""
+    records = read_manifest(os.path.join(data_dir, "manifest.jsonl"))
+    labels, recs = _read_part(data_dir, "labels", records, ("pos_label", "neg_label"), 0)
+    pos_rows = sorted(r["row"] for r in recs if r["role"] == "pos_label")
+    neg_rows = sorted(r["row"] for r in recs if r["role"] == "neg_label")
+    if not pos_rows:
+        raise DataError("manifest declares no pos_label rows")
+    bank = FeatureBank.from_rows(labels[pos_rows], labels[neg_rows])
+    if not training:
+        return bank, None
+    n_labels = labels.shape[0]
+    feats, recs = _read_part(data_dir, "train", records, ("train_pos", "train_neg"), n_labels)
+    for r in recs:
+        if r["role"] == "train_pos" and not 0 <= r["class"] < bank.n_pos:
+            raise SchemaError(f"manifest row {r['row']} (id {r['id']!r}) has class {r['class']}, "
+                              f"outside the {bank.n_pos} pos_label rows")
+    pos = sorted((r["row"] - n_labels, r["class"]) for r in recs if r["role"] == "train_pos")
+    neg = sorted(r["row"] - n_labels for r in recs if r["role"] == "train_neg")
+    return bank, TrainingSet(
+        pos_features=feats[[i for i, _ in pos]],
+        pos_labels=np.array([c for _, c in pos], dtype=int),
+        neg_features=feats[neg],
     )

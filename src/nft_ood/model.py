@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimMismatch, FormatError, InvalidDim, NonFiniteInput, NumericError, ZeroNorm
-from .numerics import EPS_NORM, as_f64, philox
+from .errors import DimMismatch, FormatError, InvalidDim, NonFiniteInput
+from .numerics import MAX_ELEMS, as_f64, philox, scale_to_unit
 
 MODES = ("const_shift", "vec_shift", "scale_shift", "mlp")
 # modes whose tuned bank does not depend on the image feature
@@ -47,12 +47,9 @@ class FeatureBank:
         if pos.shape[0] < 1:
             raise InvalidDim("bank needs at least one positive label row")
         matrix = np.concatenate([pos, neg])
-        norms = np.sqrt(np.sum(matrix * matrix, axis=1))
+        norms = scale_to_unit(matrix)
         if np.any(np.abs(norms - 1.0) > 1e-5):
             warnings.warn("bank rows deviate from unit norm by > 1e-5; re-normalizing")
-        if np.any(norms <= EPS_NORM):
-            raise ZeroNorm("matrix contains a row with near-zero norm")
-        matrix /= norms[:, None]
         matrix.flags.writeable = False
         return cls(matrix=matrix, n_pos=pos.shape[0])
 
@@ -211,10 +208,14 @@ def init_model(dim, hidden=None, mode="scale_shift", seed=0):
         raise InvalidDim(f"dim must be a positive integer, got {dim}")
     if hidden is None:
         hidden = default_hidden(dim)
-    if hidden < 1:
-        raise InvalidDim(f"hidden must be >= 1, got {hidden}")
+    if not 1 <= hidden < 2**32:  # a checkpoint stores it as a uint32
+        raise InvalidDim(f"hidden must be in [1, 2**32), got {hidden}")
     if mode not in MODES:
         raise InvalidDim(f"unknown transform mode {mode!r}")
+    size = sum(math.prod(shape) for _, shape, _ in param_layout(mode, dim, hidden))
+    if size > MAX_ELEMS:  # the one flat buffer of all the arrays
+        raise InvalidDim(f"{mode} with dim {dim} and hidden {hidden} has {size} parameters, "
+                         f"more than numpy can shape ({MAX_ELEMS})")
     rng = philox(seed)
     bound = 1.0 / np.sqrt(dim)
     arrays = flat_arrays({key: rng.uniform(-bound, bound, size=shape) if ident is None
@@ -233,7 +234,7 @@ def role_terms(state, role, v, c_rows=None):
     where the mode has it. a is None where it is all ones. In const_shift b
     is the head's (1,) beta and z, h are None. Training and scoring both tune
     through this one definition. An overflow here gives a non-finite a or b,
-    which _tune_rows and training's divergence check report without a warning.
+    which _tune_block and training's divergence check report without a warning.
     """
     p = role_arrays(state.arrays, state.mode, role)
     if "w1" not in p:  # const_shift has no meta-net
@@ -254,39 +255,26 @@ def role_terms(state, role, v, c_rows=None):
 _BLOCK_ROWS = 256
 
 
-def _tune_rows(c_rows, a, b, out, sq):
-    """Tune c_rows into out, u = a * c + b over ||u||, and return the norms ||u||.
-
-    (a, b) come from role_terms, b one shift for all rows or one per row
-    (mlp); sq, the squares' scratch, has at least as many rows as c_rows.
-    Each tuned row depends on its own c row alone, so any split of the rows
-    into calls gives the same bits. A norm at most EPS_NORM raises ZeroNorm.
-    Parameters and images are checked finite where they enter, so a
-    non-finite norm can only come from an overflow: it raises NumericError.
-    """
-    with np.errstate(over="ignore"):  # an overflow raises below, with no warning
-        if a is None:
-            np.add(c_rows, b, out=out)
-        else:
-            np.multiply(a, c_rows, out=out)
-            np.add(out, b, out=out)
-        # array methods: the np.* wrappers cost a few percent at 256-row blocks
-        norms = np.sqrt(np.multiply(out, out, out=sq[: out.shape[0]]).sum(axis=1))
-    if not ((norms > EPS_NORM) & (norms < math.inf)).all():  # NaN fails both
-        if (norms <= EPS_NORM).any():
-            raise ZeroNorm("transform produced a zero vector; parameters are degenerate")
-        raise NumericError("transform produced a vector whose norm overflows")
-    np.divide(out, norms[:, None], out=out)
-    return norms
-
-
+@np.errstate(over="ignore")  # an overflow of a * c + b raises in scale_to_unit, unwarned
 def _tune_block(rows, n_pos, terms, r, e, out, sq):
-    """Tune rows[r:e] of a bank whose first n_pos rows are positive into out[: e - r]:
-    each role's part with its (a, b) in terms, mlp's per-row shifts indexed within the role."""
+    """Tune rows[r:e] of a bank whose first n_pos rows are positive into out[: e - r],
+    u = a * c + b over ||u|| (scale_to_unit), and return the norms ||u||.
+
+    terms holds each role's (a, b) from role_terms; mlp's per-row shifts are indexed
+    within the role. sq, the squares' scratch, has at least e - r rows. Each tuned row
+    depends on its own c row alone, so any split of the rows into calls gives the same bits.
+    """
+    out = out[: e - r]
     for (a, b), lo, hi, first in zip(terms, (r, max(r, n_pos)), (min(e, n_pos), e), (0, n_pos)):
         if lo < hi:
-            _tune_rows(rows[lo:hi], a, b[lo - first : hi - first] if b.ndim == 2 else b,
-                       out[lo - r : hi - r], sq)
+            c, u = rows[lo:hi], out[lo - r : hi - r]
+            b = b[lo - first : hi - first] if b.ndim == 2 else b
+            if a is None:
+                np.add(c, b, out=u)
+            else:
+                np.multiply(a, c, out=u)
+                np.add(u, b, out=u)
+    return scale_to_unit(out, sq[: e - r])
 
 
 def transform_bank(state, bank, v):

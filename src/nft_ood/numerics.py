@@ -9,10 +9,11 @@ import math
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteInput, NonPositiveTemperature, ZeroNorm
+from .errors import InvalidConfig, NonFiniteInput, NonPositiveTemperature, NumericError, ZeroNorm
 
 EPS_NORM = 1e-12
 TAU_MIN = float(np.finfo(np.float64).tiny)  # the smallest normal float64
+MAX_ELEMS = np.iinfo(np.intp).max // 8  # the most float64 elements numpy can shape
 
 
 def as_f64(x):
@@ -22,13 +23,27 @@ def as_f64(x):
     return a
 
 
+@np.errstate(over="ignore")  # an overflow raises NumericError below, with no warning
+def scale_to_unit(m, sq=None):
+    """The one unit-row rule: divide each row of the 2-d float64 matrix m, in place, by its
+    norm sqrt(sum(m * m, axis=1)), and return the norms; sq is optional scratch of m's shape.
+    The first bad row decides: ZeroNorm at a norm <= EPS_NORM, NumericError at one that is
+    not finite, which from the finite rows callers pass can only be an overflow."""
+    norms = np.sqrt(np.multiply(m, m, out=sq).sum(axis=1))  # .sum, not np.sum: cheaper per block
+    ok = (norms > EPS_NORM) & (norms < math.inf)  # NaN fails both
+    if not ok.all():
+        if norms[ok.argmin()] <= EPS_NORM:
+            raise ZeroNorm("a row has near-zero norm")
+        raise NumericError("a row's norm overflows")
+    np.divide(m, norms[:, None], out=m)
+    return norms
+
+
 def normalize_rows(m):
-    """Scale each row of a 2-d matrix to unit Euclidean norm; ZeroNorm for a near-zero row."""
-    m = as_f64(m)
-    norms = np.sqrt(np.sum(m * m, axis=1))
-    if np.any(norms <= EPS_NORM):
-        raise ZeroNorm("matrix contains a row with near-zero norm")
-    return m / norms[:, None]
+    """A copy of the 2-d matrix m with unit rows: scale_to_unit."""
+    m = as_f64(m).copy()
+    scale_to_unit(m)
+    return m
 
 
 def sigmoid(x):

@@ -26,10 +26,10 @@ feature regularizer does. `vec_shift` has no scale (a = 1), and the bank's unit
 rows have ||c||^2 = 1: it skips C * C and its GEMMs. No (B, K, D) tensor is
 built. Entries where u nearly cancels, and the expansion of ||u||^2 with it,
 are recomputed from u directly. In `const_shift` and `mlp` the tuned bank does
-not depend on the image: each role is tuned once per call by `model._tune_rows`,
-the kernel of `transform_bank` and krnft scoring, so training sees the bits of
-the bank it is scored with; the backward passes through the normalization and
-the transform once.
+not depend on the image: the whole bank is tuned once per call by
+`model._tune_block`, the kernel of `transform_bank` and krnft scoring, so
+training sees the bits of the bank it is scored with; the backward passes
+through the normalization and the transform once.
 
 Gradients are derived by hand, including through the L2 normalization
 (projection Jacobian) and the relu (subgradient 0 at 0); a central-difference
@@ -48,7 +48,7 @@ from .errors import (
     ShapeMismatch,
     ZeroNorm,
 )
-from .model import (IMAGE_INDEPENDENT_MODES, ROLES, TrainingSet, _tune_rows, flat_arrays,
+from .model import (IMAGE_INDEPENDENT_MODES, ROLES, TrainingSet, _tune_block, flat_arrays,
                     role_arrays, role_terms)
 from .numerics import EPS_NORM, as_f64, check_tau
 
@@ -142,8 +142,7 @@ def _forward(state, bank, imgs, n_dots):
     if state.mode in IMAGE_INDEPENDENT_MODES:
         # one block, sq reused by the backward: fresh arrays cost page faults each step
         cp, sq = np.empty((2, *c.shape))
-        n = np.concatenate([_tune_rows(c[cols], a, b, cp[cols], sq)
-                            for _, cols, a, b, _, _ in roles])
+        n = _tune_block(c, bank.n_pos, [t[2:4] for t in roles], 0, c.shape[0], cp, sq)
         d = np.broadcast_to(np.einsum("ij,ij->i", c, cp) if n_dots else 0.0, (n_dots, c.shape[0]))
         return _Pass(s=imgs @ cp.T, d=d, n=n, roles=roles, cp=cp, sq=sq)
     p1 = np.empty((2 * n_img + n_dots, c.shape[0]))

@@ -92,7 +92,7 @@ def _scores(images, rows, reduce, state=None, n_pos=0):
     and the first n_pos rows positive) and its cosines taken while it is
     still in cache: no tuned bank is built. It checks nothing: the score call
     has checked widths, bank parts and finite parameters before its first
-    image, so a tuned row is finite or _tune_rows raises. An Inf cosine (an
+    image, so a tuned row is finite or _tune_block raises. An Inf cosine (an
     image of overflowing norm) is left to the reduction's check.
     """
     n, k = images.shape[0], rows.shape[0]

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import EmptyTrainingSet, InvalidConfig, NumericError, ShapeMismatch
 from .model import (Checkpoint, FeatureBank, flat_arrays, flat_buffer, init_model,
                     live_from_v1, param_layout, v1_layout)
-from .numerics import as_f64, philox
+from .numerics import as_f64, normalize_rows, philox
 from .objectives import Batch, _validate_cfg, backward, fd_well_conditioned, zero_gradients
 
 
@@ -179,11 +179,6 @@ def train(state, bank, train_set, cfg):
     return ckpt, trace
 
 
-def _unit_rows(rng, n, d):
-    g = rng.standard_normal((n, d))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
 def gradcheck_instance(mode, kr_variant, base_seed):
     """A random gradient-check instance that the fd oracle can resolve.
 
@@ -203,14 +198,15 @@ def gradcheck_instance(mode, kr_variant, base_seed):
     for attempt in range(50):
         seed = base_seed * 1000 + attempt
         rng = np.random.default_rng(seed)
-        bank = FeatureBank.from_rows(_unit_rows(rng, 5, d), _unit_rows(rng, 7, d))
+        bank = FeatureBank.from_rows(normalize_rows(rng.standard_normal((5, d))),
+                                     normalize_rows(rng.standard_normal((7, d))))
         state = init_model(d, hidden=hidden, mode=mode, seed=seed)
         noise = {key: 0.2 * rng.standard_normal(shape) for key, shape, _ in v1_layout(d, hidden)}
         for key, part in live_from_v1(mode, d, hidden, noise).items():
             state.arrays[key] += part
-        batch = Batch(pos_features=_unit_rows(rng, 4, d),
+        batch = Batch(pos_features=normalize_rows(rng.standard_normal((4, d))),
                       pos_labels=rng.integers(0, 5, size=4),
-                      neg_features=_unit_rows(rng, 4, d))
+                      neg_features=normalize_rows(rng.standard_normal((4, d))))
         _, grads = backward(state, bank, batch, cfg)
         if fd_well_conditioned(state, bank, batch, grads):
             return state, bank, batch, cfg, grads

@@ -6,7 +6,7 @@ import struct
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -18,11 +18,10 @@ from nft_ood.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
-    _bank_from_dir,
-    _training_from_dir,
     main,
 )
-from nft_ood.data_io import SynthConfig, read_bank, read_manifest, write_bank, write_manifest
+from nft_ood.data_io import (SynthConfig, read_bank, read_dataset, read_manifest, write_bank,
+                             write_manifest)
 from nft_ood.model import MODES, Checkpoint, FeatureBank, init_model, save_checkpoint
 from nft_ood.objectives import finite_diff_grad, max_relative_error
 from nft_ood.scoring import score_many
@@ -125,6 +124,37 @@ def test_synth_config_out_of_range_is_usage_error(tmp_path, capsys, config, argv
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [2**61, 2**62, 2**64 - 1, 2**64])
+@pytest.mark.parametrize("flag", ["--dim", "--n-classes", "--m-neg", "--shots",
+                                  "--crops-per-sample", "--n-test-per-class", "--n-test-ood"])
+def test_synth_size_numpy_cannot_shape_is_usage_error(tmp_path, capsys, flag, value):
+    # --shots 2**62 and --n-test-per-class 2**61 once died with SIGSEGV in np.repeat; the
+    # others exited 4 with a traceback
+    c = dict(asdict(SynthConfig()), **{flag[2:].replace("-", "_"): value})
+    rows = max(c["n_classes"] + c["m_neg"], c["n_classes"] * c["shots"] * c["crops_per_sample"],
+               c["n_classes"] * c["n_test_per_class"], c["n_test_ood"])
+    out = tmp_path / "x"
+    assert run("synth", "--out", str(out), flag, str(value)) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: dim * max(n_classes + m_neg, n_classes * shots * crops_per_sample, n_classes * "
+        f"n_test_per_class, n_test_ood) = {c['dim'] * rows} > {2**60 - 1}, more than numpy can "
+        "shape\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kappa", ["1e160", "1e200", "1e308"])
+def test_synth_kappa_that_overflows_is_numeric_failure(tmp_path, capsys, kappa):
+    # 1e160 and 1e200 once exited 0 with all-zero train, test_id and test_ood rows after a
+    # RuntimeWarning; 1e308 exited 2 after one
+    out = tmp_path / "x"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("synth", "--out", str(out), "--kappa", kappa) == EXIT_NUMERIC
+    assert not caught
+    assert capsys.readouterr().err == "numeric failure: a row's norm overflows\n"
+    assert not out.exists()
+
+
 # ---- mining commands ----
 
 
@@ -222,18 +252,39 @@ def test_train_deterministic(synth_dir, tmp_path):
 
 
 def test_train_byte_identical_across_processes(tmp_path):
+    # training and each score method in fresh processes: the same bytes, and nothing on
+    # stderr, where only a real process shows a warning
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     outs = []
     for name in ("p1", "p2"):
         data, out = tmp_path / name / "synth", tmp_path / name / "run"
-        for argv in (["synth", "--out", str(data)],
-                     ["train", "--data", str(data), "--out", str(out)]):
-            subprocess.run([sys.executable, "-m", "nft_ood.cli", *argv],
-                           env=env, check=True, capture_output=True, timeout=300)
-        outs.append([(out / f).read_bytes() for f in ("trace.csv", "checkpoint.nftc")])
+        argvs = [["synth", "--out", str(data)], ["train", "--data", str(data), "--out", str(out)]]
+        argvs += [["score", "--bank", str(data), "--images", str(data / "test_id.fbnk"),
+                   "--method", method, "--out", str(out / f"{method}.csv")]
+                  + (["--checkpoint", str(out / "checkpoint.nftc")] if method == "krnft" else [])
+                  for method in ("krnft", "neglabel", "mcm")]
+        for argv in argvs:
+            proc = subprocess.run([sys.executable, "-m", "nft_ood.cli", *argv],
+                                  env=env, check=True, capture_output=True, timeout=300)
+            assert proc.stderr == b"", (argv, proc.stderr)
+        outs.append([(out / f).read_bytes() for f in ("trace.csv", "checkpoint.nftc", "krnft.csv",
+                                                        "neglabel.csv", "mcm.csv")])
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("mode", ["const_shift", "scale_shift"])
+@pytest.mark.parametrize("hidden", [2**32, 2**61, 2**62, 2**64 - 1])
+def test_train_hidden_past_the_checkpoint_field_is_usage_error(synth_dir, tmp_path, capsys,
+                                                               hidden, mode):
+    # scale_shift once exited 4 with "array is too big" at 2**62; const_shift trained, then
+    # exited 4 writing the checkpoint's uint32 hidden width
+    out = tmp_path / "run"
+    assert run("train", "--data", str(synth_dir), "--out", str(out), "--epochs", "1",
+               "--mode", mode, "--hidden", str(hidden)) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: hidden must be in [1, 2**32), got {hidden}\n"
+    assert not out.exists()
 
 
 def test_train_trace_header(synth_dir, tmp_path):
@@ -448,9 +499,8 @@ def test_train_rows_offset_by_label_bank(synth_dir, tmp_path):
     d = tmp_path / "trimmed"
     records = copy_dataset(synth_dir, d, keep=lambda r: r["id"] not in dropped)
     n_labels = read_bank(d / "labels.fbnk").shape[0]
-    bank, rows = _bank_from_dir(d, records)
-    assert rows == n_labels and bank.n_pos + bank.n_neg == n_labels - 2
-    training = _training_from_dir(d, records, n_labels)
+    bank, training = read_dataset(d)
+    assert bank.n_pos + bank.n_neg == n_labels - 2
     feats = read_bank(d / "train.fbnk", unit_rows=True)
     neg = sorted(r["row"] - n_labels for r in records if r["role"] == "train_neg")
     assert np.array_equal(training.neg_features, feats[neg])

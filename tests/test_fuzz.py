@@ -4,9 +4,11 @@ Every case must end in a documented exit code (0 success, 1 usage, 2 data,
 3 numeric) with at most one line on stderr and no traceback. The inputs are
 byte mutations of valid files, JSON value substitutions in manifest records
 and edge values of numeric flags. Size flags (`--dim`, `--n-classes`,
-`--hidden`, `--epochs`, `--batch-size`, `-m`, `-q`) are never fuzzed upward:
-large values allocate or run for a long time. The cases are fixed by their
-seeds, so a failure replays.
+`--hidden`, `--epochs`, `--batch-size`, `-m`, `-q`) are never fuzzed upward
+to values that allocate or run for a long time; the `synth` sizes and
+`--hidden` do take values no array numpy can shape would hold, which must be
+rejected before any allocation. The cases are fixed by their seeds, so a
+failure replays.
 """
 
 import json
@@ -276,6 +278,10 @@ FLAG_VALUES = ("-1", "0", "-0", "0.5", "1", "1.5", "2", "-0.5", str(2**64 - 1), 
                "1e308", "1e400", "1e-310", "1e-400", "nan", "inf", "-inf", "", "x")
 # the values of a size flag: none large
 COUNT_VALUES = ("-1", "0", "-0", "0.5", "1", "2", "3", "1e3", "", "x")
+# sizes past any array numpy can shape, 2**60 - 1 float64 elements
+HUGE_COUNTS = (str(2**61), str(2**62), str(2**64 - 1))
+SYNTH_SIZE_FLAGS = ("--dim", "--n-classes", "--m-neg", "--shots", "--crops-per-sample",
+                    "--select", "--n-test-per-class", "--n-test-ood")
 
 
 def test_fuzz_flag_values(inputs, tmp_path, capsys):
@@ -294,6 +300,13 @@ def test_fuzz_flag_values(inputs, tmp_path, capsys):
                                      "--beta1", "--beta2", "--adam-eps", "--weight-decay")]
     bad = [_outcome(commands[cmd] + [flag, value], capsys)
            for cmd, flag in flags for value in FLAG_VALUES]
+    # --shots 2**62 once died with SIGSEGV, the other sizes exited 4; a kappa whose noise
+    # overflows a norm once wrote zero rows (1e160) or exited 2 after a RuntimeWarning (1e308)
+    bad += [_outcome(commands[cmd] + [flag, value], capsys)
+            for cmd, flag in [("synth", f) for f in SYNTH_SIZE_FLAGS] + [("train", "--hidden")]
+            for value in HUGE_COUNTS]
+    bad += [_outcome(commands["synth"] + ["--kappa", value], capsys)
+            for value in ("1e160", "1e308")]
     select = ["select-crops", "--crops", data / "test_id.fbnk", "--crops-manifest",
               data / "crops.jsonl", "--labels", data / "labels.fbnk", "--out", tmp_path / "sel"]
     mine = ["mine-neg", "--lexicon", data / "labels.fbnk", "--id-bank", data / "test_id.fbnk",

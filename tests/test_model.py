@@ -8,7 +8,8 @@ import pytest
 
 import bank_reference
 from conftest import unit_rows
-from nft_ood.errors import DimMismatch, FormatError, InvalidDim, NonFiniteInput, ZeroNorm
+from nft_ood.errors import (DimMismatch, FormatError, InvalidDim, NonFiniteInput, NumericError,
+                            ZeroNorm)
 from nft_ood.model import (
     MODES,
     Checkpoint,
@@ -73,11 +74,30 @@ def test_bank_needs_positive_rows():
 def test_bank_rejects_a_zero_row(k):
     rows = unit_rows(np.random.default_rng(0), 4, 4)
     rows[k] = 0.0
-    with pytest.warns(UserWarning), pytest.raises(ZeroNorm):
+    with pytest.raises(ZeroNorm):
         FeatureBank.from_rows(rows[:2], rows[2:])
 
 
+def test_bank_rejects_a_row_whose_norm_overflows():
+    # finite rows whose squares overflow: once a bank of zero rows, after a RuntimeWarning
+    rows = unit_rows(np.random.default_rng(0), 4, 4)
+    rows[2] *= 1e200
+    with pytest.raises(NumericError) as e:
+        FeatureBank.from_rows(rows[:2], rows[2:])
+    assert e.type is NumericError
+
+
 # ---- initialization ----
+
+
+@pytest.mark.parametrize("dim, hidden, mode", [
+    (8, 2**32, "const_shift"),  # once trained, then failed to save the checkpoint
+    (8, 2**62, "scale_shift"),  # once "array is too big"
+    (2**40, 2**31, "mlp"),  # 2**72 parameters
+])
+def test_init_rejects_sizes_it_cannot_shape_or_save(dim, hidden, mode):
+    with pytest.raises(InvalidDim, match="hidden|parameters"):
+        init_model(dim, hidden=hidden, mode=mode)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -10,10 +10,11 @@ from nft_ood.errors import (
     InvalidConfig,
     NonFiniteInput,
     NonPositiveTemperature,
+    NumericError,
     ZeroNorm,
 )
 from nft_ood.model import TrainingSet, init_model
-from nft_ood.numerics import check_tau, normalize_rows, philox, sigmoid
+from nft_ood.numerics import check_tau, normalize_rows, philox, scale_to_unit, sigmoid
 from nft_ood.trainer import make_batches
 from numerics_reference import cosine, l2_normalize, logsumexp, stable_softmax
 
@@ -56,6 +57,26 @@ def test_normalize_rows_matches_per_row():
 def test_normalize_rows_zero_row_rejected():
     with pytest.raises(ZeroNorm):
         normalize_rows(np.array([[3.0, 4.0], [0.0, 0.0]]))
+
+
+def test_scale_to_unit_divides_in_place_and_returns_the_norms():
+    m = np.array([[3.0, 4.0], [0.0, 2.0]])
+    sq = np.empty_like(m)
+    assert scale_to_unit(m, sq).tolist() == [5.0, 2.0]
+    assert m.tolist() == [[0.6, 0.8], [0.0, 1.0]]
+    assert np.array_equal(m, normalize_rows([[3.0, 4.0], [0.0, 2.0]]))
+
+
+@pytest.mark.parametrize("rows, exc", [
+    ([[1e200, 0.0], [0.0, 0.0]], NumericError),  # its square overflows: once a zero row
+    ([[0.0, 0.0], [1e200, 0.0]], ZeroNorm),
+    ([[1.0, 0.0], [1e-13, 0.0]], ZeroNorm),
+], ids=["overflow_first", "zero_first", "near_zero"])
+def test_scale_to_unit_first_bad_row_decides(rows, exc):
+    # the suite turns a RuntimeWarning into an error, so none is printed either
+    with pytest.raises(NumericError) as e:
+        scale_to_unit(np.array(rows))
+    assert e.type is exc
 
 
 def test_cosine_examples():

@@ -736,7 +736,8 @@ def test_forward_trains_on_the_bank_that_krnft_scores(mode):
             imgs = batch_images(batch)
             cp = _forward(state, bank, imgs, 0).cp
             assert np.array_equal(cp, transform_bank(state, bank, imgs[0])), base_seed
-    # roles longer than transform_bank's blocks, which training tunes in one call
+    # roles longer than transform_bank's blocks, where training tunes the whole bank in one
+    # _tune_block call
     rng = np.random.default_rng(45)
     bank = FeatureBank.from_rows(unit_rows(rng, 300, 16), unit_rows(rng, 600, 16))
     state = perturbed_state(rng, d=16, hidden=8, mode=mode)

@@ -1,4 +1,5 @@
-"""The in-place tuned-bank kernel, `model._tune_rows`, against the allocating reference.
+"""The in-place tuned-bank kernel, `model._tune_block` (through `numerics.scale_to_unit`),
+against the allocating reference.
 
 `transform_bank` and krnft `score_many` (the kernel per block of
 `_BLOCK_ROWS` rows) must give the reference's bits exactly, at shapes that
