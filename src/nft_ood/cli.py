@@ -118,7 +118,7 @@ def cmd_mine_neg(args):
 
 def cmd_select_crops(args):
     crops = data_io.read_bank(args.crops, unit_rows=True)
-    labels = data_io.read_bank(args.labels, unit_rows=True)
+    bank, _ = data_io.read_dataset(args.data, training=False)
     records = data_io.read_manifest(args.crops_manifest, n_rows=crops.shape[0])
     if not records:
         raise DataError(f"{args.crops_manifest}: manifest declares no crop rows")
@@ -126,26 +126,21 @@ def cmd_select_crops(args):
     for rec in records:
         if rec["role"] != "crop":
             raise DataError(f"crops manifest contains non-crop role {rec['role']!r}")
-        if not 0 <= rec["class"] < labels.shape[0]:
+        if not 0 <= rec["class"] < bank.n_pos:
             raise SchemaError(f"{args.crops_manifest}: crop row {rec['row']} (id {rec['id']!r}) "
-                              f"has class {rec['class']}, outside the {labels.shape[0]} "
-                              f"rows of {args.labels}")
+                              f"has class {rec['class']}, outside the {bank.n_pos} pos_label "
+                              f"rows of {args.data}")
         groups.setdefault((rec["parent"], rec["class"]), []).append(rec["row"])
     crop_sets = [mining.CropSet(parent_id=parent, label_index=cls, features=crops[sorted(rows)])
                  for (parent, cls), rows in sorted(groups.items())]
     try:
-        training = mining.build_training_set(crop_sets, labels, args.q)
+        training = mining.build_training_set(crop_sets, bank.pos, args.q)
     except QTooLarge as e:
         raise QTooLarge(f"{args.crops_manifest}: {e}") from None
-    os.makedirs(args.out, exist_ok=True)
-    train_rows = np.vstack([training.pos_features, training.neg_features])
-    data_io.write_bank(os.path.join(args.out, "train.fbnk"), train_rows)
-    out_records = data_io.number_records([
-        ("train_pos", "train_pos", training.n_pos, training.pos_labels),
-        ("train_neg", "train_neg", training.n_neg, None),
-    ])
-    data_io.write_manifest(os.path.join(args.out, "manifest.jsonl"), out_records)
-    _echo_config(args.out, {"crops": args.crops, "labels": args.labels, "q": args.q})
+    no_rows = np.empty((0, bank.dim))
+    data_io.write_dataset(args.out, data_io.SynthResult(bank, training, no_rows, no_rows,
+                                                        np.empty(0, dtype=int)))
+    _echo_config(args.out, {"crops": args.crops, "data": args.data, "q": args.q})
     print(f"selected {training.n_pos} positive / {training.n_neg} negative crops")
     return EXIT_OK
 
@@ -315,7 +310,7 @@ def build_parser():
     cp = sub.add_parser("select-crops", help="select top/bottom crops per sample")
     cp.add_argument("--crops", required=True)
     cp.add_argument("--crops-manifest", dest="crops_manifest", required=True)
-    cp.add_argument("--labels", required=True)
+    cp.add_argument("--data", required=True, help="dataset directory of the label bank")
     cp.add_argument("-q", type=int, required=True)
     cp.add_argument("--out", required=True)
     cp.set_defaults(func=cmd_select_crops)

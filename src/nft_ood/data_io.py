@@ -11,7 +11,7 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,23 +99,6 @@ def write_manifest(path, records):
         f.write("".join(encode(rec) + "\n" for rec in records))
     if dropped:
         warnings.warn(f"dropped unknown manifest keys: {sorted(dropped)}")
-
-
-def number_records(parts):
-    """Manifest records for parts laid back to back, numbered from row 0.
-
-    Each part is (role, id prefix, row count, per-row classes or None); its
-    i-th row gets the id f"{prefix}_{i}" and, if classes are given, the
-    class classes[i].
-    """
-    records = []
-    for role, prefix, count, classes in parts:
-        for i in range(count):
-            rec = {"row": len(records), "id": f"{prefix}_{i}", "role": role}
-            if classes is not None:
-                rec["class"] = int(classes[i])
-            records.append(rec)
-    return records
 
 
 def _record_error(rec, seen_rows, n_rows):
@@ -220,7 +203,25 @@ class SynthResult:
     test_id: np.ndarray
     test_ood: np.ndarray
     test_id_classes: np.ndarray
-    records: list = field(default_factory=list)
+
+    @property
+    def records(self):
+        """The manifest records of the label, training and test rows, numbered back to back
+        from row 0 in write_dataset's bank order."""
+        records = []
+        for role, prefix, count, classes in (
+                ("pos_label", "pos", self.bank.n_pos, range(self.bank.n_pos)),
+                ("neg_label", "neg", self.bank.n_neg, None),
+                ("train_pos", "train_pos", self.training.n_pos, self.training.pos_labels),
+                ("train_neg", "train_neg", self.training.n_neg, None),
+                ("test_id", "test_id", self.test_id_classes.size, self.test_id_classes),
+                ("test_ood", "test_ood", self.test_ood.shape[0], None)):
+            for i in range(count):
+                rec = {"row": len(records), "id": f"{prefix}_{i}", "role": role}
+                if classes is not None:
+                    rec["class"] = int(classes[i])
+                records.append(rec)
+        return records
 
 
 def _noisy(rng, protos, kappa):
@@ -269,35 +270,25 @@ def synth_dataset(cfg):
     test_id = _noisy(rng, pos_proto[test_id_classes], cfg.kappa)
     test_ood = _noisy(rng, neg_proto[rng.integers(0, m, size=cfg.n_test_ood)], cfg.kappa)
 
-    # manifest rows index the virtual concatenation [labels, train, test_id, test_ood]
-    records = number_records([
-        ("pos_label", "pos", n, range(n)),
-        ("neg_label", "neg", m, None),
-        ("train_pos", "train_pos", training.n_pos, training.pos_labels),
-        ("train_neg", "train_neg", training.n_neg, None),
-        ("test_id", "test_id", test_id_classes.size, test_id_classes),
-        ("test_ood", "test_ood", cfg.n_test_ood, None),
-    ])
-
     return SynthResult(
         bank=bank,
         training=training,
         test_id=test_id,
         test_ood=test_ood,
         test_id_classes=test_id_classes,
-        records=records,
     )
 
 
 def write_dataset(out_dir, result):
     """Write a SynthResult as a dataset directory: labels.fbnk, train.fbnk (positives, then
     negatives), test_id.fbnk, test_ood.fbnk, and manifest.jsonl, whose rows number the four
-    banks back to back in that order."""
+    banks back to back in that order. A bank with no rows is not written."""
     os.makedirs(out_dir, exist_ok=True)
     train = np.vstack([result.training.pos_features, result.training.neg_features])
     for name, rows in (("labels", result.bank.rows()), ("train", train),
                        ("test_id", result.test_id), ("test_ood", result.test_ood)):
-        write_bank(os.path.join(out_dir, f"{name}.fbnk"), rows)
+        if rows.shape[0]:
+            write_bank(os.path.join(out_dir, f"{name}.fbnk"), rows)
     write_manifest(os.path.join(out_dir, "manifest.jsonl"), result.records)
 
 
@@ -319,11 +310,15 @@ def read_dataset(data_dir, training=True):
     is train.fbnk read, else the training set is None."""
     records = read_manifest(os.path.join(data_dir, "manifest.jsonl"))
     labels, recs = _read_part(data_dir, "labels", records, ("pos_label", "neg_label"), 0)
-    pos_rows = sorted(r["row"] for r in recs if r["role"] == "pos_label")
+    pos_recs = sorted((r for r in recs if r["role"] == "pos_label"), key=lambda r: r["row"])
     neg_rows = sorted(r["row"] for r in recs if r["role"] == "neg_label")
-    if not pos_rows:
+    if not pos_recs:
         raise DataError("manifest declares no pos_label rows")
-    bank = FeatureBank.from_rows(labels[pos_rows], labels[neg_rows])
+    for rank, r in enumerate(pos_recs):  # a class names a row of bank.pos
+        if r.get("class", rank) != rank:
+            raise SchemaError(f"manifest row {r['row']} (id {r['id']!r}) has class {r['class']}, "
+                              f"not its rank {rank} among the pos_label rows")
+    bank = FeatureBank.from_rows(labels[[r["row"] for r in pos_recs]], labels[neg_rows])
     if not training:
         return bank, None
     n_labels = labels.shape[0]

@@ -5,13 +5,15 @@ row index, and draws the bottom rows from those left after the top ones.
 `oracle_training_set` copies each selected crop one row at a time.
 `oracle_synth` is the former `synth_dataset`: each crop set's foreground
 and background crops are drawn, perturbed, normalized and stacked on their
-own, and its D_p/D_n come from `oracle_select`. None of them calls
-`mining`'s selection kernel.
+own, its D_p/D_n come from `oracle_select`, and its manifest records are
+numbered here, not by `data_io`. None of them calls `mining`'s selection
+kernel.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from nft_ood.data_io import SynthResult, number_records
 from nft_ood.mining import CropSet
 from nft_ood.model import FeatureBank, TrainingSet
 from nft_ood.numerics import normalize_rows
@@ -48,6 +50,26 @@ def _noisy(rng, protos, kappa):
     return normalize_rows(protos + kappa * rng.standard_normal(protos.shape))
 
 
+@dataclass
+class OracleSynth:
+    """`SynthResult`'s parts and manifest records, and the crop sets D_p/D_n came from."""
+    bank: FeatureBank
+    training: TrainingSet
+    test_id: np.ndarray
+    test_ood: np.ndarray
+    test_id_classes: np.ndarray
+    records: list
+    crop_sets: list
+
+
+def _records(parts):
+    """Manifest records of parts (role, id prefix, per-row extra keys), numbered row by row."""
+    rows = [(role, f"{prefix}_{i}", extra)
+            for role, prefix, extras in parts for i, extra in enumerate(extras)]
+    return [dict(row=row, id=rid, role=role, **extra)
+            for row, (role, rid, extra) in enumerate(rows)]
+
+
 def oracle_synth(cfg):
     """`synth_dataset(cfg)` with a Python loop over the crop sets."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
@@ -68,17 +90,17 @@ def oracle_synth(cfg):
     test_id_classes = np.repeat(np.arange(n), cfg.n_test_per_class)
     test_id = _noisy(rng, pos_proto[test_id_classes], cfg.kappa)
     test_ood = _noisy(rng, neg_proto[rng.integers(0, m, size=cfg.n_test_ood)], cfg.kappa)
-    records = number_records([
-        ("pos_label", "pos", n, range(n)),
-        ("neg_label", "neg", m, None),
-        ("train_pos", "train_pos", len(labels), labels),
-        ("train_neg", "train_neg", len(neg), None),
-        ("test_id", "test_id", test_id_classes.size, test_id_classes),
-        ("test_ood", "test_ood", cfg.n_test_ood, None),
+    records = _records([
+        ("pos_label", "pos", [{"class": c} for c in range(n)]),
+        ("neg_label", "neg", [{}] * m),
+        ("train_pos", "train_pos", [{"class": int(c)} for c in labels]),
+        ("train_neg", "train_neg", [{}] * len(neg)),
+        ("test_id", "test_id", [{"class": int(c)} for c in test_id_classes]),
+        ("test_ood", "test_ood", [{}] * cfg.n_test_ood),
     ])
-    return SynthResult(
+    return OracleSynth(
         bank=FeatureBank.from_rows(pos_proto, neg_proto),
         training=TrainingSet(pos_features=pos, pos_labels=labels, neg_features=neg),
         test_id=test_id, test_ood=test_ood, test_id_classes=test_id_classes,
-        records=records,
+        records=records, crop_sets=crop_sets,
     )

@@ -26,6 +26,7 @@ from nft_ood.model import MODES, Checkpoint, FeatureBank, init_model, save_check
 from nft_ood.objectives import finite_diff_grad, max_relative_error
 from nft_ood.scoring import score_many
 from nft_ood.trainer import TrainConfig, gradcheck_instance
+from selection_reference import oracle_select, oracle_synth
 
 
 def run(*argv):
@@ -64,20 +65,21 @@ def copy_dataset(src, dst, keep=lambda rec: True):
     return records
 
 
+def label_dir(d, rows, n_pos):
+    """Dataset directory d of label rows alone, scaled to unit norm: the first n_pos
+    positive, the rest negative."""
+    d.mkdir()
+    write_bank(d / "labels.fbnk", rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    write_manifest(d / "manifest.jsonl", [
+        {"row": i, "id": f"pos_{i}", "role": "pos_label", "class": i} if i < n_pos
+        else {"row": i, "id": f"neg_{i - n_pos}", "role": "neg_label"}
+        for i in range(rows.shape[0])])
+    return d
+
+
 def tiny_bank_dir(tmp_path, n_pos=1):
     """Dataset directory with n_pos positive labels and one negative label."""
-    d = tmp_path / "bank"
-    d.mkdir()
-    eye = np.eye(4)
-    rows = np.vstack([eye[:n_pos], eye[n_pos : n_pos + 1]])
-    write_bank(d / "labels.fbnk", rows)
-    records = [
-        {"row": i, "id": f"pos_{i}", "role": "pos_label", "class": i}
-        for i in range(n_pos)
-    ]
-    records.append({"row": n_pos, "id": "neg_0", "role": "neg_label"})
-    write_manifest(d / "manifest.jsonl", records)
-    return d
+    return label_dir(tmp_path / "bank", np.eye(4)[: n_pos + 1], n_pos)
 
 
 # ---- synth ----
@@ -203,10 +205,8 @@ def test_select_crops_cli(tmp_path):
     rng = np.random.default_rng(91)
     crops = rng.standard_normal((12, 8))
     crops /= np.linalg.norm(crops, axis=1, keepdims=True)
-    labels = rng.standard_normal((2, 8))
-    labels /= np.linalg.norm(labels, axis=1, keepdims=True)
+    data = label_dir(tmp_path / "data", rng.standard_normal((3, 8)), n_pos=2)
     write_bank(tmp_path / "crops.fbnk", crops)
-    write_bank(tmp_path / "labels.fbnk", labels)
     records = [
         {"row": i, "id": f"crop_{i}", "role": "crop",
          "class": i // 6, "parent": f"img_{i // 6}"}
@@ -217,21 +217,78 @@ def test_select_crops_cli(tmp_path):
     assert run(
         "select-crops", "--crops", str(tmp_path / "crops.fbnk"),
         "--crops-manifest", str(tmp_path / "crops.jsonl"),
-        "--labels", str(tmp_path / "labels.fbnk"), "-q", "2", "--out", str(out),
+        "--data", str(data), "-q", "2", "--out", str(out),
     ) == EXIT_OK
-    from nft_ood.data_io import read_bank, read_manifest
-
+    assert {p.name for p in out.iterdir()} == {"labels.fbnk", "train.fbnk", "manifest.jsonl",
+                                               "config.json"}
     mat = read_bank(out / "train.fbnk")
     back = read_manifest(out / "manifest.jsonl")
     assert mat.shape == (8, 8)  # 2 parents x q=2 top + q=2 bottom
     assert sum(r["role"] == "train_pos" for r in back) == 4
     assert sum(r["role"] == "train_neg" for r in back) == 4
+    # the 3 label records, then the training rows numbered after them
     expected = (
-        [{"class": c, "id": f"train_pos_{i}", "role": "train_pos", "row": i}
-         for i, c in enumerate([0, 0, 1, 1])]
-        + [{"id": f"train_neg_{i}", "role": "train_neg", "row": 4 + i} for i in range(4)])
+        read_manifest(data / "manifest.jsonl")
+        + [{"class": c, "id": f"train_pos_{i}", "role": "train_pos", "row": 3 + i}
+           for i, c in enumerate([0, 0, 1, 1])]
+        + [{"id": f"train_neg_{i}", "role": "train_neg", "row": 7 + i} for i in range(4)])
     assert (out / "manifest.jsonl").read_text() == "".join(
         json.dumps(r, sort_keys=True) + "\n" for r in expected)
+    assert run("train", "--data", str(out), "--out", str(tmp_path / "run"),
+               "--epochs", "1") == EXIT_OK
+
+
+def test_select_crops_output_trains_and_scores_as_synth_does(synth_dir, tmp_path):
+    # synth -> select-crops -> train -> score -> eval at fixture shape, on the crop sets
+    # synth drew its D_p/D_n from. select-crops orders crop sets by (parent, class), which
+    # is synth's order while the class and shot numbers have one digit each.
+    cfg = SynthConfig()
+    want = oracle_synth(cfg)
+    write_bank(tmp_path / "crops.fbnk", np.concatenate([cs.features for cs in want.crop_sets]))
+    parents = [(cs.parent_id, cs.label_index) for cs in want.crop_sets for _ in cs.features]
+    write_manifest(tmp_path / "crops.jsonl", [
+        {"row": i, "id": f"crop_{i}", "role": "crop", "class": c, "parent": p}
+        for i, (p, c) in enumerate(parents)])
+    # the files hold float32: say so if that rounding moves a pick away from synth's
+    crops = read_bank(tmp_path / "crops.fbnk")
+    bank, _ = read_dataset(synth_dir, training=False)
+    q, lo, moved = cfg.select, 0, []
+    for k, cs in enumerate(want.crop_sets):
+        top, bottom = oracle_select(crops[lo:lo + len(cs.features)], bank.pos[cs.label_index], q)
+        lo += len(cs.features)
+        if not (np.array_equal(cs.features[top], want.training.pos_features[k * q:(k + 1) * q])
+                and np.array_equal(cs.features[bottom],
+                                   want.training.neg_features[k * q:(k + 1) * q])):
+            moved.append(cs.parent_id)
+    assert not moved, f"float32 rounding of the crop and label files moved the picks of {moved}"
+
+    out = tmp_path / "selected"
+    assert run("select-crops", "--crops", str(tmp_path / "crops.fbnk"),
+               "--crops-manifest", str(tmp_path / "crops.jsonl"), "--data", str(synth_dir),
+               "-q", str(q), "--out", str(out)) == EXIT_OK
+    assert {p.name for p in out.iterdir()} == {"labels.fbnk", "train.fbnk", "manifest.jsonl",
+                                               "config.json"}
+    for name in ("labels.fbnk", "train.fbnk"):
+        assert (out / name).read_bytes() == (synth_dir / name).read_bytes(), name
+    assert read_manifest(out / "manifest.jsonl") == [
+        r for r in read_manifest(synth_dir / "manifest.jsonl")
+        if r["role"] not in ("test_id", "test_ood")]
+
+    # OUT has no test banks: both runs score synth's
+    run_dirs = {synth_dir: tmp_path / "run_synth", out: tmp_path / "run_selected"}
+    for data, run_dir in run_dirs.items():
+        assert run("train", "--data", str(data), "--out", str(run_dir), "--epochs", "2") == EXIT_OK
+        for side in ("id", "ood"):
+            images = synth_dir / f"test_{side}.fbnk"
+            assert run("score", "--bank", str(data), "--images", str(images),
+                       "--method", "krnft", "--checkpoint", str(run_dir / "checkpoint.nftc"),
+                       "--tau-score", "0.01", "--out", str(run_dir / f"{side}.csv")) == EXIT_OK
+        assert run("eval", "--scores-id", str(run_dir / "id.csv"),
+                   "--scores-ood", str(run_dir / "ood.csv"),
+                   "--out", str(run_dir / "eval.json")) == EXIT_OK
+    for name in ("checkpoint.nftc", "trace.csv", "id.csv", "ood.csv", "eval.json"):
+        assert ((run_dirs[out] / name).read_bytes()
+                == (run_dirs[synth_dir] / name).read_bytes()), name
 
 
 # ---- train ----
@@ -567,12 +624,12 @@ def test_train_pos_class_must_be_an_integer(synth_dir, tmp_path, capsys):
 
 
 def select_crops_argv(tmp_path, edit=lambda rec: None):
-    """select-crops on 2 images of 6 crops and 2 label rows; edit changes img_0's crops."""
+    """select-crops on 2 images of 6 crops and a dataset of N = 2 positive and M = 2
+    negative label rows; edit changes img_0's crops."""
     rng = np.random.default_rng(93)
     crops = rng.standard_normal((12, 8))
-    labels = rng.standard_normal((2, 8))
+    data = label_dir(tmp_path / "data", rng.standard_normal((4, 8)), n_pos=2)
     write_bank(tmp_path / "crops.fbnk", crops / np.linalg.norm(crops, axis=1, keepdims=True))
-    write_bank(tmp_path / "labels.fbnk", labels / np.linalg.norm(labels, axis=1, keepdims=True))
     records = [{"row": i, "id": f"crop_{i}", "role": "crop",
                 "class": i // 6, "parent": f"img_{i // 6}"} for i in range(12)]
     for rec in records[:6]:
@@ -580,8 +637,7 @@ def select_crops_argv(tmp_path, edit=lambda rec: None):
     write_manifest(tmp_path / "crops.jsonl", records)
     return ["select-crops", "--crops", str(tmp_path / "crops.fbnk"),
             "--crops-manifest", str(tmp_path / "crops.jsonl"),
-            "--labels", str(tmp_path / "labels.fbnk"), "-q", "2",
-            "--out", str(tmp_path / "training")]
+            "--data", str(data), "-q", "2", "--out", str(tmp_path / "training")]
 
 
 def test_select_crops_non_crop_role_is_data_error(tmp_path, capsys):
@@ -626,9 +682,8 @@ def test_select_crops_parent_with_crops_of_two_classes(tmp_path):
     # came from the last crop set of that parent, class 1's
     rng = np.random.default_rng(98)
     crops = rng.standard_normal((10, 8))
-    labels = rng.standard_normal((2, 8))
+    data = label_dir(tmp_path / "data", rng.standard_normal((2, 8)), n_pos=2)
     write_bank(tmp_path / "crops.fbnk", crops / np.linalg.norm(crops, axis=1, keepdims=True))
-    write_bank(tmp_path / "labels.fbnk", labels / np.linalg.norm(labels, axis=1, keepdims=True))
     classes = [0] * 4 + [1] * 6
     write_manifest(tmp_path / "crops.jsonl", [
         {"row": i, "id": f"crop_{i}", "role": "crop", "class": c, "parent": "img_0"}
@@ -636,9 +691,8 @@ def test_select_crops_parent_with_crops_of_two_classes(tmp_path):
     out = tmp_path / "training"
     assert run("select-crops", "--crops", str(tmp_path / "crops.fbnk"),
                "--crops-manifest", str(tmp_path / "crops.jsonl"),
-               "--labels", str(tmp_path / "labels.fbnk"), "-q", "1",
-               "--out", str(out)) == EXIT_OK
-    crops, labels = read_bank(tmp_path / "crops.fbnk"), read_bank(tmp_path / "labels.fbnk")
+               "--data", str(data), "-q", "1", "--out", str(out)) == EXIT_OK
+    crops, labels = read_bank(tmp_path / "crops.fbnk"), read_bank(data / "labels.fbnk")
     sims = np.array([crops[i] @ labels[c] for i, c in enumerate(classes)])
     rows = {c: [i for i, k in enumerate(classes) if k == c] for c in (0, 1)}
     top = [max(rows[c], key=lambda i: sims[i]) for c in (0, 1)]
@@ -655,52 +709,57 @@ def test_select_crops_class_outside_labels_is_data_error(tmp_path, capsys, cls):
         rec["class"] = cls
 
     assert run(*select_crops_argv(tmp_path, edit)) == EXIT_DATA
-    assert_one_line(capsys.readouterr().err, "'crop_0'", f"class {cls},",
-                    str(tmp_path / "labels.fbnk"))
+    assert_one_line(capsys.readouterr().err, str(tmp_path / "crops.jsonl"), "'crop_0'",
+                    f"class {cls},", "outside the 2 pos_label rows", str(tmp_path / "data"))
     assert not (tmp_path / "training").exists()
 
 
-def test_select_crops_accepts_a_negative_label_class_that_train_rejects(tmp_path, capsys):
-    # --labels is a bare .fbnk: it cannot tell its N positive rows from its M negative ones
-    argv = select_crops_argv(tmp_path, lambda rec: rec.update({"class": 3}))
-    rng = np.random.default_rng(97)
-    labels = rng.standard_normal((4, 8))  # N = 2 positive rows, then M = 2 negative
-    data = tmp_path / "data"
-    data.mkdir()
-    write_bank(data / "labels.fbnk", labels / np.linalg.norm(labels, axis=1, keepdims=True))
-    argv[argv.index("--labels") + 1] = str(data / "labels.fbnk")
-    assert run(*argv) == EXIT_OK
-    (data / "train.fbnk").write_bytes((tmp_path / "training" / "train.fbnk").read_bytes())
-    selected = read_manifest(tmp_path / "training" / "manifest.jsonl")
-    assert [r["class"] for r in selected if r["role"] == "train_pos"] == [3, 3, 1, 1]
-    write_manifest(data / "manifest.jsonl", [
-        {"row": 0, "id": "pos_0", "role": "pos_label", "class": 0},
-        {"row": 1, "id": "pos_1", "role": "pos_label", "class": 1},
-        {"row": 2, "id": "neg_0", "role": "neg_label"},
-        {"row": 3, "id": "neg_1", "role": "neg_label"},
-    ] + [dict(r, row=r["row"] + 4) for r in selected])
-    capsys.readouterr()
-    assert run("train", "--data", str(data), "--out", str(tmp_path / "run"),
-               "--epochs", "1") == EXIT_DATA
-    assert_one_line(capsys.readouterr().err, "manifest row 4 (id 'train_pos_0') has class 3",
-                    "outside the 2 pos_label rows")
-    assert not (tmp_path / "run").exists()
+def test_select_crops_rejects_a_negative_label_class(tmp_path, capsys):
+    # class 3 is the last of the M = 2 negative rows: a bare --labels .fbnk could not tell
+    # it from a positive row, so select-crops once wrote it and only train rejected it
+    assert run(*select_crops_argv(tmp_path, lambda rec: rec.update({"class": 3}))) == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, str(tmp_path / "crops.jsonl"), "'crop_0'",
+                    "class 3,", "outside the 2 pos_label rows", str(tmp_path / "data"))
+    assert not (tmp_path / "training").exists()
+
+
+@pytest.mark.parametrize("classes", [(1, 0), (5, 5)], ids=["swapped", "both-5"])
+@pytest.mark.parametrize("cmd", ["train", "select-crops"])
+def test_pos_label_class_other_than_its_rank_is_data_error(synth_dir, tmp_path, capsys, cmd,
+                                                           classes):
+    # the bank is ordered by row: these classes were once ignored and training ran on
+    d = tmp_path / "bad"
+    records = copy_dataset(synth_dir, d)
+    assert [r["id"] for r in records[:2]] == ["pos_0", "pos_1"]
+    for rec, cls in zip(records, classes):
+        rec["class"] = cls
+    write_manifest(d / "manifest.jsonl", records)
+    write_manifest(tmp_path / "crops.jsonl", [
+        {"row": i, "id": f"crop_{i}", "role": "crop", "class": 0, "parent": "img_0"}
+        for i in range(8)])
+    argv = {"train": ["train", "--data", str(d), "--out", str(tmp_path / "out"),
+                      "--epochs", "1"],
+            "select-crops": ["select-crops", "--crops", str(d / "test_id.fbnk"),
+                             "--crops-manifest", str(tmp_path / "crops.jsonl"),
+                             "--data", str(d), "-q", "1", "--out", str(tmp_path / "out")]}[cmd]
+    assert run(*argv) == EXIT_DATA
+    assert_one_line(capsys.readouterr().err, "manifest row 0 (id 'pos_0') has class "
+                    f"{classes[0]}, not its rank 0 among the pos_label rows")
+    assert not (tmp_path / "out").exists()
 
 
 def test_select_crops_group_below_2q_names_manifest_parent_and_class(tmp_path, capsys):
     # parent a holds 4 crops and parent b 3, so b cannot give q=2 disjoint crops per side
     rng = np.random.default_rng(99)
     crops = rng.standard_normal((7, 8))
-    labels = rng.standard_normal((2, 8))
+    data = label_dir(tmp_path / "data", rng.standard_normal((2, 8)), n_pos=2)
     write_bank(tmp_path / "crops.fbnk", crops / np.linalg.norm(crops, axis=1, keepdims=True))
-    write_bank(tmp_path / "labels.fbnk", labels / np.linalg.norm(labels, axis=1, keepdims=True))
     write_manifest(tmp_path / "crops.jsonl", [
         {"row": i, "id": f"crop_{i}", "role": "crop", "class": 1, "parent": "a" if i < 4 else "b"}
         for i in range(7)])
     assert run("select-crops", "--crops", str(tmp_path / "crops.fbnk"),
                "--crops-manifest", str(tmp_path / "crops.jsonl"),
-               "--labels", str(tmp_path / "labels.fbnk"), "-q", "2",
-               "--out", str(tmp_path / "training")) == EXIT_DATA
+               "--data", str(data), "-q", "2", "--out", str(tmp_path / "training")) == EXIT_DATA
     assert_one_line(capsys.readouterr().err, str(tmp_path / "crops.jsonl"),
                     "parent 'b', class 1", "q=2, P=3")
     assert not (tmp_path / "training").exists()

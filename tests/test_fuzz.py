@@ -51,11 +51,13 @@ def inputs(tmp_path_factory):
     return root
 
 
-def _outcome(argv, capsys):
+def _outcome(argv, capsys, parses=False):
     """None if main(argv) ends as documented, else a description of what went wrong.
 
     A warning counts against a case, as the lines an `nft-ood` process would print
-    for it, except the readers' notice that they re-normalized a bank.
+    for it, except the readers' notice that they re-normalized a bank. With parses,
+    so does an argparse usage error: the case's flags are all valid, so its files
+    must be read.
     """
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
@@ -64,7 +66,8 @@ def _outcome(argv, capsys):
         code = main([str(a) for a in argv])
     err = capsys.readouterr().err
     if (not caught and code in DOCUMENTED and "Traceback" not in err
-            and len(err.strip().splitlines()) <= 1):
+            and len(err.strip().splitlines()) <= 1
+            and not (parses and err.startswith(f"error: nft-ood {argv[0]}:"))):
         return None
     return (f"{argv}: exit {code}, stderr {err.strip().splitlines()[-1:]}, "
             f"warnings {[str(w.message) for w in caught][:1]}")
@@ -115,27 +118,38 @@ def test_fuzz_file_mutations(inputs, tmp_path, capsys):
             bad.append(_outcome(["score", "--bank", data, "--images", data / "test_id.fbnk",
                                  "--method", "krnft", "--checkpoint", ckpt, "--out", out],
                                 capsys))
-    # select-crops reads the crops and labels .fbnk and the crops manifest, mine-neg
-    # its lexicon and ID .fbnk
+    # select-crops reads the crops .fbnk, the crops manifest and the dataset's labels.fbnk
+    # (its manifest.jsonl below), mine-neg its lexicon and ID .fbnk
     select = {"--crops": data / "test_id.fbnk", "--crops-manifest": data / "crops.jsonl",
-              "--labels": data / "labels.fbnk"}
+              "--data": data}
     mine = {"--lexicon": data / "labels.fbnk", "--id-bank": data / "test_id.fbnk"}
     for command, files, extra in (("select-crops", select, ["-q", "1"]),
                                   ("mine-neg", mine, ["-m", "2"])):
         for flag, path in files.items():
             for i in range(20):
                 mutated = tmp_path / f"{command}{flag}_{i}"
-                mutated.write_bytes(_mutated(rng, path.read_bytes()))
+                if flag == "--data":
+                    _dataset_copy(data, mutated, "labels.fbnk",
+                                  _mutated(rng, (data / "labels.fbnk").read_bytes()))
+                else:
+                    mutated.write_bytes(_mutated(rng, path.read_bytes()))
                 argv = [command, *extra, "--out", tmp_path / f"{command}_out"]
                 for f, p in files.items():
                     argv += [f, mutated if f == flag else p]
-                bad.append(_outcome(argv, capsys))
+                bad.append(_outcome(argv, capsys, parses=True))
     raw = (inputs / "id.csv").read_bytes()
     for i in range(60):
         scores = tmp_path / f"scores_{i}.csv"
         scores.write_bytes(_mutated(rng, raw))
         bad.append(_outcome(["eval", "--scores-id", scores, "--scores-ood",
                              inputs / "ood.csv", "--out", tmp_path / "eval.json"], capsys))
+    raw = (data / "manifest.jsonl").read_bytes()
+    for i in range(20):
+        d = _dataset_copy(data, tmp_path / f"select-crops_manifest_{i}", "manifest.jsonl",
+                          _mutated(rng, raw))
+        bad.append(_outcome(["select-crops", "--crops", data / "test_id.fbnk",
+                             "--crops-manifest", data / "crops.jsonl", "--data", d, "-q", "1",
+                             "--out", tmp_path / "select-crops_out"], capsys, parses=True))
     bad = [b for b in bad if b]
     assert not bad, f"{len(bad)} undocumented outcomes, e.g. {bad[:3]}"
 
@@ -215,31 +229,32 @@ def test_fuzz_fixed_bank_headers(inputs, tmp_path, capsys):
     data, out = inputs / "data", tmp_path / "out"
     values = (None, 0, 2**62, 2**63, 2**64 - 1)
     headers = [(rows, dim) for rows in values for dim in values if (rows, dim) != (None, None)]
+    crops = ["--crops-manifest", data / "crops.jsonl", "-q", "1", "--out", out]
     commands = {"score": lambda d: ["score", "--bank", d, "--images", d / "test_id.fbnk",
                                     "--out", out],
-                "train": lambda d: ["train", "--data", d, "--out", d / "run", *TRAIN]}
-    reads = {"labels.fbnk": ("score", "train"), "train.fbnk": ("train",),
+                "train": lambda d: ["train", "--data", d, "--out", d / "run", *TRAIN],
+                "select-crops": lambda d: ["select-crops", "--data", d,
+                                           "--crops", data / "test_id.fbnk", *crops]}
+    reads = {"labels.fbnk": ("score", "train", "select-crops"), "train.fbnk": ("train",),
              "test_id.fbnk": ("score",)}
-    select = {"--crops": data / "test_id.fbnk", "--crops-manifest": data / "crops.jsonl",
-              "--labels": data / "labels.fbnk"}
+    select = {"--crops": data / "test_id.fbnk"}
     mine = {"--lexicon": data / "labels.fbnk", "--id-bank": data / "test_id.fbnk"}
     bad = []
     for i, (rows, dim) in enumerate(headers):
         for name, readers in reads.items():
             d = _dataset_copy(data, tmp_path / f"{name}_{i}", name,
                               _with_header((data / name).read_bytes(), rows, dim))
-            bad += [_outcome(commands[c](d), capsys) for c in readers]
-        for command, files, extra in (("select-crops", select, ["-q", "1"]),
-                                      ("mine-neg", mine, ["-m", "2"])):
+            bad += [_outcome(commands[c](d), capsys, parses=c == "select-crops")
+                    for c in readers]
+        for command, files, extra in (("select-crops", select, ["--data", data, *crops]),
+                                      ("mine-neg", mine, ["-m", "2", "--out", out])):
             for flag, path in files.items():
-                if flag == "--crops-manifest":
-                    continue
                 edited = tmp_path / f"{command}{flag}_{i}"
                 edited.write_bytes(_with_header(path.read_bytes(), rows, dim))
-                argv = [command, *extra, "--out", tmp_path / f"{command}_out"]
+                argv = [command, *extra]
                 for f, p in files.items():
                     argv += [f, edited if f == flag else p]
-                bad.append(_outcome(argv, capsys))
+                bad.append(_outcome(argv, capsys, parses=command == "select-crops"))
     bad = [b for b in bad if b]
     assert not bad, f"{len(bad)} undocumented outcomes, e.g. {bad[:3]}"
 
@@ -308,10 +323,12 @@ def test_fuzz_flag_values(inputs, tmp_path, capsys):
     bad += [_outcome(commands["synth"] + ["--kappa", value], capsys)
             for value in ("1e160", "1e308")]
     select = ["select-crops", "--crops", data / "test_id.fbnk", "--crops-manifest",
-              data / "crops.jsonl", "--labels", data / "labels.fbnk", "--out", tmp_path / "sel"]
+              data / "crops.jsonl", "--data", data, "--out", tmp_path / "sel"]
     mine = ["mine-neg", "--lexicon", data / "labels.fbnk", "--id-bank", data / "test_id.fbnk",
             "--out", tmp_path / "neg.json"]
-    bad += [_outcome(select + ["-q", value], capsys) for value in COUNT_VALUES]
+    # an integer -q is parsed, so the other flags must be too
+    bad += [_outcome(select + ["-q", value], capsys, parses=value.lstrip("-").isdigit())
+            for value in COUNT_VALUES]
     bad += [_outcome(mine + ["-m", value], capsys) for value in COUNT_VALUES]
     bad += [_outcome(mine + ["-m", "2", "--stat", "quantile", "--quantile", value], capsys)
             for value in FLAG_VALUES]
