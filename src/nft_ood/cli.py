@@ -132,7 +132,7 @@ def cmd_select_crops(args):
                               f"rows of {args.data}")
         groups.setdefault((rec["parent"], rec["class"]), []).append(rec["row"])
     crop_sets = [mining.CropSet(parent_id=parent, label_index=cls, features=crops[sorted(rows)])
-                 for (parent, cls), rows in sorted(groups.items())]
+                 for (parent, cls), rows in groups.items()]
     try:
         training = mining.build_training_set(crop_sets, bank.pos, args.q)
     except QTooLarge as e:

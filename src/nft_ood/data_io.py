@@ -35,7 +35,6 @@ MANIFEST_ROLES = (
 )
 _CLASS_REQUIRED = {"train_pos", "crop"}
 _CLASS_FORBIDDEN = {"neg_label", "train_neg", "test_ood"}
-_KNOWN_KEYS = ("row", "id", "role", "class", "parent")
 
 
 def write_bank(path, mat):
@@ -85,20 +84,15 @@ def read_bank(path, unit_rows=False):
             raise ZeroNorm("bank contains a near-zero feature row")
         if np.any(np.abs(norms - 1.0) > 1e-5):
             warnings.warn("bank rows deviate from unit norm by > 1e-5; re-normalizing")
-            mat = mat / norms[:, None]
+            scale_to_unit(mat)
     return mat
 
 
 def write_manifest(path, records):
-    """Write a list of JSONL manifest records; unknown keys are dropped with a warning."""
+    """Write a list of JSONL manifest records as given, unknown keys included."""
     encode = json.JSONEncoder(sort_keys=True).encode  # the text of json.dumps(r, sort_keys=True)
-    dropped = {k for rec in records for k in rec if k not in _KNOWN_KEYS}
-    if dropped:  # sort_keys makes a record's text independent of its key order
-        records = [{k: rec[k] for k in _KNOWN_KEYS if k in rec} for rec in records]
     with open(path, "w") as f:
         f.write("".join(encode(rec) + "\n" for rec in records))
-    if dropped:
-        warnings.warn(f"dropped unknown manifest keys: {sorted(dropped)}")
 
 
 def _record_error(rec, seen_rows, n_rows):

@@ -7,8 +7,8 @@ from functools import partial
 import numpy as np
 
 from .errors import DimMismatch, EmptyBank, EmptyInput, NoNegativeLabels, NonPositiveInput
-from .model import (_BLOCK_ROWS, IMAGE_INDEPENDENT_MODES, ROLES, _tune_block, flat_buffer,
-                    role_terms, transform_bank)
+from .model import (_BLOCK_ROWS, IMAGE_INDEPENDENT_MODES, ROLES, FeatureBank, _tune_block,
+                    flat_buffer, role_terms, transform_bank)
 from .numerics import as_f64, check_tau, sigmoid
 
 
@@ -36,14 +36,6 @@ _BLOCK_ELEMS = 2**16
 # sorted ID scores per chunk of the AUROC count: bounds its temporaries,
 # whatever the score count
 _AUROC_CHUNK = 2**16
-
-
-def _check_bank(n_pos, n_neg=None):
-    """A score call's check, before any image, of its bank's parts (negative ones unless MCM)."""
-    if n_pos < 1:
-        raise EmptyBank("need at least one positive label row")
-    if n_neg is not None and n_neg < 1:
-        raise NoNegativeLabels("NegLabel score requires negative label rows")
 
 
 def _image_rows(images, dim, single=False):
@@ -115,32 +107,33 @@ def _scores(images, rows, reduce, state=None, n_pos=0):
     return np.array(scores)
 
 
+def _score_one(v, method, bank, state=None, tau_score=1.0):
+    """score_many of the one (dim,) image v, as a float."""
+    v = _image_rows(v, bank.dim, single=True)
+    return float(score_many(v, method, bank, state=state, tau_score=tau_score)[0])
+
+
 def score_neglabel(v, bank_rows, n_pos, tau_score=1.0):
     """sigmoid(logsumexp(pos cosines / tau) - logsumexp(neg cosines / tau)).
 
     Algebraically identical to the ratio of exponentiated positive
-    similarities to the total over positive plus negative labels.
+    similarities to the total over positive plus negative labels. The first
+    n_pos of bank_rows are positive; the rows are scored as given, not copied
+    or normalized.
     """
-    rows = np.asarray(bank_rows, dtype=np.float64)
-    v = _image_rows(v, rows.shape[-1], single=True)
-    check_tau("tau_score", tau_score)
-    _check_bank(n_pos, rows.shape[0] - n_pos)
-    return float(_scores(v, rows, partial(_neglabel_block, n_pos=n_pos, tau_score=tau_score))[0])
+    bank = FeatureBank(matrix=np.asarray(bank_rows, dtype=np.float64), n_pos=n_pos)
+    return _score_one(v, "neglabel", bank, tau_score=tau_score)
 
 
 def score_mcm(v, pos_rows, tau=1.0):
-    """Maximum softmax probability over positive label similarities."""
+    """Maximum softmax probability over positive label similarities, as given."""
     rows = np.asarray(pos_rows, dtype=np.float64)
-    v = _image_rows(v, rows.shape[-1], single=True)
-    check_tau("tau", tau)
-    _check_bank(rows.shape[0])
-    return float(_scores(v, rows, partial(_mcm_block, tau=tau))[0])
+    return _score_one(v, "mcm", FeatureBank(matrix=rows, n_pos=rows.shape[0]), tau_score=tau)
 
 
 def score_krnft(state, v, bank, tau_score=1.0):
-    """NegLabel score on the image-conditionally tuned bank: score_many of the one image v."""
-    v = _image_rows(v, bank.dim, single=True)
-    return float(score_many(v, "krnft", bank, state=state, tau_score=tau_score)[0])
+    """NegLabel score on the image-conditionally tuned bank."""
+    return _score_one(v, "krnft", bank, state=state, tau_score=tau_score)
 
 
 def score_many(images, method, bank, state=None, tau_score=1.0):
@@ -151,8 +144,8 @@ def score_many(images, method, bank, state=None, tau_score=1.0):
     krnft's model width and finite parameters. Every score then comes from
     the one walk, _scores, which tunes krnft's bank block by block, except
     in the image-independent modes: their one tuned bank (transform_bank)
-    serves every image. Results equal the per-image score_* calls, and
-    krnft's transform_bank + score_neglabel, bit for bit.
+    serves every image. The per-image score_* calls are this call on one
+    image; krnft's transform_bank + score_neglabel equals it bit for bit.
     """
     images = _image_rows(images, bank.dim)
     if method not in ("mcm", "neglabel", "krnft"):
@@ -160,12 +153,15 @@ def score_many(images, method, bank, state=None, tau_score=1.0):
     if method == "krnft" and state is None:
         raise EmptyInput("krnft scoring requires a model state")
     check_tau("tau_score", tau_score)
-    _check_bank(bank.n_pos, None if method == "mcm" else bank.n_neg)
+    if bank.n_pos < 1:
+        raise EmptyBank("need at least one positive label row")
+    if method != "mcm" and bank.n_neg < 1:
+        raise NoNegativeLabels("NegLabel score requires negative label rows")
     if method == "mcm":
         return _scores(images, bank.pos, partial(_mcm_block, tau=tau_score))
     reduce = partial(_neglabel_block, n_pos=bank.n_pos, tau_score=tau_score)
     if method == "neglabel":
-        return _scores(images, bank.rows(), reduce)  # from_rows rejected NaN and Inf
+        return _scores(images, bank.rows(), reduce)
     if state.dim != bank.dim:
         raise DimMismatch("bank, model and image feature dimensions must agree")
     as_f64(flat_buffer(state.arrays, state.arrays))  # NaN/Inf parameters

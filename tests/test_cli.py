@@ -238,11 +238,14 @@ def test_select_crops_cli(tmp_path):
                "--epochs", "1") == EXIT_OK
 
 
-def test_select_crops_output_trains_and_scores_as_synth_does(synth_dir, tmp_path):
-    # synth -> select-crops -> train -> score -> eval at fixture shape, on the crop sets
-    # synth drew its D_p/D_n from. select-crops orders crop sets by (parent, class), which
-    # is synth's order while the class and shot numbers have one digit each.
-    cfg = SynthConfig()
+@pytest.mark.parametrize("n_classes", [8, 12])
+def test_select_crops_output_trains_and_scores_as_synth_does(n_classes, tmp_path):
+    # synth -> select-crops -> train -> score -> eval on the crop sets synth drew its D_p/D_n
+    # from. select-crops keeps the crops manifest's order of (parent, class) groups, which is
+    # synth's: at 12 classes a string sort would put train_10_0 before train_1_0.
+    synth_dir = tmp_path / "synth"
+    assert run("synth", "--out", str(synth_dir), "--n-classes", str(n_classes)) == EXIT_OK
+    cfg = SynthConfig(n_classes=n_classes)
     want = oracle_synth(cfg)
     write_bank(tmp_path / "crops.fbnk", np.concatenate([cs.features for cs in want.crop_sets]))
     parents = [(cs.parent_id, cs.label_index) for cs in want.crop_sets for _ in cs.features]

@@ -163,11 +163,9 @@ def test_manifest_class_forbidden_on_negatives(tmp_path):
 
 def test_manifest_unknown_keys(tmp_path):
     path = tmp_path / "m.jsonl"
-    with pytest.warns(UserWarning):
-        write_manifest(
-            path, [{"row": 0, "id": "a", "role": "neg_label", "color": "red"}]
-        )
-    assert "color" not in read_manifest(path)[0]
+    record = {"row": 0, "id": "a", "role": "neg_label", "color": "red"}
+    write_manifest(path, [record])  # a warning fails the test
+    assert read_manifest(path) == [record]
     # unknown keys written by other tools are preserved on read
     path.write_text(
         json.dumps({"row": 0, "id": "a", "role": "neg_label", "extra": 5}) + "\n"
@@ -181,12 +179,10 @@ def test_manifest_bytes_are_per_record_json_dumps(tmp_path):
     records[3] = dict(records[3], id="é\u2603", color="red")
     records[7] = dict(records[7], parent="img_7", score=0.5)
     path = tmp_path / "m.jsonl"
-    with pytest.warns(UserWarning, match=r"\['color', 'score'\]"):
-        write_manifest(path, records)
-    known = ("row", "id", "role", "class", "parent")
+    write_manifest(path, records)  # a warning fails the test
     assert path.read_bytes() == "".join(
-        json.dumps({k: r[k] for k in known if k in r}, sort_keys=True) + "\n"
-        for r in records).encode()
+        json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
+    assert read_manifest(path) == records
 
 
 def test_manifest_row_bounds(tmp_path):

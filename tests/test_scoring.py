@@ -357,13 +357,20 @@ def test_call_level_fault_raises_alike_at_zero_and_one_image(method, mode, fault
     if fault == "overflow":  # u = c + 1e200 is finite, but its squares overflow
         state.arrays["pos_net.b_beta" if mode == "mlp" else "pos_head.beta"][:] = 1e200
     images = unit_rows(rng, 1, 4 if fault == "image-width" else 8)
+    tau = 0.0 if fault == "tau" else 1.0
     raised = []
     for count in (0, 1):
         with pytest.raises(NftError) as info:
-            score_many(images[:count], method, bank, state=state,
-                       tau_score=0.0 if fault == "tau" else 1.0)
+            score_many(images[:count], method, bank, state=state, tau_score=tau)
         raised.append(info.type)
     assert raised[0] is raised[1]
+    # the method's per-image call is score_many of its one image: it raises alike
+    per_image = {"mcm": lambda v: score_mcm(v, bank.pos, tau),
+                 "neglabel": lambda v: score_neglabel(v, bank.rows(), bank.n_pos, tau),
+                 "krnft": lambda v: score_krnft(state, v, bank, tau)}[method]
+    with pytest.raises(NftError) as info:
+        per_image(images[0])
+    assert info.type is raised[0]
 
 
 # ---- metrics ----
