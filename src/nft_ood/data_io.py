@@ -58,22 +58,20 @@ def read_bank(path, unit_rows=False):
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < 24:
-        raise FormatError("bank file too short for header")
+        raise FormatError(f"{path}: bank file too short for header")
     if data[:4] != BANK_MAGIC:
-        raise FormatError("bad bank magic")
+        raise FormatError(f"{path}: bad bank magic")
     version, dtype, _ = struct.unpack("<BBH", data[4:8])
     if version != BANK_VERSION:
-        raise FormatError(f"unsupported bank version {version}")
+        raise FormatError(f"{path}: unsupported bank version {version}")
     if dtype != BANK_DTYPE_F32:
-        raise FormatError(f"unsupported bank dtype code {dtype}")
+        raise FormatError(f"{path}: unsupported bank dtype code {dtype}")
     rows, dim = struct.unpack("<QQ", data[8:24])
     if not 0 < dim <= MAX_ELEMS:  # then the payload check bounds rows: numpy can shape both
         raise FormatError(f"{path}: bank header declares width {dim}, not in [1, {MAX_ELEMS}]")
     expected = rows * dim * 4
     if len(data) - 24 != expected:
-        raise FormatError(
-            f"payload length {len(data) - 24} != rows*dim*4 = {expected}"
-        )
+        raise FormatError(f"{path}: payload length {len(data) - 24} != rows*dim*4 = {expected}")
     mat = np.frombuffer(data[24:], dtype="<f4").astype(np.float64).reshape(rows, dim)
     if unit_rows:
         norms = np.sqrt(np.sum(mat * mat, axis=1))
@@ -81,7 +79,7 @@ def read_bank(path, unit_rows=False):
         if bad.size:
             raise NonFiniteInput(f"{path}: row {bad[0]} contains NaN or Inf")
         if np.any(norms < 1e-6):
-            raise ZeroNorm("bank contains a near-zero feature row")
+            raise ZeroNorm(f"{path}: row {np.argmax(norms < 1e-6)} has near-zero norm")
         if np.any(np.abs(norms - 1.0) > 1e-5):
             warnings.warn("bank rows deviate from unit norm by > 1e-5; re-normalizing")
             scale_to_unit(mat)

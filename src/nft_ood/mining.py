@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimMismatch, EmptyBank, InvalidConfig, NonFiniteInput, QTooLarge,
-                     TooFewCandidates)
+from .errors import (BadClassIndex, DimMismatch, EmptyBank, InvalidConfig, NonFiniteInput,
+                     QTooLarge, TooFewCandidates)
 from .model import TrainingSet
 from .numerics import as_f64
 
@@ -121,6 +121,10 @@ def build_training_set(crop_sets, label_rows, q):
     Rows follow the crop-set order; one parent may hold crops of several
     classes, one crop set per class. No crop sets give empty sets of width D.
     """
+    for cs in crop_sets:  # a class must be a row: -1 would select against the last one
+        if not 0 <= cs.label_index < len(label_rows):
+            raise BadClassIndex(f"crop set of parent {cs.parent_id!r} has class {cs.label_index}, "
+                                f"not a row of the {len(label_rows)} label rows")
     classes = np.array([cs.label_index for cs in crop_sets], dtype=int)
     feats, top, bottom = _select(crop_sets, label_rows[classes], q)
     return TrainingSet(pos_features=feats[top.ravel()], pos_labels=np.repeat(classes, q),

@@ -46,6 +46,18 @@ def normalize_rows(m):
     return m
 
 
+def softmax_rows(x):
+    """(log-sum-exp, softmax) of each row of the 2-d x, from one pass of exponentials: with m
+    the row max and e = exp(x - m), m + log(sum(e)) by math.log (np.log can differ in the last
+    bit) and e / sum(e). A one-entry row's log-sum-exp is its own value, exactly."""
+    m = x.max(axis=1, keepdims=True)
+    e = np.subtract(x, m)
+    np.exp(e, out=e)
+    t = e.sum(axis=1, keepdims=True)
+    e /= t
+    return m.ravel() + [math.log(s) for s in t.ravel().tolist()], e
+
+
 def sigmoid(x):
     # split on sign to avoid overflow in exp
     if x >= 0:

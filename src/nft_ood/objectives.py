@@ -50,7 +50,7 @@ from .errors import (
 )
 from .model import (IMAGE_INDEPENDENT_MODES, ROLES, TrainingSet, _tune_block, flat_arrays,
                     role_arrays, role_terms)
-from .numerics import EPS_NORM, as_f64, check_tau
+from .numerics import EPS_NORM, as_f64, check_tau, softmax_rows
 
 KR_VARIANTS = ("feature", "logits", "prob")
 KR_SCOPES = ("pos", "both")
@@ -95,16 +95,6 @@ def _validate_batch(bank, batch):
         raise BadClassIndex("batch contains a class index outside the bank")
     if batch.n_neg and bank.n_neg == 0:
         raise NoNegativeLabels("negative samples require negative labels in the bank")
-
-
-def _softmax_rows(x):
-    """(log-sum-exp, softmax) of each row of x, from one pass of exponentials."""
-    m = x.max(axis=1, keepdims=True)
-    e = np.subtract(x, m)
-    np.exp(e, out=e)
-    t = e.sum(axis=1, keepdims=True)
-    e /= t
-    return (m + np.log(t)).ravel(), e
 
 
 def _images(batch):
@@ -243,7 +233,7 @@ def _loss(state, bank, batch, cfg, with_grads):
     f = _forward(state, bank, imgs, n_kr if feature else 0)
     k = f.s.shape[1]
     logits = f.s / tau
-    lse_all, g_s = _softmax_rows(logits)  # the softmax, made dL/ds in place
+    lse_all, g_s = softmax_rows(logits)  # the softmax, made dL/ds in place
     g_d = 0.0  # dL/d(c . c'), the same for every regularized image and bank row
     l_pos = l_neg = l_kr = 0.0
     if n_p:
@@ -253,7 +243,7 @@ def _loss(state, bank, batch, cfg, with_grads):
         g_s[idx, y] -= 1.0
         g_s[:n_p] /= n_p * tau
     if n_n:
-        lse_id, p_id = _softmax_rows(logits[n_p:, :n])
+        lse_id, p_id = softmax_rows(logits[n_p:, :n])
         l_neg = float((lse_id - lse_all[n_p:]).sum() / n_n)
         g_s[n_p:, :n] -= p_id
         g_s[n_p:] *= -cfg.lambda1 / (n_n * tau)
@@ -269,8 +259,8 @@ def _loss(state, bank, batch, cfg, with_grads):
                 kr_per_img = (gap * gap).sum(axis=1) / k
                 g_s[:n_kr] += (2.0 * w_kr / k) * gap
             else:  # prob
-                p0 = _softmax_rows(t0)[1]
-                lse_q, q = _softmax_rows(s)
+                p0 = softmax_rows(t0)[1]
+                lse_q, q = softmax_rows(s)
                 kr_per_img = -(p0 * (s - lse_q[:, None])).sum(axis=1)
                 g_s[:n_kr] += w_kr * (q - p0)
         l_kr = float(kr_per_img.sum() / n_kr)

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DimMismatch, EmptyBank, EmptyInput, NoNegativeLabels, NonPositiveInput
 from .model import (_BLOCK_ROWS, IMAGE_INDEPENDENT_MODES, ROLES, FeatureBank, _tune_block,
                     flat_buffer, role_terms, transform_bank)
-from .numerics import as_f64, check_tau, sigmoid
+from .numerics import as_f64, check_tau, sigmoid, softmax_rows
 
 
 @dataclass
@@ -47,30 +47,16 @@ def _image_rows(images, dim, single=False):
     return images.reshape(-1, dim)
 
 
-def _logsumexp_rows(x):
-    """log(sum(exp(row))) of each row of x: its max m plus the log of the sum of
-    exp(row - m); a one-entry row is its own value, exactly, since log(exp(0)) is 0."""
-    m = np.max(x, axis=1)
-    s = np.sum(np.exp(x - m[:, None]), axis=1)
-    return [a + math.log(b) for a, b in zip(m.tolist(), s.tolist())]
-
-
 def _neglabel_block(cos, n_pos, tau_score):
-    # the NaN/Inf check of a caller's rows and of cos / tau, which a tiny tau overflows
-    x = as_f64(cos / tau_score)
-    pos, neg = _logsumexp_rows(x[:, :n_pos]), _logsumexp_rows(x[:, n_pos:])
-    return [sigmoid(p - q) for p, q in zip(pos, neg)]
+    x = as_f64(cos / tau_score)  # NaN/Inf check: a caller's rows, or a tiny tau's overflow
+    d = softmax_rows(x[:, :n_pos])[0] - softmax_rows(x[:, n_pos:])[0]
+    return [sigmoid(t) for t in d.tolist()]
 
 
 def _mcm_block(cos, tau):
-    """Max softmax probability per row: e = exp(x - max(x)) with x = cos / tau.
-
-    max(e) / sum(e) equals the max of the softmax e / sum(e) bit for bit,
-    because rounded division by a positive number is monotone.
-    """
-    x = as_f64(cos / tau)  # NaN/Inf check: cos / tau overflows on rows of large norm
-    e = np.exp(x - np.max(x, axis=1)[:, None])
-    return (np.max(e, axis=1) / np.sum(e, axis=1)).tolist()
+    # the max softmax of x = cos / tau: the bits of max(e) / sum(e), since rounded division by
+    # a positive number is monotone; as_f64 checks x, which overflows on rows of large norm
+    return softmax_rows(as_f64(cos / tau))[1].max(axis=1).tolist()
 
 
 def _scores(images, rows, reduce, state=None, n_pos=0):
@@ -113,6 +99,14 @@ def _score_one(v, method, bank, state=None, tau_score=1.0):
     return float(score_many(v, method, bank, state=state, tau_score=tau_score)[0])
 
 
+def _rows_bank(rows, n_pos=None):
+    """A caller's (K, D) label rows, the first n_pos (default all) positive, as given."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise DimMismatch(f"label rows of shape {rows.shape} are not a (K, D) matrix")
+    return FeatureBank(matrix=rows, n_pos=rows.shape[0] if n_pos is None else n_pos)
+
+
 def score_neglabel(v, bank_rows, n_pos, tau_score=1.0):
     """sigmoid(logsumexp(pos cosines / tau) - logsumexp(neg cosines / tau)).
 
@@ -121,14 +115,12 @@ def score_neglabel(v, bank_rows, n_pos, tau_score=1.0):
     n_pos of bank_rows are positive; the rows are scored as given, not copied
     or normalized.
     """
-    bank = FeatureBank(matrix=np.asarray(bank_rows, dtype=np.float64), n_pos=n_pos)
-    return _score_one(v, "neglabel", bank, tau_score=tau_score)
+    return _score_one(v, "neglabel", _rows_bank(bank_rows, n_pos), tau_score=tau_score)
 
 
 def score_mcm(v, pos_rows, tau=1.0):
     """Maximum softmax probability over positive label similarities, as given."""
-    rows = np.asarray(pos_rows, dtype=np.float64)
-    return _score_one(v, "mcm", FeatureBank(matrix=rows, n_pos=rows.shape[0]), tau_score=tau)
+    return _score_one(v, "mcm", _rows_bank(pos_rows), tau_score=tau)
 
 
 def score_krnft(state, v, bank, tau_score=1.0):

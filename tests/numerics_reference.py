@@ -1,9 +1,9 @@
 """Scalar reference kernels the tests check the library against.
 
 One vector at a time, with max-subtraction where an exponential could
-overflow: `scoring`'s blocked MCM and NegLabel reductions must equal
-`stable_softmax` and `logsumexp` per row, and the loss references build on
-them.
+overflow: `numerics.softmax_rows`, the kernel of scoring's MCM and NegLabel
+reductions and of the training loss, must equal `logsumexp` and the max of
+`stable_softmax` per row, and the loss references build on them.
 """
 
 import math

@@ -9,10 +9,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _smoke(workload, *extra):
+    # pyproject.toml's warning filters do not reach a subprocess: a stray numpy
+    # RuntimeWarning or library UserWarning fails the run here too
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "1",
          *extra],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
+        env=dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning,error::UserWarning"),
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])

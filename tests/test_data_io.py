@@ -54,7 +54,7 @@ def test_bank_header_fields_exact(tmp_path):
 def test_bank_bad_magic(tmp_path):
     path = tmp_path / "m.fbnk"
     path.write_bytes(b"XXXX" + b"\x00" * 32)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: bad bank magic$"):
         read_bank(path)
 
 
@@ -62,7 +62,10 @@ def test_bank_short_payload(tmp_path):
     path = tmp_path / "m.fbnk"
     header = b"FBNK" + struct.pack("<BBH", 1, 1, 0) + struct.pack("<QQ", 2, 2)
     path.write_bytes(header + b"\x00" * 15)  # needs 16 payload bytes
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: payload length 15 "):
+        read_bank(path)
+    path.write_bytes(header[:23])
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: bank file too short"):
         read_bank(path)
 
 
@@ -70,11 +73,11 @@ def test_bank_unknown_version_and_dtype(tmp_path):
     path = tmp_path / "m.fbnk"
     header = b"FBNK" + struct.pack("<BBH", 2, 1, 0) + struct.pack("<QQ", 0, 0)
     path.write_bytes(header)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: unsupported bank version 2"):
         read_bank(path)
     header = b"FBNK" + struct.pack("<BBH", 1, 9, 0) + struct.pack("<QQ", 0, 0)
     path.write_bytes(header)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: unsupported bank dtype"):
         read_bank(path)
 
 
@@ -100,8 +103,8 @@ def test_bank_unit_rows_renormalized_with_warning(tmp_path):
 
 def test_bank_unit_rows_rejects_near_zero(tmp_path):
     path = tmp_path / "m.fbnk"
-    write_bank(path, np.array([[1e-7, 0.0]]))
-    with pytest.raises(ZeroNorm):
+    write_bank(path, np.array([[1.0, 0.0], [1e-7, 0.0]]))
+    with pytest.raises(ZeroNorm, match=f"^{re.escape(str(path))}: row 1 has near-zero norm$"):
         read_bank(path, unit_rows=True)
 
 

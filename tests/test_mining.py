@@ -4,6 +4,7 @@ import pytest
 from conftest import unit_rows
 from nft_ood import mining
 from nft_ood.errors import (
+    BadClassIndex,
     DimMismatch,
     EmptyBank,
     InvalidConfig,
@@ -183,6 +184,16 @@ def test_select_q_too_large():
     # the error names the first crop set too small, here the second of two
     crop_sets = [CropSet("a", 0, feats), CropSet("b", 1, unit_rows(rng, 3, 6))]
     with pytest.raises(QTooLarge, match="parent 'b', class 1: .* got q=2, P=3"):
+        build_training_set(crop_sets, unit_rows(rng, 2, 6), 2)
+
+
+@pytest.mark.parametrize("cls", [-1, 2])
+def test_build_training_set_class_outside_label_rows(cls):
+    # -1 once selected against the last label row and returned class -1, 2 (N) raised a
+    # bare IndexError; the check runs before selection, which would raise QTooLarge on "a"
+    rng = np.random.default_rng(78)
+    crop_sets = [CropSet("a", 0, unit_rows(rng, 3, 6)), CropSet("b", cls, unit_rows(rng, 4, 6))]
+    with pytest.raises(BadClassIndex, match=f"parent 'b' has class {cls}, not a row of the 2 "):
         build_training_set(crop_sets, unit_rows(rng, 2, 6), 2)
 
 

@@ -14,7 +14,8 @@ from nft_ood.errors import (
     ZeroNorm,
 )
 from nft_ood.model import TrainingSet, init_model
-from nft_ood.numerics import check_tau, normalize_rows, philox, scale_to_unit, sigmoid
+from nft_ood.numerics import (check_tau, normalize_rows, philox, scale_to_unit, sigmoid,
+                              softmax_rows)
 from nft_ood.trainer import make_batches
 from numerics_reference import cosine, l2_normalize, logsumexp, stable_softmax
 
@@ -105,27 +106,56 @@ def test_cosine_zero_vector_rejected():
         cosine([0, 0], [1, 0])
 
 
+def _kernel_logsumexp(xs):
+    """numerics.softmax_rows' log-sum-exp of the one row xs."""
+    return float(softmax_rows(np.array([xs], dtype=np.float64))[0][0])
+
+
+# the scalar reference and the library's one kernel
+LOGSUMEXPS = (logsumexp, _kernel_logsumexp)
+
+
 def test_logsumexp_singleton_exact():
-    assert logsumexp([0.0]) == 0.0
-    assert logsumexp([-3.75]) == -3.75
+    for lse in LOGSUMEXPS:
+        assert lse([0.0]) == 0.0
+        assert lse([-3.75]) == -3.75
 
 
 def test_logsumexp_duplicate():
-    for a in (0.0, 1.5, -20.0):
-        assert logsumexp([a, a]) == pytest.approx(a + math.log(2), abs=1e-12)
+    for lse in LOGSUMEXPS:
+        for a in (0.0, 1.5, -20.0):
+            assert lse([a, a]) == pytest.approx(a + math.log(2), abs=1e-12)
 
 
 def test_logsumexp_no_overflow():
-    assert logsumexp([1000.0, 1000.0]) == pytest.approx(
-        1000.0 + math.log(2), abs=1e-9
-    )
+    for lse in LOGSUMEXPS:
+        assert lse([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2), abs=1e-9)
 
 
 def test_logsumexp_shift_property():
     rng = np.random.default_rng(4)
     xs = rng.standard_normal(10)
-    for k in (0.5, -3.0, 100.0):
-        assert logsumexp(xs + k) == pytest.approx(logsumexp(xs) + k, abs=1e-10)
+    for lse in LOGSUMEXPS:
+        for k in (0.5, -3.0, 100.0):
+            assert lse(xs + k) == pytest.approx(lse(xs) + k, abs=1e-10)
+
+
+@pytest.mark.parametrize("k", [1, 9, 300])
+def test_softmax_rows_matches_the_scalar_references_bit_for_bit(k):
+    # scoring's NegLabel and MCM pins rest on these bits: the log-sum-exp of the
+    # scalar reference, and the max of the softmax equal to max(e) / sum(e)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((48, k)) * 30.0
+    x[::3, k // 2] = x[::3, 0]  # ties, among them the max of some rows
+    x[1::4] = x[1::4, :1]  # rows of one repeated value
+    lse, p = softmax_rows(x)
+    assert lse.shape == (48,) and p.shape == x.shape
+    for row, l, q in zip(x, lse.tolist(), p):
+        e = np.exp(row - np.max(row))
+        assert l == logsumexp(row)
+        assert q.max() == e.max() / e.sum()
+    if k == 1:  # a one-entry row is its own log-sum-exp, and all of the softmax
+        assert lse.tolist() == x[:, 0].tolist() and (p == 1.0).all()
 
 
 def test_logsumexp_empty_rejected():

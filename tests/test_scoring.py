@@ -318,6 +318,11 @@ def test_score_many_unknown_method():
         DimMismatch, "dimensions must agree", id="model-narrower-than-bank"),
     pytest.param(lambda bank, images: score_neglabel(images[0], bank.rows(), 0),
                  EmptyBank, "at least one positive", id="neglabel-without-positives"),
+    # label rows are a (K, D) matrix: one (D,) row once raised a bare IndexError
+    pytest.param(lambda bank, images: score_neglabel(images[0], bank.rows()[0], 1),
+                 DimMismatch, r"label rows of shape \(8,\)", id="neglabel-one-label-row"),
+    pytest.param(lambda bank, images: score_mcm(images[0], bank.pos[0]),
+                 DimMismatch, r"label rows of shape \(8,\)", id="mcm-one-label-row"),
     # a per-image call takes one (D,) image; neglabel and mcm once raised numpy's ValueError
     *[pytest.param(lambda bank, images, call=call, image=image: call(bank, image(images)),
                    DimMismatch, "image features", id=f"{name}-{tag}")
