@@ -10,15 +10,14 @@ import json
 import math
 import os
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError, InvalidConfig, NonFiniteInput, SchemaError, ZeroNorm
+from .errors import DataError, FormatError, InvalidConfig, SchemaError
 from .mining import CropSet, build_training_set
 from .model import FeatureBank, TrainingSet
-from .numerics import MAX_ELEMS, as_f64, philox, scale_to_unit
+from .numerics import MAX_ELEMS, as_f64, check_unit_rows, philox, scale_to_unit
 
 BANK_MAGIC = b"FBNK"
 BANK_VERSION = 1
@@ -48,13 +47,8 @@ def write_bank(path, mat):
 
 
 def read_bank(path, unit_rows=False):
-    """Read an FBNK file as a float64 matrix.
-
-    With unit_rows=True the rows are treated as feature vectors: a row with
-    a NaN or Inf cell (its norm is not finite) or with norm below 1e-6 is
-    rejected, and rows whose norm deviates from 1 by more than 1e-5 are
-    re-normalized with a warning.
-    """
+    """Read an FBNK file as a float64 matrix. With unit_rows=True its rows are held to
+    numerics.check_unit_rows, named by path, and re-normalized only if that says so."""
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < 24:
@@ -73,16 +67,8 @@ def read_bank(path, unit_rows=False):
     if len(data) - 24 != expected:
         raise FormatError(f"{path}: payload length {len(data) - 24} != rows*dim*4 = {expected}")
     mat = np.frombuffer(data[24:], dtype="<f4").astype(np.float64).reshape(rows, dim)
-    if unit_rows:
-        norms = np.sqrt(np.sum(mat * mat, axis=1))
-        bad = np.flatnonzero(~np.isfinite(norms))
-        if bad.size:
-            raise NonFiniteInput(f"{path}: row {bad[0]} contains NaN or Inf")
-        if np.any(norms < 1e-6):
-            raise ZeroNorm(f"{path}: row {np.argmax(norms < 1e-6)} has near-zero norm")
-        if np.any(np.abs(norms - 1.0) > 1e-5):
-            warnings.warn("bank rows deviate from unit norm by > 1e-5; re-normalizing")
-            scale_to_unit(mat)
+    if unit_rows and check_unit_rows(np.sqrt(np.sum(mat * mat, axis=1)), path):
+        scale_to_unit(mat)
     return mat
 
 

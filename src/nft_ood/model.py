@@ -10,21 +10,18 @@ coincides with zero-shot scoring.
 import json
 import math
 import struct
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimMismatch, FormatError, InvalidDim, NonFiniteInput
-from .numerics import MAX_ELEMS, as_f64, philox, scale_to_unit
+from .numerics import MAX_ELEMS, as_f64, check_unit_rows, philox, scale_to_unit
 
 MODES = ("const_shift", "vec_shift", "scale_shift", "mlp")
 # modes whose tuned bank does not depend on the image feature
 IMAGE_INDEPENDENT_MODES = ("const_shift", "mlp")
 ROLES = ("positive", "negative")
-
-_MODE_CODE = {m: i for i, m in enumerate(MODES)}
 
 CHECKPOINT_MAGIC = b"NFTC"
 CHECKPOINT_VERSION = 2  # v1 files are still read
@@ -47,9 +44,7 @@ class FeatureBank:
         if pos.shape[0] < 1:
             raise InvalidDim("bank needs at least one positive label row")
         matrix = np.concatenate([pos, neg])
-        norms = scale_to_unit(matrix)
-        if np.any(np.abs(norms - 1.0) > 1e-5):
-            warnings.warn("bank rows deviate from unit norm by > 1e-5; re-normalizing")
+        check_unit_rows(scale_to_unit(matrix), "label bank")
         matrix.flags.writeable = False
         return cls(matrix=matrix, n_pos=pos.shape[0])
 
@@ -79,6 +74,11 @@ class FeatureBank:
         sq = self.matrix * self.matrix
         sq.flags.writeable = False
         return sq
+
+    @cached_property
+    def unit(self):
+        """Whether every row's c . c is within 1e-12 of 1, as `vec_shift` training takes it."""
+        return bool((np.abs(np.einsum("ij,ij->i", self.matrix, self.matrix) - 1.0) <= 1e-12).all())
 
 
 @dataclass
@@ -165,11 +165,12 @@ def flat_arrays(arrays, flat=None):
 
 
 def flat_buffer(arrays, keys):
-    """The arrays of keys as one flat array: the flat_arrays buffer they view, or a copy."""
+    """The arrays of keys as one flat array: the flat_arrays buffer they view, if arrays
+    lists exactly keys in their order (flat_arrays lays views out in dict order), or a copy."""
     parts = [arrays[k] for k in keys]
     base = parts[0].base
-    if base is not None and all(a.base is base for a in parts) and base.shape == (
-            sum(a.size for a in parts),):
+    if list(arrays) == list(keys) and base is not None and all(
+            a.base is base for a in parts) and base.shape == (sum(a.size for a in parts),):
         return base
     return np.concatenate([a.ravel() for a in parts])
 
@@ -297,18 +298,15 @@ def transform_bank(state, bank, v):
     return out
 
 
-def _canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def save_checkpoint(ckpt, path):
     """Write a v2 checkpoint: NFTC magic, version, dims, JSON metadata, the live arrays."""
     state = ckpt.model
-    meta_blob = _canonical_json({"config": ckpt.config, "meta": ckpt.meta})
+    meta_blob = json.dumps({"config": ckpt.config, "meta": ckpt.meta}, sort_keys=True,
+                           separators=(",", ":")).encode("utf-8")
     params = state.params()
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<BBH", CHECKPOINT_VERSION, _MODE_CODE[state.mode], 0))
+        f.write(struct.pack("<BBH", CHECKPOINT_VERSION, MODES.index(state.mode), 0))
         f.write(struct.pack("<II", state.dim, state.hidden))
         f.write(struct.pack("<I", len(meta_blob)))
         f.write(meta_blob)

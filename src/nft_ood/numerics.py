@@ -6,6 +6,7 @@ left-to-right sequential (numpy's default) so results are reproducible.
 """
 
 import math
+import warnings
 
 import numpy as np
 
@@ -37,6 +38,20 @@ def scale_to_unit(m, sq=None):
         raise NumericError("a row's norm overflows")
     np.divide(m, norms[:, None], out=m)
     return norms
+
+
+def check_unit_rows(norms, where):
+    """The one rule for input rows that should be unit, given their norms: NonFiniteInput at
+    the first NaN or Inf, ZeroNorm at the first below 1e-6, each naming where and the row;
+    else whether some norm is off 1 by more than 1e-5, after one warning naming where."""
+    for bad, error, what in ((~np.isfinite(norms), NonFiniteInput, "contains NaN or Inf"),
+                             (norms < 1e-6, ZeroNorm, "has near-zero norm")):
+        if bad.any():
+            raise error(f"{where}: row {bad.argmax()} {what}")
+    off = bool((np.abs(norms - 1.0) > 1e-5).any())
+    if off:
+        warnings.warn(f"{where}: rows deviate from unit norm by > 1e-5; re-normalizing")
+    return off
 
 
 def normalize_rows(m):

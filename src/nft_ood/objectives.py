@@ -42,6 +42,8 @@ import numpy as np
 
 from .errors import (
     BadClassIndex,
+    DataError,
+    DimMismatch,
     EmptyBatch,
     InvalidConfig,
     NoNegativeLabels,
@@ -225,6 +227,10 @@ def _backprop(state, bank, f, imgs, g_s, g_d, grads):
 def _loss(state, bank, batch, cfg, with_grads):
     """Loss report and, if with_grads, the gradients, from one batched forward."""
     _validate_cfg(cfg)
+    if state.dim != bank.dim:
+        raise DimMismatch(f"model width {state.dim} does not match bank width {bank.dim}")
+    if state.mode == "vec_shift" and not bank.unit:  # its forward takes c . c = 1
+        raise DataError("vec_shift trains only on unit bank rows (c . c within 1e-12 of 1)")
     _validate_batch(bank, batch)
     tau, n, n_p, n_n = cfg.tau_loss, bank.n_pos, batch.n_pos, batch.n_neg
     n_kr = n_p + (n_n if cfg.kr_scope == "both" else 0)  # positives come first in imgs

@@ -911,6 +911,18 @@ def test_score_krnft_non_finite_or_overflowing_checkpoint(synth_dir, tmp_path, c
     assert not out.exists()
 
 
+def test_score_warns_once_naming_an_off_unit_images_file(synth_dir, tmp_path):
+    # the warning once named no file
+    images = tmp_path / "doubled.fbnk"
+    write_bank(images, 2.0 * read_bank(synth_dir / "test_id.fbnk"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("score", "--bank", str(synth_dir), "--images", str(images),
+                   "--out", str(tmp_path / "s.csv")) == EXIT_OK
+    assert [str(w.message) for w in caught] == [
+        f"{images}: rows deviate from unit norm by > 1e-5; re-normalizing"]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("name", ["test_id.fbnk", "train.fbnk"])
 def test_non_finite_bank_cell_is_data_error_naming_file_and_row(synth_dir, tmp_path, capsys,

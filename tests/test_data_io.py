@@ -96,7 +96,8 @@ def test_bank_header_numpy_cannot_shape_is_format_error(tmp_path, rows, dim):
 def test_bank_unit_rows_renormalized_with_warning(tmp_path):
     path = tmp_path / "m.fbnk"
     write_bank(path, np.array([[3.0, 4.0]]))
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match=f"^{re.escape(str(path))}: rows deviate from unit "
+                                         f"norm by > 1e-5; re-normalizing$"):
         mat = read_bank(path, unit_rows=True)
     assert np.allclose(mat[0], [0.6, 0.8], atol=1e-6)
 

@@ -44,7 +44,8 @@ def tune_one(state, c, v):
 
 
 def test_bank_renormalizes_with_warning():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="^label bank: rows deviate from unit norm by > 1e-5; "
+                                         "re-normalizing$"):
         bank = FeatureBank.from_rows([[3.0, 4.0]], [[0.0, 2.0]])
     assert np.allclose(bank.pos[0], [0.6, 0.8])
     assert np.allclose(bank.neg[0], [0.0, 1.0])
@@ -75,6 +76,14 @@ def test_bank_rejects_a_zero_row(k):
     rows = unit_rows(np.random.default_rng(0), 4, 4)
     rows[k] = 0.0
     with pytest.raises(ZeroNorm):
+        FeatureBank.from_rows(rows[:2], rows[2:])
+
+
+def test_bank_rejects_a_row_of_norm_below_the_input_threshold():
+    # the rule of .fbnk rows: norm 1e-7 was once re-normalized with a warning
+    rows = unit_rows(np.random.default_rng(0), 4, 4)
+    rows[3] *= 1e-7
+    with pytest.raises(ZeroNorm, match="^label bank: row 3 has near-zero norm$"):
         FeatureBank.from_rows(rows[:2], rows[2:])
 
 

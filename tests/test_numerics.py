@@ -14,8 +14,8 @@ from nft_ood.errors import (
     ZeroNorm,
 )
 from nft_ood.model import TrainingSet, init_model
-from nft_ood.numerics import (check_tau, normalize_rows, philox, scale_to_unit, sigmoid,
-                              softmax_rows)
+from nft_ood.numerics import (check_tau, check_unit_rows, normalize_rows, philox, scale_to_unit,
+                              sigmoid, softmax_rows)
 from nft_ood.trainer import make_batches
 from numerics_reference import cosine, l2_normalize, logsumexp, stable_softmax
 
@@ -78,6 +78,21 @@ def test_scale_to_unit_first_bad_row_decides(rows, exc):
     with pytest.raises(NumericError) as e:
         scale_to_unit(np.array(rows))
     assert e.type is exc
+
+
+def test_check_unit_rows_names_where_and_the_first_bad_row():
+    assert check_unit_rows(np.array([1.0, 1.0 + 9e-6, 1.0 - 9e-6]), "f.fbnk") is False
+    assert check_unit_rows(np.array([]), "f.fbnk") is False
+    with pytest.warns(UserWarning) as caught:
+        assert check_unit_rows(np.array([1.0, 2.0, 0.5]), "f.fbnk") is True
+    assert [str(w.message) for w in caught] == [
+        "f.fbnk: rows deviate from unit norm by > 1e-5; re-normalizing"]
+    # every NaN or Inf row is checked before any small one
+    for norms, exc, message in (
+            ([1.0, 1e-7, math.inf, math.nan], NonFiniteInput, "row 2 contains NaN or Inf"),
+            ([1.0, 2.0, 1e-7, 0.0], ZeroNorm, "row 2 has near-zero norm")):
+        with pytest.raises(exc, match=f"^f.fbnk: {message}$"):
+            check_unit_rows(np.array(norms), "f.fbnk")
 
 
 def test_cosine_examples():

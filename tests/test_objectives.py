@@ -17,6 +17,8 @@ from loss_reference import (
 )
 from nft_ood.errors import (
     BadClassIndex,
+    DataError,
+    DimMismatch,
     EmptyBatch,
     InvalidConfig,
     NoNegativeLabels,
@@ -341,6 +343,18 @@ def test_batch_of_the_wrong_width_is_rejected_by_every_loss_call(pos, neg):
     for call in (total_loss, backward):
         with pytest.raises(ShapeMismatch, match="training features do not match bank"):
             call(state, bank, batch, TrainConfig())
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_model_of_another_width_is_rejected_by_every_training_call(mode):
+    # const_shift once returned a loss, and the other modes raised numpy's ValueError
+    rng = np.random.default_rng(31)
+    bank = FeatureBank.from_rows(unit_rows(rng, 3, 32), unit_rows(rng, 4, 32))
+    batch = make_batch(rng, 2, 2, 3, 32)
+    state = init_model(16, mode=mode, seed=0)
+    for call in (total_loss, backward, train):
+        with pytest.raises(DimMismatch, match="^model width 16 does not match bank width 32$"):
+            call(state, bank, batch, TrainConfig(epochs=1))
 
 
 def test_total_loss_permutation_invariant():
@@ -689,6 +703,22 @@ def test_backward_without_negative_labels_matches_loop_reference(mode):
     bank = FeatureBank.from_rows(bank.pos, np.zeros((0, bank.dim)))
     pos_only = Batch(batch.pos_features, batch.pos_labels, np.zeros((0, bank.dim)))
     assert_matches_loop_reference(state, bank, pos_only, cfg)
+
+
+def test_vec_shift_trains_only_on_unit_bank_rows():
+    # its forward takes c . c = 1: on a bank of norm-2 rows built directly, as scoring
+    # wraps a caller's rows, its loss and gradients once disagreed with the loop's
+    state, bank, batch, cfg, _ = gradcheck_instance("vec_shift", "feature", 48)
+    doubled = FeatureBank(matrix=2.0 * bank.rows(), n_pos=bank.n_pos)
+    for call in (total_loss, backward, train):
+        with pytest.raises(DataError, match="^vec_shift trains only on unit bank rows"):
+            call(state, doubled, batch, cfg)
+    assert vars(doubled)["unit"] is False  # checked once per bank
+    assert_matches_loop_reference(state, FeatureBank(matrix=bank.rows(), n_pos=bank.n_pos),
+                                  batch, cfg)
+    for mode in ("const_shift", "scale_shift", "mlp"):  # they read c . c from the rows
+        state = gradcheck_instance(mode, "feature", 48)[0]
+        assert_matches_loop_reference(state, doubled, batch, cfg)
 
 
 def test_bank_squares_are_read_only_and_built_by_training_only():

@@ -9,6 +9,7 @@ from nft_ood.model import (
     Checkpoint,
     FeatureBank,
     TrainingSet,
+    flat_arrays,
     init_model,
     save_checkpoint,
 )
@@ -130,10 +131,12 @@ def test_adamw_shape_mismatch():
         adamw_step(params, {"w": np.zeros(2)}, opt, cfg)
 
 
-@pytest.mark.parametrize("flat", [True, False])
+@pytest.mark.parametrize("flat", [True, False, "reversed"])
 @pytest.mark.parametrize("mode", MODES)
 def test_adamw_matches_per_array_reference(mode, flat):
-    # flat: the library's arrays, views of one buffer each; otherwise separate copies
+    # flat: the library's arrays, views of one buffer each; otherwise separate copies.
+    # reversed: the library's, with gradients viewing one buffer in reversed key order,
+    # which was once read as if laid out in the parameters' order
     rng = np.random.default_rng(49)
     state = init_model(8, hidden=4, mode=mode, seed=3)
     for arr in state.params().values():
@@ -149,6 +152,8 @@ def test_adamw_matches_per_array_reference(mode, flat):
     for _ in range(6):
         grads = zero_gradients(state) if flat else {k: np.zeros_like(a)
                                                     for k, a in params.items()}
+        if flat == "reversed":
+            grads = flat_arrays(dict(reversed(grads.items())))
         for g in grads.values():
             g += rng.standard_normal(g.shape)
         adamw_step(params, grads, opt, cfg)
