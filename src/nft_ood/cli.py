@@ -2,8 +2,8 @@
 
 Subcommands cover the full pipeline: synthetic data generation, negative
 label mining, crop selection, training, scoring, metric evaluation, and a
-gradient self-check. Exit codes: 0 success, 1 usage/config error, 2
-data/format error, 3 numeric failure, 4 internal error (a bug; its
+gradient self-check. Exit codes: 0 success, 1 usage/config error (or out of
+memory), 2 data/format error, 3 numeric failure, 4 internal error (a bug; its
 traceback is printed).
 """
 
@@ -152,10 +152,10 @@ _TRAIN_RUN_KEYS = {"data_dir": str, "mode": str, "hidden": int}
 def cmd_train(args):
     keys = _config_keys(TrainConfig)
     file_cfg = _load_config_file(args.config, dict(keys, **_TRAIN_RUN_KEYS))
-    data_dir = args.data or file_cfg.get("data_dir")
-    if data_dir is None:
+    data_dir = file_cfg.get("data_dir") if args.data is None else args.data
+    if not data_dir:  # "" would name the working directory
         raise ConfigError("train requires --data or a data_dir config entry")
-    mode = args.mode or file_cfg.get("mode", "scale_shift")
+    mode = file_cfg.get("mode", "scale_shift") if args.mode is None else args.mode
     hidden = args.hidden if args.hidden is not None else file_cfg.get("hidden")
     cfg = TrainConfig(**_merged(file_cfg, args, keys))
     bank, training = data_io.read_dataset(data_dir)
@@ -354,10 +354,8 @@ def build_parser():
     return p
 
 
-@functools.cache
-def _parser():
-    # parse_args leaves the parser unchanged, so one per process serves every call
-    return build_parser()
+# parse_args leaves the parser unchanged, so one per process serves every call
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None):
@@ -375,6 +373,9 @@ def main(argv=None):
     except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as e:  # a size that passes the shape checks but not the machine
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception:  # a bug: keep it visible, under a code of its own
         traceback.print_exc()
         print("internal error: the traceback above is a bug", file=sys.stderr)

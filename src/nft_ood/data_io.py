@@ -43,7 +43,7 @@ def write_bank(path, mat):
         f.write(BANK_MAGIC)
         f.write(struct.pack("<BBH", BANK_VERSION, BANK_DTYPE_F32, 0))
         f.write(struct.pack("<QQ", rows, dim))
-        f.write(mat.astype("<f4").tobytes())
+        f.write(mat.astype("<f4", order="C"))
 
 
 def read_bank(path, unit_rows=False):
@@ -67,7 +67,8 @@ def read_bank(path, unit_rows=False):
     if len(data) - 24 != expected:
         raise FormatError(f"{path}: payload length {len(data) - 24} != rows*dim*4 = {expected}")
     mat = np.frombuffer(data[24:], dtype="<f4").astype(np.float64).reshape(rows, dim)
-    if unit_rows and check_unit_rows(np.sqrt(np.sum(mat * mat, axis=1)), path):
+    del data  # before the norms and any re-normalization
+    if unit_rows and check_unit_rows(np.sqrt(np.einsum("ij,ij->i", mat, mat)), path):
         scale_to_unit(mat)
     return mat
 
@@ -271,44 +272,41 @@ def write_dataset(out_dir, result):
 
 
 def _read_part(data_dir, name, records, roles, lo):
-    """The rows of name.fbnk, and the records with these roles, each checked to have its
-    row among them, in [lo, lo + rows)."""
+    """Each role's rows of name.fbnk, whose manifest rows start at lo, and its records, both in
+    ascending row order, and the row count; each record's row is checked in manifest order."""
     path = os.path.join(data_dir, f"{name}.fbnk")
     rows = read_bank(path, unit_rows=True)
-    kept = [r for r in records if r["role"] in roles]
-    for r in kept:
-        if not lo <= r["row"] < lo + rows.shape[0]:
-            raise SchemaError(f"manifest row {r['row']} (id {r['id']!r}) is outside "
-                              f"rows [{lo}, {lo + rows.shape[0]}) of {path}")
-    return rows, kept
+    kept = {role: [] for role in roles}
+    for r in records:
+        if r["role"] in kept:
+            if not lo <= r["row"] < lo + rows.shape[0]:
+                raise SchemaError(f"manifest row {r['row']} (id {r['id']!r}) is outside "
+                                  f"rows [{lo}, {lo + rows.shape[0]}) of {path}")
+            kept[r["role"]].append(r)
+    recs = [sorted(kept[role], key=lambda r: r["row"]) for role in roles]
+    return [rows[[r["row"] - lo for r in rs]] for rs in recs], recs, rows.shape[0]
 
 
 def read_dataset(data_dir, training=True):
     """(label bank, training set) of a dataset directory (write_dataset); only if training
     is train.fbnk read, else the training set is None."""
     records = read_manifest(os.path.join(data_dir, "manifest.jsonl"))
-    labels, recs = _read_part(data_dir, "labels", records, ("pos_label", "neg_label"), 0)
-    pos_recs = sorted((r for r in recs if r["role"] == "pos_label"), key=lambda r: r["row"])
-    neg_rows = sorted(r["row"] for r in recs if r["role"] == "neg_label")
+    (pos, neg), (pos_recs, _), n_labels = _read_part(data_dir, "labels", records,
+                                                     ("pos_label", "neg_label"), 0)
     if not pos_recs:
         raise DataError("manifest declares no pos_label rows")
     for rank, r in enumerate(pos_recs):  # a class names a row of bank.pos
         if r.get("class", rank) != rank:
             raise SchemaError(f"manifest row {r['row']} (id {r['id']!r}) has class {r['class']}, "
                               f"not its rank {rank} among the pos_label rows")
-    bank = FeatureBank.from_rows(labels[[r["row"] for r in pos_recs]], labels[neg_rows])
+    bank = FeatureBank.from_rows(pos, neg)
+    del pos, neg  # the bank holds its own copy, and train.fbnk is larger
     if not training:
         return bank, None
-    n_labels = labels.shape[0]
-    feats, recs = _read_part(data_dir, "train", records, ("train_pos", "train_neg"), n_labels)
-    for r in recs:
+    (pos, neg), (pos_recs, _), _ = _read_part(data_dir, "train", records,
+                                              ("train_pos", "train_neg"), n_labels)
+    for r in records:  # in manifest order, as the row checks
         if r["role"] == "train_pos" and not 0 <= r["class"] < bank.n_pos:
             raise SchemaError(f"manifest row {r['row']} (id {r['id']!r}) has class {r['class']}, "
                               f"outside the {bank.n_pos} pos_label rows")
-    pos = sorted((r["row"] - n_labels, r["class"]) for r in recs if r["role"] == "train_pos")
-    neg = sorted(r["row"] - n_labels for r in recs if r["role"] == "train_neg")
-    return bank, TrainingSet(
-        pos_features=feats[[i for i, _ in pos]],
-        pos_labels=np.array([c for _, c in pos], dtype=int),
-        neg_features=feats[neg],
-    )
+    return bank, TrainingSet(pos, np.array([r["class"] for r in pos_recs], dtype=int), neg)

@@ -51,7 +51,7 @@ from .errors import (
     ZeroNorm,
 )
 from .model import (IMAGE_INDEPENDENT_MODES, ROLES, TrainingSet, _tune_block, flat_arrays,
-                    role_arrays, role_terms)
+                    flat_buffer, role_arrays, role_terms)
 from .numerics import EPS_NORM, as_f64, check_tau, softmax_rows
 
 KR_VARIANTS = ("feature", "logits", "prob")
@@ -229,6 +229,7 @@ def _loss(state, bank, batch, cfg, with_grads):
     _validate_cfg(cfg)
     if state.dim != bank.dim:
         raise DimMismatch(f"model width {state.dim} does not match bank width {bank.dim}")
+    as_f64(flat_buffer(state.arrays, state.arrays))  # NaN/Inf parameters
     if state.mode == "vec_shift" and not bank.unit:  # its forward takes c . c = 1
         raise DataError("vec_shift trains only on unit bank rows (c . c within 1e-12 of 1)")
     _validate_batch(bank, batch)

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import EmptyTrainingSet, InvalidConfig, NumericError, ShapeMismatch
 from .model import (Checkpoint, FeatureBank, flat_arrays, flat_buffer, init_model,
                     live_from_v1, param_layout, v1_layout)
-from .numerics import as_f64, normalize_rows, philox
+from .numerics import normalize_rows, philox
 from .objectives import Batch, _validate_cfg, backward, fd_well_conditioned, zero_gradients
 
 
@@ -154,7 +154,6 @@ _RUNAWAY_NORM = 1e6
 
 def train(state, bank, train_set, cfg):
     """Run the full training loop in place; returns (Checkpoint, LossTrace)."""
-    as_f64(flat_buffer(state.arrays, state.arrays))  # NaN/Inf parameters
     opt = init_optimizer(state)
     params = state.params()
     trace = LossTrace()

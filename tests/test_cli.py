@@ -20,8 +20,8 @@ from nft_ood.cli import (
     EXIT_USAGE,
     main,
 )
-from nft_ood.data_io import (SynthConfig, read_bank, read_dataset, read_manifest, write_bank,
-                             write_manifest)
+from nft_ood.data_io import (SynthConfig, read_bank, read_dataset, read_manifest, synth_dataset,
+                             write_bank, write_dataset, write_manifest)
 from nft_ood.model import MODES, Checkpoint, FeatureBank, init_model, save_checkpoint
 from nft_ood.objectives import finite_diff_grad, max_relative_error
 from nft_ood.scoring import score_many
@@ -334,6 +334,63 @@ def test_train_byte_identical_across_processes(tmp_path):
     assert outs[0] == outs[1]
 
 
+# runs each argv of the JSON list in sys.argv[1] through cli.main, in this process
+_RUN_ARGVS = """
+import json, sys
+from nft_ood.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"exit != 0: {argv}")
+"""
+
+
+def test_outputs_byte_identical_across_blas_thread_counts(tmp_path):
+    # the README's rule across thread counts: the fixture pipeline, and mid-shape scoring from
+    # one checkpoint, give the same bytes at 1 and 2 BLAS threads (mid-shape training does not)
+    mid = tmp_path / "mid"
+    write_dataset(mid, synth_dataset(SynthConfig(dim=128, n_classes=100, m_neg=1000,
+                                                 n_test_per_class=3, seed=1)))
+    state = init_model(128, mode="scale_shift", seed=5)
+    rng = np.random.default_rng(6)
+    for arr in state.arrays.values():
+        arr += 0.01 * rng.standard_normal(arr.shape)
+    save_checkpoint(Checkpoint(model=state), tmp_path / "mid.nftc")
+    argvs = [["synth", "--out", "data", "--seed", "3"]]
+    for mode in ("scale_shift", "mlp"):
+        argvs.append(["train", "--data", "data", "--out", mode, "--mode", mode,
+                      "--epochs", "1", "--lr", "1e-3"])
+    for run_dir, method in (("scale_shift", "krnft"), ("mlp", "krnft"), ("zero_shot", "neglabel")):
+        for split in ("id", "ood"):
+            argvs.append(["score", "--bank", "data", "--images", f"data/test_{split}.fbnk",
+                          "--method", method, "--tau-score", "0.01",
+                          "--out", f"{run_dir}_{split}.csv"]
+                         + (["--checkpoint", f"{run_dir}/checkpoint.nftc"]
+                            if method == "krnft" else []))
+        argvs.append(["eval", "--scores-id", f"{run_dir}_id.csv",
+                      "--scores-ood", f"{run_dir}_ood.csv", "--out", f"{run_dir}_eval.json"])
+    for method in ("krnft", "neglabel", "mcm"):
+        argvs.append(["score", "--bank", "../mid", "--images", "../mid/test_id.fbnk",
+                      "--method", method, "--checkpoint", "../mid.nftc", "--tau-score", "0.01",
+                      "--out", f"mid_{method}.csv"])
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    path = os.environ.get("PYTHONPATH")
+    outs = []
+    for threads in ("1", "2"):  # set before numpy is imported, in a process of its own
+        cwd = tmp_path / f"threads_{threads}"
+        cwd.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run([sys.executable, "-c", _RUN_ARGVS, json.dumps(argvs)], cwd=cwd,
+                              env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+        # every path is relative to cwd, so the echoed configs compare too
+        outs.append({str(p.relative_to(cwd)): p.read_bytes()
+                     for p in sorted(cwd.rglob("*")) if p.is_file()})
+    assert len(outs[0]) == 33
+    assert outs[0].keys() == outs[1].keys()
+    assert [k for k in outs[0] if outs[0][k] != outs[1][k]] == []
+
+
 @pytest.mark.parametrize("mode", ["const_shift", "scale_shift"])
 @pytest.mark.parametrize("hidden", [2**32, 2**61, 2**62, 2**64 - 1])
 def test_train_hidden_past_the_checkpoint_field_is_usage_error(synth_dir, tmp_path, capsys,
@@ -344,6 +401,33 @@ def test_train_hidden_past_the_checkpoint_field_is_usage_error(synth_dir, tmp_pa
     assert run("train", "--data", str(synth_dir), "--out", str(out), "--epochs", "1",
                "--mode", mode, "--hidden", str(hidden)) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: hidden must be in [1, 2**32), got {hidden}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--mode", "error: unknown transform mode ''\n"),
+    ("--data", "error: train requires --data or a data_dir config entry\n"),
+], ids=["mode", "data"])
+def test_train_empty_explicit_flag_overrides_the_config_file(synth_dir, tmp_path, capsys,
+                                                             flag, message):
+    # an empty --mode or --data was dropped for the file's value, and training exited 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "mlp", "data_dir": str(synth_dir)}))
+    out = tmp_path / "run"
+    assert run("train", "--config", str(cfg), "--out", str(out), "--epochs", "1",
+               flag, "") == EXIT_USAGE
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_allocation_the_machine_cannot_hold_is_one_line_usage_error(tmp_path, capsys):
+    # (2**49, 1024) float64 negatives are 2**62 bytes, more than any address space maps, so no
+    # page is touched; numpy's MemoryError once ended in a traceback and exit 4
+    out = tmp_path / "synth"
+    assert run("synth", "--out", str(out), "--dim", "1024", "--m-neg", str(2**49)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert err.startswith("error: out of memory: Unable to allocate 4.00 EiB")
     assert not out.exists()
 
 

@@ -1,6 +1,8 @@
 import json
+import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from nft_ood.errors import (
 from nft_ood.data_io import (
     SynthConfig,
     read_bank,
+    read_dataset,
     read_manifest,
     synth_dataset,
     write_bank,
+    write_dataset,
     write_manifest,
 )
 from selection_reference import oracle_synth
@@ -320,3 +324,53 @@ def test_synth_matches_per_crop_set_loop(cfg):
     for name in ("test_id", "test_ood", "test_id_classes"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.records == want.records
+
+
+# ---- dataset directory ----
+
+
+@pytest.fixture(scope="module")
+def wide_dir(tmp_path_factory):
+    """A synth directory at D=512, N=100, M=4000: 16.8 MB of label rows, 13.1 MB of training
+    rows as float64."""
+    out = tmp_path_factory.mktemp("wide") / "synth"
+    write_dataset(out, synth_dataset(SynthConfig(dim=512, n_classes=100, m_neg=4000)))
+    return out
+
+
+def _kept_bytes(out):
+    if isinstance(out, np.ndarray):
+        return out.nbytes
+    bank, training = out
+    return bank.matrix.nbytes + (0 if training is None else sum(
+        a.nbytes for a in (training.pos_features, training.pos_labels, training.neg_features)))
+
+
+@pytest.mark.parametrize("read, bound", [
+    (lambda d: read_bank(os.path.join(d, "labels.fbnk"), unit_rows=True), 2.1),
+    (lambda d: read_dataset(d, training=False), 3.6),
+    (lambda d: read_dataset(d, training=True), 2.0),
+], ids=["read_bank", "read_dataset-labels", "read_dataset-training"])
+def test_read_path_peak_memory(wide_dir, read, bound):
+    # peaks once 2.50, 4.28 and 2.40 times what they return: read_bank squared the whole
+    # matrix for its norms, and read_dataset held the file's rows beside four gathered copies
+    tracemalloc.start()
+    try:
+        out = read(wide_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * _kept_bytes(out), peak / _kept_bytes(out)
+
+
+def test_write_bank_makes_one_float32_copy(wide_dir, tmp_path):
+    # once also a bytes copy of the float32 array, twice what the file holds
+    mat = read_bank(os.path.join(wide_dir, "labels.fbnk"))
+    tracemalloc.start()
+    try:
+        write_bank(tmp_path / "labels.fbnk", mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.55 * mat.nbytes, peak / mat.nbytes
+    assert (tmp_path / "labels.fbnk").read_bytes() == (wide_dir / "labels.fbnk").read_bytes()

@@ -25,6 +25,7 @@ from nft_ood.model import (
     transform_bank,
     v1_layout,
 )
+from nft_ood.objectives import backward, total_loss
 from nft_ood.scoring import score_many
 from nft_ood.trainer import TrainConfig, train
 
@@ -469,14 +470,26 @@ def _train_one_epoch(state, bank, images):
     train(state, bank, TrainingSet(images, labels, images), TrainConfig(epochs=1))
 
 
+def _loss_call(call):
+    """call (total_loss or backward) on a batch of the images as positives and negatives."""
+    def entry(state, bank, images):
+        labels = np.zeros(images.shape[0], dtype=int)
+        return call(state, bank, TrainingSet(images, labels, images), TrainConfig())
+    return entry
+
+
 @pytest.mark.parametrize("entry", [
     lambda state, bank, images: score_many(images, "krnft", bank, state=state),
     lambda state, bank, images: transform_bank(state, bank, images[0]),
     _train_one_epoch,
-], ids=["score_many", "transform_bank", "train"])
+    _loss_call(total_loss),
+    _loss_call(backward),
+], ids=["score_many", "transform_bank", "train", "total_loss", "backward"])
 @pytest.mark.parametrize("mode", MODES)
 def test_nan_parameter_is_rejected_at_entry(entry, mode):
     # transform_bank once returned NaN rows, and train reported "training diverged"
+    # total_loss and backward returned a NaN total (vec_shift, scale_shift) or raised
+    # NumericError "a row's norm overflows" (const_shift, mlp)
     rng = np.random.default_rng(18)
     bank = small_bank(rng)
     state = init_model(8, hidden=4, mode=mode, seed=2)
